@@ -89,14 +89,13 @@ class Topic:
 
 @dataclass(frozen=True)
 class StreamShape:
-    """The dimensions of one generated stream."""
+    """The dimensions of one generated stream; each day is one tick."""
 
     name: str
     years: int
     posts_per_day: int
     keyword_share: float
     topics: Tuple[Topic, ...]
-    ticks_per_day: int = 1
     pool_variants: int = 0
     text_chars: int = 0
 
@@ -113,11 +112,11 @@ def _flat(value, years: int) -> Tuple:
 TIERED = StreamShape(
     name="tiered",
     years=5,
+    # S10's cadence (one tick a day, 1,826 ticks) at 48 posts a day, not
+    # S10's ~256: at 256 one iteration runs 40 s on a 2-vCPU VM, and a
+    # run needs three iterations within its 30 s (perfbench/LEDGER.md).
     posts_per_day=48,
     keyword_share=0.6,
-    # Two ticks a day put the p99 tick among the hot-seal ticks, clear
-    # of the ~16 cold-seal ticks above them and of the plain ticks below.
-    ticks_per_day=2,
     pool_variants=160,
     topics=(
         Topic("dpfdelete", "dpf delete", "PHYSICAL", True,
@@ -250,24 +249,18 @@ class StreamGenerator:
         return day, out
 
 
-def tick_batches(
-    shape: StreamShape, planted: Sequence[Planted], shards: int, seqs: List[int]
-):
-    """Split one day's posts into ticks of per-shard event batches.
+def tick_batches(planted: Sequence[Planted], shards: int, seqs: List[int]):
+    """One day's posts as one tick of per-shard event batches.
 
     Posts go round robin to the shards; ``seqs`` holds each shard's next
     feed sequence number and advances.
     """
     from repro.stream.feed import PostEvent
 
-    size = -(-len(planted) // shape.ticks_per_day)
-    ticks = []
-    for start in range(0, len(planted), size):
-        batches: List[List[object]] = [[] for _ in range(shards)]
-        for position, item in enumerate(planted[start:start + size]):
-            shard = position % shards
-            batches[shard].append(PostEvent(seq=seqs[shard], post=item.post))
-            seqs[shard] += 1
-        ticks.append(batches)
-    return ticks
+    batches: List[List[object]] = [[] for _ in range(shards)]
+    for position, item in enumerate(planted):
+        shard = position % shards
+        batches[shard].append(PostEvent(seq=seqs[shard], post=item.post))
+        seqs[shard] += 1
+    return batches
 

@@ -17,7 +17,7 @@ sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from layers import PER_LAYER  # noqa: E402
-from percentiles import tail_percentile  # noqa: E402
+from run import END_TO_END, iterations, p99  # noqa: E402
 from spans import SpanRecorder, Tracer  # noqa: E402
 from streams import (  # noqa: E402
     SPILL,
@@ -31,18 +31,27 @@ from streams import (  # noqa: E402
 
 
 def test_p99_needs_ten_samples_beyond_it():
-    assert tail_percentile([float(i) for i in range(999)], 99) is None
-    samples = [float(i) for i in range(1000)]
-    p99 = tail_percentile(samples, 99)
-    assert p99 == 989.0
-    assert sum(1 for s in samples if s > p99) == 10
+    assert p99([float(i) for i in range(999)]) is None
+    assert p99([]) is None
+    samples = [float((7 * i) % 1000) for i in range(1000)]
+    tail = p99(samples)
+    assert tail == 989.0
+    assert sum(1 for s in samples if s > tail) == 10
 
 
-def test_p50_needs_only_twenty_samples():
-    assert tail_percentile([1.0] * 19, 50) is None
-    shuffled = [float((7 * i) % 20) for i in range(20)]
-    assert tail_percentile(shuffled, 50) == 9.0
-    assert tail_percentile([], 50) is None
+def test_iteration_count_depends_on_the_budget_only():
+    assert iterations(1) == iterations(30) == 3
+    assert iterations(60) == 6
+
+
+def test_probe_time_stays_off_the_tick_and_run_clocks():
+    from workloads import Clock
+
+    clock = Clock()
+    clock.tick(lambda: None)
+    (tick,) = clock.ticks_s
+    assert 0 < clock.probe_s < clock.off_clock_s
+    assert tick < clock.off_clock_s
 
 
 # -- self time of nested spans ----------------------------------------------------
@@ -145,8 +154,6 @@ def test_spill_texts_are_distinct_and_padded():
 
 
 def test_benchmark_file_lists_the_reported_metrics():
-    from run import END_TO_END
-
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == list(END_TO_END)
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == list(PER_LAYER)

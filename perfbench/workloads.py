@@ -5,10 +5,12 @@
 ``--spawned`` is the parent's ``time.monotonic()`` just before it started
 this process, so ``setup_s`` counts interpreter start, imports and every
 construction up to the first timed operation.  Time spent in the
-benchmark's own stream generator is taken off ``run_s``.  The last line on stdout is one JSON object with the
-iteration's figures, check outcomes and digest; with ``--trace`` it also
-carries the per-layer figures from the span tracer, and the raw spans are
-written under ``DIR``.
+benchmark's own stream generator and host-speed probe is taken off
+``run_s``.  The last line on stdout is one JSON object with the
+iteration's raw figures (``probe_s`` is the mean probe time), check
+outcomes and digest; with ``--trace`` it also carries the per-layer
+figures from the span tracer, and the raw spans are written under
+``DIR``.
 """
 
 from __future__ import annotations
@@ -54,20 +56,31 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
-class Clock:
-    """Run-phase stopwatch that leaves generator time off the clock.
+#: The host-speed probe's fixed work: interpreter dispatch and dict
+#: updates, like the program's own, over prebuilt keys so that it
+#: allocates nothing and never wakes the garbage collector.
+_PROBE_KEYS = tuple(f"k{i % 97}" for i in range(600))
 
-    ``ticks_s`` are the run's ticks in order.  ``between_s`` holds, per
-    larger unit of work that ticks do not cover entirely (a scenario of
-    the replay), the unit's time outside its ticks.  The same seed
-    yields the same sequence in every iteration, which is what lets the
-    parent keep the fastest repetition of each.
+
+def _probe() -> None:
+    counts: dict = {}
+    for key in _PROBE_KEYS:
+        counts[key] = counts.get(key, 0) + 1
+
+
+class Clock:
+    """Run-phase stopwatch that leaves generator and probe time off the clock.
+
+    ``ticks_s`` are the run's ticks in order.  After every tick the clock
+    times one host-speed probe (after an untimed one that refills the
+    caches), so ``probe_s`` samples the host's speed as often as the
+    ticks do; it is not part of any tick or of the run.
     """
 
     def __init__(self) -> None:
-        self.generation_s = 0.0
+        self.off_clock_s = 0.0
+        self.probe_s = 0.0
         self.ticks_s: list = []
-        self.between_s: list = []
         self.posts = 0
 
     def generate(self, produce):
@@ -75,22 +88,20 @@ class Clock:
         try:
             return produce()
         finally:
-            self.generation_s += time.perf_counter() - begin
+            self.off_clock_s += time.perf_counter() - begin
 
     def tick(self, call):
         begin = time.perf_counter()
         result = call()
-        self.ticks_s.append(time.perf_counter() - begin)
+        end = time.perf_counter()
+        self.ticks_s.append(end - begin)
         self.posts += getattr(result, "accepted", 0)
-        return result
-
-    def unit(self, call):
-        begin = time.perf_counter()
-        ticked = len(self.ticks_s)
-        result = call()
-        self.between_s.append(
-            time.perf_counter() - begin - sum(self.ticks_s[ticked:])
-        )
+        _probe()
+        probe_begin = time.perf_counter()
+        _probe()
+        done = time.perf_counter()
+        self.probe_s += done - probe_begin
+        self.off_clock_s += done - end
         return result
 
 
@@ -153,9 +164,7 @@ def run_replay_all(state, clock: Clock):
             defence.describe()
         return report, defence
 
-    state["outcomes"] = [
-        clock.unit(lambda: scenario(spec)) for spec in state["specs"]
-    ]
+    state["outcomes"] = [scenario(spec) for spec in state["specs"]]
 
 
 def check_replay_all(state):
@@ -272,13 +281,10 @@ def run_stream_tiered(state, clock: Clock):
     generator = state["generator"]
     seqs = [0] * SHARDS
     for _ in range(generator.shape.days):
-        ticks = clock.generate(
-            lambda: tick_batches(
-                generator.shape, generator.next_day()[1], SHARDS, seqs
-            )
+        batches = clock.generate(
+            lambda: tick_batches(generator.next_day()[1], SHARDS, seqs)
         )
-        for batches in ticks:
-            clock.tick(lambda: runtime.ingest(batches))
+        clock.tick(lambda: runtime.ingest(batches))
 
 
 def check_stream_tiered(state):
@@ -330,8 +336,8 @@ def run_stream_spill(state, clock: Clock):
     tail = []
     saved = None
     for day in range(days):
-        (batches,) = clock.generate(
-            lambda: tick_batches(SPILL, generator.next_day()[1], SHARDS, seqs)
+        batches = clock.generate(
+            lambda: tick_batches(generator.next_day()[1], SHARDS, seqs)
         )
         if day == late_at:
             state["database"].add(_keyword(late))
@@ -403,7 +409,7 @@ def main(argv=None) -> int:
 
     begin = time.perf_counter()
     run(state, clock)
-    run_s = time.perf_counter() - begin - clock.generation_s
+    run_s = time.perf_counter() - begin - clock.off_clock_s
     if tracer is not None:
         tracer.uninstall()
 
@@ -413,7 +419,7 @@ def main(argv=None) -> int:
         "run_s": run_s,
         "posts": clock.posts,
         "ticks_ms": [seconds * 1e3 for seconds in clock.ticks_s],
-        "between_s": clock.between_s,
+        "probe_s": clock.probe_s / len(clock.ticks_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "checks": checks,
         "digest": digest,
