@@ -212,7 +212,7 @@ def run_indexed_corpus_bench(
 
     The shared text-analysis cache is cleared before each side so both
     pay their full cold cost — the engine's timing includes building the
-    inverted index from scratch.
+    columnar index from scratch.
     """
     load = workload or fleet_workload()
     keywords = load.keywords
@@ -235,7 +235,6 @@ def run_indexed_corpus_bench(
         engine_seconds=engine_s,
         equivalent=_matching_results_equal(naive, indexed),
         extra={
-            "distinct_index_terms": engine_corpus.index().distinct_terms,
             "matches_per_window": [
                 sum(len(posts) for posts in per_keyword.values())
                 for per_keyword in indexed
@@ -602,7 +601,7 @@ def rebuild_and_rerun_pass(
 ):
     """The batch path a naive "new posts arrived" reaction pays.
 
-    Rebuild the corpus and its inverted index from scratch over the full
+    Rebuild the corpus and its keyword index from scratch over the full
     union, then re-run the whole query→sai→split→tune pipeline — exactly
     what the pre-stream :class:`~repro.core.monitor.PSPMonitor` did per
     tick.  Returns ``(sai, insider_table)``.
@@ -969,7 +968,7 @@ S9_PROFILES: Dict[str, Dict[str, int]] = {
 }
 
 #: Engine-phase peak-RSS budget (KB) per profile.  The full profile
-#: holds 1M+ posts of columns, arena, postings and id set; the budget
+#: holds 1M+ posts of columns, arena and id set; the budget
 #: gives roughly 2x headroom over the observed footprint so allocator
 #: and platform variance does not flake the gate.
 S9_RSS_BUDGET_KB: Dict[str, int] = {

@@ -16,7 +16,9 @@ Classification strategy, in priority order:
    crime-voice markers ("stolen", "thieves", "police", "arrested") vote
    outsider.  Ties and empty evidence default to **outsider**, the
    conservative choice: outsider entries keep the standard's weights, so
-   a mis-default can never inflate a rating.
+   a mis-default can never inflate a rating.  The marker sets live in
+   :mod:`repro.nlp.analysis`, which records each text's two voice bits
+   once per analysis.
 
 The result is a partition: every entry lands in exactly one class
 (property-tested).
@@ -28,20 +30,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.sai import SAIEntry, SAIList
-from repro.nlp.analysis import analyze_text
+from repro.nlp.analysis import (  # noqa: F401 - markers re-exported
+    INSIDER_MARKERS,
+    OUTSIDER_MARKERS,
+    analyze_text,
+)
 from repro.social.api import SearchQuery, SocialMediaClient
-
-#: First-person owner-voice markers (insider vote).
-INSIDER_MARKERS = frozenset(
-    {"my", "mine", "got", "installed", "did", "bought", "paid", "worth",
-     "recommend", "mechanic", "workshop", "saved", "finally"}
-)
-
-#: Third-person crime-voice markers (outsider vote).
-OUTSIDER_MARKERS = frozenset(
-    {"stolen", "steal", "thieves", "theft", "police", "arrested", "gang",
-     "criminals", "warning", "insurance", "investigators", "taken"}
-)
 
 
 @dataclass(frozen=True)
@@ -85,18 +79,16 @@ class InsiderOutsiderSplit:
 def _text_votes(texts: Sequence[str]) -> Tuple[int, int]:
     """Count insider vs outsider marker votes over post texts.
 
-    Reads the precomputed word set off the shared
-    :func:`~repro.nlp.analysis.analyze_text` sidecar instead of
-    re-normalizing each text.
+    Reads the voice bits the shared
+    :func:`~repro.nlp.analysis.analyze_text` sidecar computed once per
+    text instead of re-normalizing each text.
     """
     insider_votes = 0
     outsider_votes = 0
     for text in texts:
-        tokens = analyze_text(text).word_set
-        if tokens & INSIDER_MARKERS:
-            insider_votes += 1
-        if tokens & OUTSIDER_MARKERS:
-            outsider_votes += 1
+        analysis = analyze_text(text)
+        insider_votes += analysis.insider_voice
+        outsider_votes += analysis.outsider_voice
     return insider_votes, outsider_votes
 
 

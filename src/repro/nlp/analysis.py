@@ -15,7 +15,11 @@ exactly once per distinct text and hands every consumer the same
   :attr:`~PostAnalysis.tokens` (the result memoized per analyzer
   fingerprint, so a post is scored once per corpus lifetime),
 * keyword learning and :attr:`~repro.social.post.Post.hashtags` read the
-  canonical :attr:`~PostAnalysis.hashtags`.
+  canonical :attr:`~PostAnalysis.hashtags`,
+* insider/outsider classification and both streaming delta kernels read
+  the voice bits :attr:`~PostAnalysis.insider_voice` and
+  :attr:`~PostAnalysis.outsider_voice`, set once per text from
+  :data:`INSIDER_MARKERS` / :data:`OUTSIDER_MARKERS`.
 
 Analyses are keyed by the text itself (every derived view is a pure
 function of the text), so identical posts across sub-corpora, region
@@ -36,6 +40,18 @@ from repro.nlp.tokenizer import Token, TokenType, tokenize
 #: straddle it.
 _HAYSTACK_SEPARATOR = "\n"
 
+#: First-person owner-voice markers (insider vote).
+INSIDER_MARKERS = frozenset(
+    {"my", "mine", "got", "installed", "did", "bought", "paid", "worth",
+     "recommend", "mechanic", "workshop", "saved", "finally"}
+)
+
+#: Third-person crime-voice markers (outsider vote).
+OUTSIDER_MARKERS = frozenset(
+    {"stolen", "steal", "thieves", "theft", "police", "arrested", "gang",
+     "criminals", "warning", "insurance", "investigators", "taken"}
+)
+
 
 @dataclass(frozen=True)
 class PostAnalysis:
@@ -43,15 +59,16 @@ class PostAnalysis:
 
     Only the views the hot paths probe *repeatedly* are stored —
     matching reads :attr:`haystack` per keyword, keyword learning reads
-    :attr:`hashtags` — plus the per-analyzer sentiment memo.  The
-    remaining views (the token stream, the word set, the
+    :attr:`hashtags`, every delta-kernel and classifier pass over a
+    matched post reads the two voice bits — plus the per-analyzer
+    sentiment memo.  The remaining views (the token stream, the word set, the
     normalized/stemmed intermediates) are recomputed on access: each
     has consumers that read it once per analysis (sentiment scoring
-    memoizes its result; voice voting and index builds ingest a post
-    once), while *retaining* them would dominate resident memory on
-    long-horizon streams, where one analysis per warm text stays alive
-    for days of stream time.  Every view is a pure function of
-    ``text``, so lazy and stored views are interchangeable by value.
+    memoizes its result), while *retaining* them would dominate
+    resident memory on long-horizon streams, where one analysis per
+    warm text stays alive for days of stream time.  Every view is a
+    pure function of ``text``, so lazy and stored views are
+    interchangeable by value.
 
     Attributes:
         text: the original post text.
@@ -63,12 +80,18 @@ class PostAnalysis:
         hashtags: canonical hashtags in order of appearance, duplicates
             preserved (they signal emphasis and count for frequency).
         hashtag_set: the distinct canonical hashtags.
+        insider_voice: whether a normalized word is an
+            :data:`INSIDER_MARKERS` owner-voice marker.
+        outsider_voice: whether a normalized word is an
+            :data:`OUTSIDER_MARKERS` crime-voice marker.
     """
 
     text: str
     haystack: str
     hashtags: Tuple[str, ...]
     hashtag_set: FrozenSet[str]
+    insider_voice: bool
+    outsider_voice: bool
     #: Per-analyzer-fingerprint sentiment memo; a mutable cache, not part
     #: of the analysis value (excluded from equality and hashing).
     _sentiment: Dict[Hashable, object] = field(
@@ -139,7 +162,8 @@ def analyze_text(text: str) -> PostAnalysis:
     """
     normalized = normalize_text(text)
     squashed = normalized.replace(" ", "")
-    stemmed_joined = "".join(stem(word) for word in normalized.split())
+    words = normalized.split()
+    stemmed_joined = "".join(stem(word) for word in words)
     hashtags = tuple(
         canonical_keyword(token.text)
         for token in tokenize(text)
@@ -150,4 +174,6 @@ def analyze_text(text: str) -> PostAnalysis:
         haystack=squashed + _HAYSTACK_SEPARATOR + stemmed_joined,
         hashtags=hashtags,
         hashtag_set=frozenset(hashtags),
+        insider_voice=not INSIDER_MARKERS.isdisjoint(words),
+        outsider_voice=not OUTSIDER_MARKERS.isdisjoint(words),
     )

@@ -192,7 +192,7 @@ class SocialMediaClient(abc.ABC):
 class InMemoryClient(SocialMediaClient):
     """Corpus-backed client used throughout the reproduction.
 
-    Every query path rides the corpus' inverted index
+    Every query path rides the corpus' keyword index
     (:class:`~repro.social.index.CorpusIndex`): region scopes are
     memoized sub-corpora sharing one index each, analysis windows are
     bisected out of the date-sorted index instead of materialised as
@@ -234,7 +234,7 @@ class InMemoryClient(SocialMediaClient):
     def search_many(self, batch: BatchQuery) -> BatchResult:
         """Batch search answered in one pass over the corpus index.
 
-        The region scope (and its inverted index) is shared by every
+        The region scope (and its keyword index) is shared by every
         keyword of the batch, the window is a bisected slice, and all
         keywords are matched during a single sweep of that slice —
         instead of one corpus scan per keyword as the sequential path

@@ -11,14 +11,10 @@ instead:
   buffer), the four engagement counters (``'q'``), and lazily built
   per-analyzer sentiment columns (``'d'``);
 * **one haystack arena**: every post's folded match haystack joined into
-  a single ``str`` with an ``'Q'`` offsets array, so the free-text
-  matcher runs one C-level ``str.find`` loop over the arena and maps
-  hits back to posts by bisecting the offsets — no per-post string
-  objects on the probe path;
-* **interned vocabularies**: hashtag/token/stem terms are
-  ``sys.intern``-ed and postings are ``array('I')`` position lists held
-  as ``(base, positions)`` chunks, so compaction re-bases a chunk header
-  instead of rewriting every entry;
+  a single ``str`` with an ``'Q'`` offsets array.  The arena sweep is
+  the one keyword matcher: one C-level ``str.find`` loop over the arena
+  per keyword, hits mapped back to posts by bisecting the offsets — no
+  per-post string objects and no term postings to build or re-base;
 * **a text interner**: per distinct text the
   :class:`~repro.nlp.analysis.PostAnalysis` is computed exactly once per
   corpus lineage (streaming appends at 10M+ posts overflow the bounded
@@ -41,7 +37,7 @@ import datetime as dt
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.nlp.analysis import PostAnalysis, analyze_text
 from repro.social.post import Engagement, Post
@@ -53,14 +49,6 @@ __all__ = ["ARENA_SEPARATOR", "ColumnarCorpus", "TextInterner"]
 #: keywords are alphanumeric-only, so no keyword can straddle two posts'
 #: segments.
 ARENA_SEPARATOR = "\n"
-
-#: A term's posting chunks are consolidated into one flat array once the
-#: chain grows past this; keeps per-term probe cost O(log chunks) even
-#: under threshold-style compaction policies that compact very often.
-_POSTING_CHUNK_LIMIT = 32
-
-#: ``keyword -> List[(base, positions)]`` chunked posting map.
-_PostingMap = Dict[str, List[Tuple[int, array]]]
 
 #: Ordinal -> calendar year memo (distinct dates are few; `dt.date`
 #: objects never materialize on the aggregate paths).
@@ -122,40 +110,13 @@ class TextInterner:
         return self._pool.keys()
 
 
-def _consolidated(chunks: List[Tuple[int, array]]) -> List[Tuple[int, array]]:
-    """Flatten a chunk chain into one re-based ``(0, positions)`` chunk."""
-    flat = array("I")
-    for base, positions in chunks:
-        if base == 0:
-            flat.extend(positions)
-        else:
-            flat.extend(position + base for position in positions)
-    return [(0, flat)]
-
-
-def _concat_postings(
-    head: _PostingMap, tail: _PostingMap, shift: int
-) -> _PostingMap:
-    """Postings of two consecutive segments; tail chunks re-based by
-    ``shift``.  Position arrays are shared, never copied or mutated."""
-    merged = dict(head)
-    for term, chunks in tail.items():
-        shifted = [(base + shift, positions) for base, positions in chunks]
-        known = merged.get(term)
-        combined = known + shifted if known else shifted
-        if len(combined) > _POSTING_CHUNK_LIMIT:
-            combined = _consolidated(combined)
-        merged[term] = combined
-    return merged
-
-
 class ColumnarCorpus:
     """One immutable, date-sorted corpus segment in columnar layout.
 
     Build with :meth:`from_posts`; grow with :meth:`extended_with`.  All
     columns are parallel and ordered by the global ``(created_at,
-    post_id)`` sort key.  Instances share position arrays and pooled
-    analyses with the segments they were derived from — nothing here is
+    post_id)`` sort key.  Instances share pooled analyses with the
+    segments they were derived from — nothing here is
     ever mutated after construction (the per-position `Post` cache and
     lazy sentiment columns are memos, not state).
     """
@@ -175,9 +136,6 @@ class ColumnarCorpus:
         "_replies",
         "_arena",
         "_offsets",
-        "_tag_postings",
-        "_token_postings",
-        "_stem_postings",
         "_sentiments",
         "_post_cache",
         "_posts_tuple",
@@ -199,9 +157,6 @@ class ColumnarCorpus:
         replies: array,
         arena: str,
         offsets: array,
-        tag_postings: _PostingMap,
-        token_postings: _PostingMap,
-        stem_postings: _PostingMap,
         sentiments: Optional[Dict[object, array]] = None,
     ) -> None:
         self._interner = interner
@@ -218,9 +173,6 @@ class ColumnarCorpus:
         self._replies = replies
         self._arena = arena
         self._offsets = offsets
-        self._tag_postings = tag_postings
-        self._token_postings = token_postings
-        self._stem_postings = stem_postings
         self._sentiments: Dict[object, array] = sentiments or {}
         self._post_cache: Dict[int, Post] = {}
         self._posts_tuple: Optional[Tuple[Post, ...]] = None
@@ -251,12 +203,9 @@ class ColumnarCorpus:
         replies = array("q")
         parts: List[str] = []
         offsets = array("Q", (0,))
-        tag_arrays: Dict[str, array] = {}
-        token_arrays: Dict[str, array] = {}
-        stem_arrays: Dict[str, array] = {}
         end = 0
         intern = sys.intern
-        for position, post in enumerate(ordered):
+        for post in ordered:
             analysis = interner.analysis(post.text)
             dates.append(post.created_at.toordinal())
             post_ids.append(post.post_id)
@@ -276,12 +225,6 @@ class ColumnarCorpus:
             parts.append(analysis.haystack)
             end += len(analysis.haystack) + 1
             offsets.append(end)
-            for tag in analysis.hashtag_set:
-                _posting_append(tag_arrays, intern(tag), position)
-            for word in analysis.word_set:
-                _posting_append(token_arrays, intern(word), position)
-            for stemmed in set(analysis.stems):
-                _posting_append(stem_arrays, intern(stemmed), position)
         return cls(
             interner=interner,
             dates=dates,
@@ -296,9 +239,6 @@ class ColumnarCorpus:
             replies=replies,
             arena=ARENA_SEPARATOR.join(parts),
             offsets=offsets,
-            tag_postings={t: [(0, a)] for t, a in tag_arrays.items()},
-            token_postings={t: [(0, a)] for t, a in token_arrays.items()},
-            stem_postings={t: [(0, a)] for t, a in stem_arrays.items()},
         )
 
     # -- basic shape --------------------------------------------------------
@@ -315,29 +255,6 @@ class ColumnarCorpus:
     def arena_chars(self) -> int:
         """Size of the joined haystack arena, in characters."""
         return len(self._arena)
-
-    @property
-    def distinct_terms(self) -> int:
-        """Number of distinct indexed terms (tags + tokens + stems)."""
-        return (
-            len(self._tag_postings)
-            + len(self._token_postings)
-            + len(self._stem_postings)
-        )
-
-    @property
-    def posting_entries(self) -> int:
-        """Total posting positions across all terms and chunks."""
-        return sum(
-            len(positions)
-            for postings in (
-                self._tag_postings,
-                self._token_postings,
-                self._stem_postings,
-            )
-            for chunks in postings.values()
-            for _, positions in chunks
-        )
 
     def date_ordinal(self, position: int) -> int:
         """The date ordinal of one post position."""
@@ -390,33 +307,16 @@ class ColumnarCorpus:
 
     # -- matching -----------------------------------------------------------
 
-    def confirmed_positions(self, canonical: str, lo: int, hi: int) -> Set[int]:
-        """Window positions provably matching ``canonical`` via postings."""
-        confirmed: Set[int] = set()
-        for postings in (
-            self._tag_postings,
-            self._token_postings,
-            self._stem_postings,
-        ):
-            chunks = postings.get(canonical)
-            if not chunks:
-                continue
-            for base, positions in chunks:
-                start = bisect_left(positions, lo - base)
-                stop = bisect_left(positions, hi - base)
-                for index in range(start, stop):
-                    confirmed.add(base + positions[index])
-        return confirmed
-
-    def arena_positions(self, canonical: str, lo: int, hi: int) -> List[int]:
-        """Window positions whose haystack contains ``canonical``.
+    def search_positions(self, canonical: str, lo: int, hi: int) -> List[int]:
+        """Ascending window positions whose haystack contains ``canonical``.
 
         One C-level ``str.find`` loop over the arena slice covering the
         window; a hit maps back to its post by bisecting the offsets and
         the scan resumes at the next post, so every position is reported
         at most once, ascending.  Exactly
         :meth:`~repro.nlp.analysis.PostAnalysis.matches_keyword` per
-        post — the separator guarantees no cross-post match.
+        post — the separator guarantees no cross-post match — so
+        keywords folding to the empty canonical match nothing.
         """
         hits: List[int] = []
         if not canonical or lo >= hi:
@@ -432,23 +332,6 @@ class ColumnarCorpus:
             hits.append(position)
             found = find(canonical, offsets[position + 1])
         return hits
-
-    def search_positions(self, canonical: str, lo: int, hi: int) -> List[int]:
-        """Ascending window positions matching ``canonical``.
-
-        The arena sweep unioned with the postings-confirmed set (an
-        exact hashtag/token/stem hit is provably a folded-text match).
-        Keywords folding to the empty canonical can never free-text
-        match; only their hashtag/token-confirmed posts — the legacy
-        hashtag-index union — survive.
-        """
-        confirmed = self.confirmed_positions(canonical, lo, hi)
-        if not canonical:
-            return sorted(confirmed)
-        swept = self.arena_positions(canonical, lo, hi)
-        if not confirmed or confirmed.issubset(swept):
-            return swept
-        return sorted(confirmed.union(swept))
 
     # -- aggregate slices ---------------------------------------------------
 
@@ -537,9 +420,9 @@ class ColumnarCorpus:
         Semantically identical to re-sorting the concatenated post lists
         and columnarizing from scratch.  When ``tail`` starts at or
         after this segment's last sort key — the streaming common case —
-        every scalar column concatenates at C speed, the arena is one
-        string join, and postings attach tail chunks by re-basing chunk
-        headers.  Out-of-order tails fall back to a full gather rebuild.
+        every scalar column concatenates at C speed and the arena is one
+        string join.  Out-of-order tails fall back to a full gather
+        rebuild.
         """
         if len(tail) == 0:
             return self
@@ -562,8 +445,7 @@ class ColumnarCorpus:
         )
 
     def _concatenated(self, tail: "ColumnarCorpus") -> "ColumnarCorpus":
-        count = len(self)
-        shift = self._offsets[count]  # == len(arena) + 1
+        shift = self._offsets[len(self)]  # == len(arena) + 1
         offsets = array("Q", self._offsets)
         offsets.pop()
         offsets.extend(offset + shift for offset in tail._offsets)
@@ -603,15 +485,6 @@ class ColumnarCorpus:
             replies=self._replies + tail._replies,
             arena=self._arena + ARENA_SEPARATOR + tail._arena,
             offsets=offsets,
-            tag_postings=_concat_postings(
-                self._tag_postings, tail._tag_postings, count
-            ),
-            token_postings=_concat_postings(
-                self._token_postings, tail._token_postings, count
-            ),
-            stem_postings=_concat_postings(
-                self._stem_postings, tail._stem_postings, count
-            ),
             sentiments=sentiments,
         )
 
@@ -621,7 +494,7 @@ class ColumnarCorpus:
         """JSON-serialisable columnar snapshot.
 
         Plain parallel columns — no per-post dicts, no pickled objects.
-        The arena, postings and sentiment memos are *derived* state and
+        The arena and sentiment memos are *derived* state and
         are rebuilt on :meth:`from_state` (analysis is pure), which keeps
         checkpoints small and forward-compatible.
         """
@@ -647,14 +520,6 @@ class ColumnarCorpus:
     ) -> "ColumnarCorpus":
         """Rebuild a segment from a :meth:`state_dict` snapshot."""
         return cls.from_posts(columns_to_posts(state), interner=interner)
-
-
-def _posting_append(arrays: Dict[str, array], term: str, position: int) -> None:
-    positions = arrays.get(term)
-    if positions is None:
-        arrays[term] = array("I", (position,))
-    else:
-        positions.append(position)
 
 
 def posts_to_columns(posts: Sequence[Post]) -> Dict[str, object]:

@@ -4,12 +4,12 @@
 match (canonical-folded, hashtag or free text), time-window filters
 ("posts since 2022", paper Fig. 9-C) and region filters.  Keyword
 matching is answered by a lazily built
-:class:`~repro.social.index.CorpusIndex` — columnar arenas
-(:mod:`repro.social.columnar`), inverted hashtag/token/stem postings
-and a one-pass batch matcher — so a whole batch of keywords over any
-window is resolved in a single sweep instead of one linear scan per
-keyword, and analysis windows are bisected instead of materialised as
-sub-corpora.  Engagement totals fold straight over the index's
+:class:`~repro.social.index.CorpusIndex` — a columnar segment
+(:mod:`repro.social.columnar`) whose joined haystack arena is swept
+once per keyword — so a whole batch of keywords over any window is
+resolved in one C-level ``str.find`` loop per keyword instead of one
+per-post probe per keyword, and analysis windows are bisected instead
+of materialised as sub-corpora.  Engagement totals fold straight over the index's
 engagement columns, and memoized region views share the parent index's
 text-analysis pool.
 """
@@ -53,7 +53,7 @@ class Corpus:
         return tuple(self._posts)
 
     def index(self) -> CorpusIndex:
-        """The corpus' inverted index, built once on first use."""
+        """The corpus' keyword index, built once on first use."""
         if self._engine is None:
             self._engine = CorpusIndex(self._posts)
         return self._engine
@@ -61,11 +61,10 @@ class Corpus:
     def matching(self, keyword: str) -> List[Post]:
         """Posts matching ``keyword`` by hashtag or free text.
 
-        Canonical hashtag, exact-token and stem postings confirm the
-        common cases straight from the index; the folded free-text
-        matcher covers the rest (multi-word phrases, mid-token
-        occurrences) over precomputed haystacks, so "my dpf delete kit"
-        still matches ``dpfdelete``.  Results are oldest first.
+        The folded matcher sweeps the index's precomputed haystacks
+        (squashed text plus stems), so hashtags, inflections and
+        multi-word phrases all match: "my dpf delete kit" matches
+        ``dpfdelete``.  Results are oldest first.
         """
         return self.index().matching(keyword)
 
@@ -114,7 +113,7 @@ class Corpus:
         """Like :meth:`in_region`, but memoized on this corpus.
 
         Queries scoped to a region reuse one sub-corpus — and therefore
-        one inverted index — per distinct region instead of rebuilding
+        one keyword index — per distinct region instead of rebuilding
         both on every call.
         """
         key = region.strip().lower()

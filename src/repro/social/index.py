@@ -1,4 +1,4 @@
-"""Inverted corpus index: one-pass multi-keyword matching.
+"""Corpus index: one-pass multi-keyword matching.
 
 The PSP loop mines every attack keyword of the database over every
 analysis window, so corpus matching is the innermost hot path of the
@@ -10,22 +10,17 @@ index is a thin query surface over
 * posts are held **date-sorted** in flat columns, so any analysis window
   is a contiguous slice found by bisecting an int array — no per-window
   sub-corpus construction;
-* three inverted posting maps (canonical hashtag, normalized token,
-  stemmed token → ascending post positions, ``array('I')`` chunks)
-  *confirm* matches without touching the text: an exact
-  hashtag/token/stem hit is provably a folded-text match, because
-  canonical folding removes exactly the characters squashing removes;
-* the **free-text phrase fallback** (multi-word phrases, mid-token and
-  cross-boundary occurrences) runs as one C-level ``str.find`` sweep
-  over the window's slice of the shared haystack arena, instead of one
-  substring probe per ``(keyword, post)`` pair over per-post strings;
+* the one matcher is the **arena sweep**: one C-level ``str.find`` loop
+  per keyword over the window's slice of the shared haystack arena
+  (hashtags, tokens, stems, multi-word phrases, mid-token and
+  cross-boundary occurrences alike), instead of one substring probe
+  per ``(keyword, post)`` pair over per-post strings;
 * `Post` objects materialize lazily, only for positions that appear in
   a result set.
 
 Result sets are post-for-post identical to the naive per-keyword
-:func:`~repro.nlp.normalize.keyword_in_text` scan (plus the legacy
-hashtag-index union); the equivalence is property-tested in
-``tests/properties/test_index_equivalence.py`` and
+:func:`~repro.nlp.normalize.keyword_in_text` scan; the equivalence is
+property-tested in ``tests/properties/test_index_equivalence.py`` and
 ``tests/properties/test_columnar_equivalence.py``.
 """
 
@@ -40,7 +35,7 @@ from repro.social.post import Post
 
 
 class CorpusIndex:
-    """Immutable inverted index over one set of posts.
+    """Immutable keyword index over one set of posts.
 
     Built once per :class:`~repro.social.corpus.Corpus` (lazily, on the
     first keyword query) and reused by every subsequent query — any
@@ -71,11 +66,6 @@ class CorpusIndex:
     def posts(self) -> Tuple[Post, ...]:
         """All posts in (created_at, post_id) order (materialized lazily)."""
         return self._columns.all_posts()
-
-    @property
-    def distinct_terms(self) -> int:
-        """Number of distinct indexed terms (tags + tokens + stems)."""
-        return self._columns.distinct_terms
 
     def window_bounds(
         self,
@@ -128,8 +118,8 @@ class CorpusIndex:
         This is the compaction primitive of the streaming layer
         (:class:`~repro.stream.index.StreamingCorpusIndex`).  In-order
         extensions — the streaming common case — concatenate every
-        column at C speed and re-base posting chunks instead of
-        re-indexing; out-of-order extensions gather-merge on the global
+        column and the arena at C speed instead of re-indexing;
+        out-of-order extensions gather-merge on the global
         sort key.  Either way the per-text analyses come from the shared
         interner, so the dominant analysis cost is never paid twice.
         """

@@ -7,18 +7,22 @@ sentiment), so a streaming consumer only has to know, per arriving
 post, **which keywords it affects** — then bump those keywords' running
 sums.  :class:`DeltaTracker` does exactly that:
 
-* an arriving post's hashtags/tokens/stems/haystack are probed against
-  every database keyword with the same folded-match predicate the
-  inverted index uses (:meth:`~repro.nlp.analysis.PostAnalysis.matches_keyword`),
-  so "affects keyword K" here means precisely "would appear in K's
-  search results";
+* an arriving post's haystack is probed against every database keyword
+  with the same folded-match predicate the corpus index's arena sweep
+  uses (:meth:`~repro.nlp.analysis.PostAnalysis.matches_keyword`), so
+  "affects keyword K" here means precisely "would appear in K's search
+  results";
 * affected keywords become **dirty** until the runtime processes them;
 * per ``keyword × year`` buckets accumulate views/likes/reposts/replies,
   post counts and summed sentiment — any ``since_year..`` analysis
   window is a sum over year buckets, O(years) per keyword;
 * per-keyword insider/outsider **voice votes** (the classifier's text
   signals) accumulate over *all* arriving posts, mirroring the batch
-  classifier's full-history, region-unscoped evidence search.
+  classifier's full-history, region-unscoped evidence search.  The
+  batch kernels read the voice bits
+  :class:`~repro.nlp.analysis.PostAnalysis` stores once per text;
+  :meth:`DeltaTracker.observe` re-derives them from the word set, so it
+  stays an independent oracle for the kernels.
 
 One deliberate semantic difference from the batch path: the batch
 classifier searches the whole corpus — including posts *newer than the
@@ -44,10 +48,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core.classification import INSIDER_MARKERS, OUTSIDER_MARKERS
 from repro.core.keywords import KeywordDatabase
 from repro.core.sai import KeywordSignals
-from repro.nlp.analysis import analyze_text
+from repro.nlp.analysis import INSIDER_MARKERS, OUTSIDER_MARKERS, analyze_text
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.columnar import ColumnarCorpus, year_of_ordinal
 from repro.social.post import Engagement, Post
@@ -286,8 +289,8 @@ def compute_signal_delta(
     for post, analysis, matched in zip(posts, analyses, matched_per_post):
         if not matched:
             continue
-        insider_vote = bool(analysis.word_set & INSIDER_MARKERS)
-        outsider_vote = bool(analysis.word_set & OUTSIDER_MARKERS)
+        insider_vote = analysis.insider_voice
+        outsider_vote = analysis.outsider_voice
         in_region = (
             region_scope is None or post.region.lower() == region_scope
         )
@@ -336,10 +339,10 @@ def compute_signal_delta_columnar(
     * the window resolves to a position slice by bisecting the flat
       date-ordinal column (``observed`` is pure slice arithmetic);
     * keyword matching probes the shared haystack arena
-      (:meth:`~repro.social.columnar.ColumnarCorpus.arena_positions`),
+      (:meth:`~repro.social.columnar.ColumnarCorpus.search_positions`),
       one C-level scan per keyword;
     * engagement and year come from flat-array reads, sentiment and
-      voice votes from the corpus's interned per-distinct-text analyses.
+      voice bits from the corpus's interned per-distinct-text analyses.
 
     `Post` objects never materialize — the backfill path for seeding a
     tracker from an already-indexed corpus at 10M+ posts.
@@ -349,7 +352,7 @@ def compute_signal_delta_columnar(
     lo, hi = columns.window_bounds(since, until)
     per_post: Dict[int, List[str]] = {}
     for keyword in keywords:
-        for position in columns.arena_positions(keyword, lo, hi):
+        for position in columns.search_positions(keyword, lo, hi):
             # Outer loop in ``keywords`` order => per post the matched
             # keywords accumulate in keyword order, exactly like the
             # per-post probe loop's — float sums stay bit-identical.
@@ -365,8 +368,8 @@ def compute_signal_delta_columnar(
     for position in sorted(per_post):
         matched = per_post[position]
         analysis = columns.analysis_at(position)
-        insider_vote = bool(analysis.word_set & INSIDER_MARKERS)
-        outsider_vote = bool(analysis.word_set & OUTSIDER_MARKERS)
+        insider_vote = analysis.insider_voice
+        outsider_vote = analysis.outsider_voice
         in_region = in_region_by_code[columns.region_code(position)]
         sentiment = (
             scorer.score_analysis(analysis).score if in_region else 0.0
@@ -696,6 +699,9 @@ class DeltaTracker:
         Returns the keywords the post affects (its *dirty set*
         contribution).  Affection is exact: a keyword is returned iff
         the post would appear in that keyword's indexed search results.
+        Voice votes come from the word set, not the stored voice bits,
+        so this per-post fold is an independent oracle for the batch
+        kernels.
         """
         analysis = analyze_text(post.text)
         matched = [

@@ -1,10 +1,10 @@
 """Appendable corpus index: a delta-segment over :class:`CorpusIndex`.
 
 :class:`~repro.social.index.CorpusIndex` is immutable by design — its
-date-sorted positions and inverted postings are global, so a single
-appended post would shift every position after it.  Instead of patching
-postings in place, :class:`StreamingCorpusIndex` uses the classic
-delta-segment layout of streaming search engines:
+date-sorted columns and haystack arena are global, so a single appended
+post would shift every position after it.  Instead of patching columns
+in place, :class:`StreamingCorpusIndex` uses the classic delta-segment
+layout of streaming search engines:
 
 * an immutable **base segment** (a full :class:`CorpusIndex` over a
   :class:`~repro.social.columnar.ColumnarCorpus`);
@@ -13,8 +13,11 @@ delta-segment layout of streaming search engines:
 * periodic **compaction** — when the tail outgrows
   ``compact_threshold``, base and tail merge into a new base via
   :meth:`CorpusIndex.extended_with_index`: for in-order tails every
-  column concatenates at C speed and posting chunks are re-based, so
-  compaction is O(tail) array work, not an O(base + tail) re-index.
+  column and the arena concatenate at C speed, so compaction is cheap
+  array work, not a re-analysis of the base's texts.
+
+Each segment answers keywords with its own arena sweep, the one
+matcher (:meth:`~repro.social.columnar.ColumnarCorpus.search_positions`).
 
 All segments share one :class:`~repro.social.columnar.TextInterner`, so
 a text is analyzed exactly once per index lifetime no matter how many
@@ -231,7 +234,6 @@ class StreamingCorpusIndex:
             "compact_threshold": self._compact_threshold,
             "compact_ratio": self._compact_ratio,
             "base_arena_chars": self._base.columns.arena_chars,
-            "base_distinct_terms": self._base.columns.distinct_terms,
             "interned_texts": len(self._interner),
         }
 
@@ -248,15 +250,6 @@ class StreamingCorpusIndex:
         if tail is None:
             return self._base.posts
         return tuple(_merge_ordered(self._base.posts, tail.posts))
-
-    @property
-    def distinct_terms(self) -> int:
-        """Distinct indexed terms across both segments (upper bound)."""
-        tail = self._tail()
-        total = self._base.distinct_terms
-        if tail is not None:
-            total += tail.distinct_terms
-        return total
 
     # -- queries ------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The flat delta-segment index (:class:`~repro.stream.index.
 StreamingCorpusIndex`) keeps one base+tail pair: every compaction
 re-concatenates the *entire* base's columns (O(corpus) array work per
-compaction) and the base's arena, postings and interned analyses all
-stay resident forever — RSS grows with retention.  At the paper's
+compaction) and the base's arena and interned analyses all stay
+resident forever — RSS grows with retention.  At the paper's
 multi-year horizons both costs dominate.  :class:`TieredCorpusIndex`
 replaces the single base with a time-decay hierarchy:
 
@@ -19,7 +19,7 @@ replaces the single base with a time-decay hierarchy:
 * **cold** — once a span's entire date range is older than
   ``cold_age_days`` (measured against the newest post seen), the span
   seals immutably: its raw columns are demoted to compact plain
-  arrays (arena, postings, interned analyses and `Post` caches are all
+  arrays (arena, interned analyses and `Post` caches are all
   dropped) and a precomputed :class:`~repro.stream.deltas.
   SegmentSidecar` carries its per-``keyword × year`` aggregate sums, so
   tracker seeding and keyword backfill answer from sidecar lookups
@@ -30,7 +30,9 @@ replaces the single base with a time-decay hierarchy:
 Query routing bisects tiers by date range: a window query only sweeps
 the hot tail, the warm chunks it overlaps, and materializes only the
 cold segments it overlaps (a steady-state monitoring window overlaps
-none).  Results stay post-for-post identical to a from-scratch
+none).  Every segment answers with the same arena sweep
+(:meth:`~repro.social.columnar.ColumnarCorpus.search_positions`), the
+one keyword matcher, so sealing a segment builds no term index.  Results stay post-for-post identical to a from-scratch
 :class:`~repro.social.index.CorpusIndex` over the same posts —
 property-tested in ``tests/properties/test_tiered_equivalence.py``.
 
@@ -663,9 +665,6 @@ class TieredCorpusIndex:
             "base_arena_chars": sum(
                 chunk.columns.arena_chars for chunk in warm_chunks
             ),
-            "base_distinct_terms": sum(
-                chunk.columns.distinct_terms for chunk in warm_chunks
-            ),
             "interned_texts": len(self._interner),
             "layout": "tiered",
             "warm_span_days": self._warm_span_days,
@@ -698,15 +697,6 @@ class TieredCorpusIndex:
         lists.extend(chunk.posts for chunk in self._warm_chunks())
         lists.append(self._hot_segment().posts)
         return tuple(heap_merge(*lists, key=_SORT_KEY))
-
-    @property
-    def distinct_terms(self) -> int:
-        """Distinct indexed terms across the retained tiers (upper
-        bound; cold segments hold no postings and are excluded)."""
-        total = self._hot_segment().distinct_terms
-        for chunk in self._warm_chunks():
-            total += chunk.distinct_terms
-        return total
 
     # -- queries ------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.classification import (
     InsiderOutsiderClassifier,
     InsiderOutsiderSplit,
+    _text_votes,
 )
 from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.core.sai import SAIComputer, SAIEntry
@@ -73,6 +74,16 @@ class TestTextSignalPath:
         classifier = InsiderOutsiderClassifier()
         classified = classifier.classify_entry(entry("mystery"))
         assert not classified.insider  # conservative default
+
+    def test_text_votes_count_each_voice_once_per_text(self):
+        texts = [
+            "My mechanic did it",  # insider, three markers
+            "POLICE: thieves-gang arrested",  # outsider
+            "got_it, then the police came",  # both voices
+            "finally SAVED the van",  # insider
+            "nothing to see",  # neither
+        ]
+        assert _text_votes(texts) == (3, 2)
 
 
 class TestSplit:

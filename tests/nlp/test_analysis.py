@@ -1,6 +1,6 @@
 """Tests for the shared per-post text analysis sidecar."""
 
-from repro.nlp.analysis import analyze_text
+from repro.nlp.analysis import INSIDER_MARKERS, OUTSIDER_MARKERS, analyze_text
 from repro.nlp.hashtags import extract_hashtags
 from repro.nlp.normalize import (
     canonical_keyword,
@@ -25,6 +25,12 @@ class TestAnalyzeText:
         assert analysis.hashtags == tuple(extract_hashtags(text))
         assert analysis.tokens == tuple(tokenize(text))
         assert analysis.word_set == frozenset(analysis.words)
+        assert analysis.insider_voice == bool(
+            analysis.word_set & INSIDER_MARKERS
+        )
+        assert analysis.outsider_voice == bool(
+            analysis.word_set & OUTSIDER_MARKERS
+        )
 
     def test_shared_object_per_distinct_text(self):
         assert analyze_text("same #dpfdelete text") is analyze_text(

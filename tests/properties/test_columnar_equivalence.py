@@ -42,6 +42,8 @@ WORDS = (
     "remap", "chip", "stage", "kit", "install", "superdpfdeletekit",
     "adblue", "off", "my", "the", "police", "dp", "fdelete", "great",
     "terrible",
+    # Voice markers in mixed case and glued by separators.
+    "My", "POLICE", "thieves-gang", "got_it",
 )
 HASHTAGS = (
     "#dpfdelete", "#DPF_delete", "#egr_removal", "#stage2",

@@ -35,6 +35,8 @@ WORDS = (
     "dpf", "delete", "deleting", "egr", "removal", "kit", "install",
     "my", "the", "mechanic", "dealer", "stolen", "warranty", "love",
     "hate", "#dpfdelete", "#egr_removal", "superdpfdeletekit",
+    # Voice markers in mixed case and glued by separators.
+    "My", "POLICE", "thieves-gang", "got_it",
 )
 
 KEYWORDS = ("dpfdelete", "egrremoval", "delet", "kit", "nomatchxyz")

@@ -4,9 +4,11 @@ import datetime as dt
 
 import pytest
 
+from repro.nlp.normalize import keyword_in_text
 from repro.social.api import InMemoryClient, SearchQuery, search_texts
 from repro.social.corpus import Corpus
 from repro.social.post import Post
+from repro.stream.deltas import compute_signal_delta
 
 
 def post(pid, text, year, region="europe") -> Post:
@@ -86,6 +88,20 @@ class TestCounts:
 
     def test_count_ignores_limit(self, client):
         assert client.count(SearchQuery(keyword="dpfdelete", limit=1)) == 4
+
+
+class TestEmptyCanonical:
+    def test_empty_folding_keyword_matches_no_empty_folding_hashtag(self):
+        # "!!!" and "#_" both fold to the empty canonical; batch search
+        # must agree with keyword_in_text and the stream kernels, which
+        # never match an empty canonical.
+        tagged = post("p1", "stage 2 tune #_ done", 2020)
+        query = SearchQuery(keyword="!!!")
+        client = InMemoryClient(Corpus([tagged]))
+        assert not keyword_in_text("!!!", tagged.text)
+        assert client.search(query) == []
+        assert client.count_by_year(query) == {}
+        assert compute_signal_delta(("",), [tagged]).dirty == ()
 
 
 class TestHelpers:
