@@ -61,13 +61,13 @@ class PostAnalysis:
     matching reads :attr:`haystack` per keyword, keyword learning reads
     :attr:`hashtags`, every delta-kernel and classifier pass over a
     matched post reads the two voice bits — plus the per-analyzer
-    sentiment memo.  The remaining views (the token stream, the word set, the
-    normalized/stemmed intermediates) are recomputed on access: each
-    has consumers that read it once per analysis (sentiment scoring
-    memoizes its result), while *retaining* them would dominate
-    resident memory on long-horizon streams, where one analysis per
-    warm text stays alive for days of stream time.  Every view is a
-    pure function of ``text``, so lazy and stored views are
+    sentiment memo.  The remaining views (the token stream, the word
+    set, the normalized/stemmed intermediates) are recomputed on
+    access: each has consumers that read it once per analysis
+    (sentiment scoring memoizes its result), while *retaining* them
+    would dominate resident memory on long-horizon streams, where one
+    analysis per warm text stays alive for days of stream time.  Every
+    view is a pure function of ``text``, so lazy and stored views are
     interchangeable by value.
 
     Attributes:

@@ -116,9 +116,9 @@ class ColumnarCorpus:
     Build with :meth:`from_posts`; grow with :meth:`extended_with`.  All
     columns are parallel and ordered by the global ``(created_at,
     post_id)`` sort key.  Instances share pooled analyses with the
-    segments they were derived from — nothing here is
-    ever mutated after construction (the per-position `Post` cache and
-    lazy sentiment columns are memos, not state).
+    segments they were derived from — nothing here is ever mutated
+    after construction (the per-position `Post` cache and lazy
+    sentiment columns are memos, not state).
     """
 
     __slots__ = (

@@ -9,9 +9,9 @@ matching is answered by a lazily built
 once per keyword — so a whole batch of keywords over any window is
 resolved in one C-level ``str.find`` loop per keyword instead of one
 per-post probe per keyword, and analysis windows are bisected instead
-of materialised as sub-corpora.  Engagement totals fold straight over the index's
-engagement columns, and memoized region views share the parent index's
-text-analysis pool.
+of materialised as sub-corpora.  Engagement totals fold straight over
+the index's engagement columns, and memoized region views share the
+parent index's text-analysis pool.
 """
 
 from __future__ import annotations
