@@ -62,13 +62,13 @@ class PostAnalysis:
     :attr:`hashtags`, every delta-kernel and classifier pass over a
     matched post reads the two voice bits — plus the per-analyzer
     sentiment memo.  The remaining views (the token stream, the word
-    set, the normalized/stemmed intermediates) are recomputed on
-    access: each has consumers that read it once per analysis
-    (sentiment scoring memoizes its result), while *retaining* them
-    would dominate resident memory on long-horizon streams, where one
-    analysis per warm text stays alive for days of stream time.  Every
-    view is a pure function of ``text``, so lazy and stored views are
-    interchangeable by value.
+    and hashtag sets, the normalized/stemmed intermediates) are
+    recomputed on access: none is read on a hot path more than once
+    per analysis (sentiment scoring memoizes its result), while
+    *retaining* them would dominate resident memory on long-horizon
+    streams, where one analysis per warm text stays alive for days of
+    stream time.  Every view is a pure function of ``text``, so lazy
+    and stored views are interchangeable by value.
 
     Attributes:
         text: the original post text.
@@ -79,7 +79,6 @@ class PostAnalysis:
             "delet").
         hashtags: canonical hashtags in order of appearance, duplicates
             preserved (they signal emphasis and count for frequency).
-        hashtag_set: the distinct canonical hashtags.
         insider_voice: whether a normalized word is an
             :data:`INSIDER_MARKERS` owner-voice marker.
         outsider_voice: whether a normalized word is an
@@ -89,7 +88,6 @@ class PostAnalysis:
     text: str
     haystack: str
     hashtags: Tuple[str, ...]
-    hashtag_set: FrozenSet[str]
     insider_voice: bool
     outsider_voice: bool
     #: Per-analyzer-fingerprint sentiment memo; a mutable cache, not part
@@ -97,6 +95,11 @@ class PostAnalysis:
     _sentiment: Dict[Hashable, object] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    @property
+    def hashtag_set(self) -> FrozenSet[str]:
+        """The distinct canonical hashtags."""
+        return frozenset(self.hashtags)
 
     @property
     def normalized(self) -> str:
@@ -116,7 +119,7 @@ class PostAnalysis:
 
     @property
     def word_set(self) -> FrozenSet[str]:
-        """The distinct normalized words (voice voting, token index)."""
+        """The distinct normalized words (the per-post voice oracle)."""
         return frozenset(self.normalized.split())
 
     @property
@@ -173,7 +176,6 @@ def analyze_text(text: str) -> PostAnalysis:
         text=text,
         haystack=squashed + _HAYSTACK_SEPARATOR + stemmed_joined,
         hashtags=hashtags,
-        hashtag_set=frozenset(hashtags),
         insider_voice=not INSIDER_MARKERS.isdisjoint(words),
         outsider_voice=not OUTSIDER_MARKERS.isdisjoint(words),
     )
