@@ -32,7 +32,8 @@ the hot tail, the warm chunks it overlaps, and materializes only the
 cold segments it overlaps (a steady-state monitoring window overlaps
 none).  Every segment answers with the same arena sweep
 (:meth:`~repro.social.columnar.ColumnarCorpus.search_positions`), the
-one keyword matcher, so sealing a segment builds no term index.  Results stay post-for-post identical to a from-scratch
+one keyword matcher, so sealing a segment builds no term index.
+Results stay post-for-post identical to a from-scratch
 :class:`~repro.social.index.CorpusIndex` over the same posts —
 property-tested in ``tests/properties/test_tiered_equivalence.py``.
 
