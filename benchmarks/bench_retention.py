@@ -19,12 +19,12 @@ Run with::
 
 The workload profile comes from ``$S10_PROFILE`` (``full`` | ``smoke``,
 default ``full``).  The full profile is the acceptance run: a 5-year
-700k-post stream, a >= 5x steady-state tick-latency gate and a <= 0.5x
+1.87M-post stream, a >= 5x steady-state tick-latency gate and a <= 0.5x
 peak-RSS ratio against the flat phase.  The smoke profile is the CI
-run: same kernels and equivalence checks on a 2-year stream, gated at
-the proportionally lower floors its younger corpus can show (the flat
-side's per-tick compaction cost grows with corpus age, so a short
-stream understates the long-horizon gap).
+run: same kernels and equivalence checks on a 5-year 467k-post stream,
+gated at the proportionally lower floors its smaller corpus can show
+(the flat side's per-tick compaction cost grows with corpus size, so a
+small stream understates the acceptance gap).
 
 Equivalence is twofold: both phases must raise identical alert
 sequences and finish on the identical SAI table, and a tiered sharded
@@ -48,7 +48,7 @@ PROFILE = os.environ.get("S10_PROFILE", "full")
 
 #: Steady-state tick-latency gate per profile (flat mean over tiered
 #: mean, final 20% of ticks).  ``full`` is the acceptance claim;
-#: ``smoke`` gates the floor a 2-year stream can demonstrate.
+#: ``smoke`` gates the floor a 467k-post stream can demonstrate.
 GATES = {"full": 5.0, "smoke": 1.4}
 
 
