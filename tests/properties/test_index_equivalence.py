@@ -1,13 +1,13 @@
 """Property tests: the indexed engine equals the naive per-keyword scan.
 
 The contract of :class:`repro.social.index.CorpusIndex` is that
-``search_many`` returns post-for-post identical results to the seed-era
-per-keyword path: the lazy hashtag-index union plus a linear
-:func:`~repro.nlp.normalize.keyword_in_text` scan, sorted oldest first.
-These tests drive both paths over randomized corpora and over the known
-tricky shapes (multi-word phrases spanning separators, hashtag-only
-posts, mid-token occurrences, stem collisions, empty windows, region
-filters) and require equality.
+``search_many`` returns post-for-post identical results to a linear
+:func:`~repro.nlp.normalize.keyword_in_text` scan over the scoped posts,
+sorted oldest first.  These tests drive both paths over randomized
+corpora and over the known tricky shapes (multi-word phrases spanning
+separators, hashtag-only posts, mid-token occurrences, stem collisions,
+hashtags and keywords folding to the empty canonical, empty windows,
+region filters) and require equality.
 """
 
 import datetime as dt
@@ -15,7 +15,7 @@ import datetime as dt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.normalize import canonical_keyword, keyword_in_text
+from repro.nlp.normalize import keyword_in_text
 from repro.social.api import BatchQuery, InMemoryClient, SearchQuery
 from repro.social.corpus import Corpus
 from repro.social.post import Post
@@ -33,6 +33,7 @@ WORDS = (
 HASHTAGS = (
     "#dpfdelete", "#DPF_delete", "#egr_removal", "#stage2",
     "#AdBlue_off", "#tuning",
+    "#_",  # folds to the empty canonical
 )
 SEPARATORS = (" ", " - ", "_", " / ", ". ", "  ")
 
@@ -49,6 +50,7 @@ KEYWORDS = (
     "adblueoff",
     "kit",
     "nomatchxyz",      # matches nothing
+    "!!!",             # folds to the empty canonical: matches nothing
 )
 
 WINDOWS = (
@@ -61,26 +63,15 @@ WINDOWS = (
 
 
 def naive_matching(posts, keyword, *, since=None, until=None, region=None):
-    """The seed-era path: hashtag-index union + linear folded-text scan."""
-    scoped = [
+    """The reference path: a linear folded-text scan of the scoped posts."""
+    matched = [
         p
         for p in posts
         if (region is None or p.region.lower() == region.strip().lower())
         and (since is None or p.created_at >= since)
         and (until is None or p.created_at <= until)
+        and keyword_in_text(keyword, p.text)
     ]
-    canonical = canonical_keyword(keyword)
-    index = {}
-    for post in scoped:
-        for tag in set(post.hashtags):
-            index.setdefault(tag, []).append(post)
-    matched = list(index.get(canonical, ()))
-    tagged_ids = {p.post_id for p in matched}
-    for post in scoped:
-        if post.post_id in tagged_ids:
-            continue
-        if keyword_in_text(keyword, post.text):
-            matched.append(post)
     matched.sort(key=lambda p: (p.created_at, p.post_id))
     return matched
 
@@ -142,7 +133,7 @@ class TestIndexedSearchEquivalence:
         client = InMemoryClient(Corpus(posts))
         since, until = dt.date(2017, 1, 1), dt.date(2022, 12, 31)
         for region in (None, "europe", "AMERICA"):
-            for keyword in ("dpf delete", "deleting", "#dpfdelete", "kit"):
+            for keyword in ("dpf delete", "deleting", "#dpfdelete", "kit", "!!!"):
                 got = client.search(
                     SearchQuery(
                         keyword=keyword, since=since, until=until, region=region
@@ -213,7 +204,7 @@ class TestTrickyShapes:
         # pin the concrete outcome so a matcher change is visible.
         assert [p.post_id for p in corpus.matching("deleting")] == ["t3"]
         assert [p.post_id for p in corpus.matching("deletes")] == ["t4"]
-        # "delet" hits both inflections via the stem index.
+        # "delet" hits both inflections via the stemmed haystack.
         assert {"t3", "t4"} <= {p.post_id for p in corpus.matching("delet")}
 
     def test_empty_window_returns_nothing(self):
