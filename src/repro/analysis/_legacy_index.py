@@ -43,7 +43,7 @@ class LegacyCorpusIndex:
         token_postings: Dict[str, List[int]] = {}
         stem_postings: Dict[str, List[int]] = {}
         for position, analysis in enumerate(self._analyses):
-            for tag in analysis.hashtag_set:
+            for tag in set(analysis.hashtags):
                 tag_postings.setdefault(tag, []).append(position)
             for word in analysis.word_set:
                 token_postings.setdefault(word, []).append(position)

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.sai import SAIEntry, SAIList
-from repro.nlp.analysis import (  # noqa: F401 - markers re-exported
-    INSIDER_MARKERS,
-    OUTSIDER_MARKERS,
-    analyze_text,
-)
+from repro.nlp.analysis import analyze_text
 from repro.social.api import SearchQuery, SocialMediaClient
 
 

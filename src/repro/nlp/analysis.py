@@ -3,7 +3,7 @@
 Keyword matching, SAI sentiment scoring and keyword auto-learning all
 start from the same derived views of a post's text: the normalized form,
 the space-squashed form the folded matcher searches, the stemmed token
-stream, the canonical hashtag set and the typed token list.  The seed
+stream, the canonical hashtags and the typed token list.  The seed
 implementation recomputed each view at every consumer — once per
 ``(keyword, post)`` pair in the worst case.  This module computes them
 exactly once per distinct text and hands every consumer the same
@@ -62,13 +62,13 @@ class PostAnalysis:
     :attr:`hashtags`, every delta-kernel and classifier pass over a
     matched post reads the two voice bits — plus the per-analyzer
     sentiment memo.  The remaining views (the token stream, the word
-    and hashtag sets, the normalized/stemmed intermediates) are
-    recomputed on access: none is read on a hot path more than once
-    per analysis (sentiment scoring memoizes its result), while
-    *retaining* them would dominate resident memory on long-horizon
-    streams, where one analysis per warm text stays alive for days of
-    stream time.  Every view is a pure function of ``text``, so lazy
-    and stored views are interchangeable by value.
+    set, the normalized/stemmed intermediates) are recomputed on
+    access: none is read on a hot path more than once per analysis
+    (sentiment scoring memoizes its result), while *retaining* them
+    would dominate resident memory on long-horizon streams, where one
+    analysis per warm text stays alive for days of stream time.  Every
+    view is a pure function of ``text``, so lazy and stored views are
+    interchangeable by value.
 
     Attributes:
         text: the original post text.
@@ -95,11 +95,6 @@ class PostAnalysis:
     _sentiment: Dict[Hashable, object] = field(
         default_factory=dict, compare=False, repr=False
     )
-
-    @property
-    def hashtag_set(self) -> FrozenSet[str]:
-        """The distinct canonical hashtags."""
-        return frozenset(self.hashtags)
 
     @property
     def normalized(self) -> str:
