@@ -10,9 +10,9 @@ re-uses year-segment results across the overlapping windows
 (:class:`~repro.core.cache.CachedClient`), so window N+1 only mines the
 one year it newly covers.
 
-Both sides now ride the inverted corpus index (see
-``bench_indexed_corpus.py`` for that layer's own gate), so this bench
-isolates the batching+caching win on top of it.
+Both sides now ride the indexed corpus engine — date-sorted windows and
+the arena sweep (see ``bench_indexed_corpus.py`` for that layer's own
+gate) — so this bench isolates the batching+caching win on top of it.
 
 Run with::
 
@@ -82,7 +82,7 @@ def test_s4_speedup_and_equivalence(workload, bench_report):
     assert result.equivalent, "batched engine diverged from sequential path"
     # The batched+cached engine must beat the per-keyword path on this
     # workload.  The margin narrowed when the per-keyword baseline
-    # started riding the inverted index too; the remaining win is the
+    # started riding the indexed engine too; the remaining win is the
     # year-segment reuse across overlapping windows.
     assert result.speedup > 1.2, payload
     assert payload["bench"] == "batch_engine"

@@ -7,9 +7,10 @@ in micro-batches on an appendable index.  The pre-columnar reaction
 ``PostAnalysis`` object lists and three dict posting maps, and every
 1024-post compaction rebuilds all of them over the whole corpus —
 O(N^2/threshold) ingest.  The columnar engine
-(:mod:`repro.social.columnar`) appends into parallel ``array`` columns,
-one joined haystack arena and chunked ``array('I')`` postings, and its
-geometric compactions concatenate arrays at C speed — O(N) ingest.
+(:mod:`repro.social.columnar`) appends into parallel ``array`` columns
+and one joined haystack arena (the arena sweep is its one matcher, so it
+builds no postings), and its geometric compactions concatenate arrays at
+C speed — O(N) ingest.
 
 Run with::
 

@@ -5,10 +5,10 @@ keyword of the database against every post of every analysis window.
 The pre-index path (seed ``Corpus.matching``) re-normalizes, re-stems
 and re-joins each post's text for every ``(keyword, post)`` pair; the
 indexed engine precomputes one :class:`~repro.nlp.analysis.PostAnalysis`
-per post, confirms hashtag/token/stem hits straight from inverted
-posting lists (date-sorted, window-sliced by bisection) and resolves the
-free-text residue for *all* keywords in a single sweep of precomputed
-haystacks.
+per post, keeps the posts date-sorted (windows are bisected slices) and
+matches each keyword with one arena sweep: a C-level ``str.find`` loop
+over the window's slice of the joined haystacks.  The sweep is the one
+matcher — hashtags, tokens, stems and phrases alike, no postings.
 
 Run with::
 

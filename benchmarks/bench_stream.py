@@ -2,7 +2,7 @@
 
 The continuous-operation workload: a corpus has been analysed, and a
 micro-batch of new posts arrives.  The pre-stream reaction (the
-monitor's grow-window behaviour) rebuilds the corpus and its inverted
+monitor's grow-window behaviour) rebuilds the corpus and its columnar
 index from scratch and re-runs the whole query→sai→split→tune pipeline
 — O(corpus) per tick.  The streaming runtime
 (:mod:`repro.stream.runtime`) appends the batch to the delta-segment
