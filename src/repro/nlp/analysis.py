@@ -3,17 +3,18 @@
 Keyword matching, SAI sentiment scoring and keyword auto-learning all
 start from the same derived views of a post's text: the normalized form,
 the space-squashed form the folded matcher searches, the stemmed token
-stream, the canonical hashtags and the typed token list.  The seed
-implementation recomputed each view at every consumer — once per
-``(keyword, post)`` pair in the worst case.  This module computes them
-exactly once per distinct text and hands every consumer the same
-:class:`PostAnalysis` sidecar:
+stream and the canonical hashtags.  The seed implementation recomputed
+each view at every consumer — once per ``(keyword, post)`` pair in the
+worst case.  This module computes them exactly once per distinct text
+and hands every consumer the same :class:`PostAnalysis` sidecar:
 
 * :class:`~repro.social.index.CorpusIndex` matches keywords against the
   precomputed :attr:`~PostAnalysis.haystack`,
-* :class:`~repro.core.sai.SAIComputer` scores sentiment from
-  :attr:`~PostAnalysis.tokens` (the result memoized per analyzer
-  fingerprint, so a post is scored once per corpus lifetime),
+* :class:`~repro.core.sai.SAIComputer` scores sentiment through
+  :meth:`~repro.nlp.sentiment.SentimentAnalyzer.score_analysis`, which
+  scans :attr:`~PostAnalysis.text` into ``(type, text)`` token pairs and
+  memoizes the result per analyzer fingerprint, so a post is scored once
+  per corpus lifetime,
 * keyword learning and :attr:`~repro.social.post.Post.hashtags` read the
   canonical :attr:`~PostAnalysis.hashtags`,
 * insider/outsider classification and both streaming delta kernels read
@@ -33,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.nlp.normalize import canonical_keyword, normalize_text, stem
-from repro.nlp.tokenizer import Token, TokenType, tokenize
+from repro.nlp.tokenizer import hashtags as raw_hashtags
 
 #: Separator between the squashed and stemmed halves of the match
 #: haystack.  Canonical keywords are alphanumeric-only, so no keyword can
@@ -61,10 +62,9 @@ class PostAnalysis:
     matching reads :attr:`haystack` per keyword, keyword learning reads
     :attr:`hashtags`, every delta-kernel and classifier pass over a
     matched post reads the two voice bits — plus the per-analyzer
-    sentiment memo.  The remaining views (the token stream, the word
-    set, the normalized/stemmed intermediates) are recomputed on
-    access: none is read on a hot path more than once per analysis
-    (sentiment scoring memoizes its result), while *retaining* them
+    sentiment memo.  The remaining views (the word set, the
+    normalized/stemmed intermediates) are recomputed on access: none is
+    read on a hot path more than once per analysis, while *retaining* them
     would dominate resident memory on long-horizon streams, where one
     analysis per warm text stays alive for days of stream time.  Every
     view is a pure function of ``text``, so lazy and stored views are
@@ -127,11 +127,6 @@ class PostAnalysis:
         """The stems concatenated — the haystack's second half."""
         return "".join(self.stems)
 
-    @property
-    def tokens(self) -> "Tuple[Token, ...]":
-        """The typed token stream (sentiment scoring, price mining)."""
-        return tuple(tokenize(self.text))
-
     def matches_keyword(self, canonical: str) -> bool:
         """Whether the canonical keyword occurs under folded matching.
 
@@ -162,10 +157,12 @@ def analyze_text(text: str) -> PostAnalysis:
     squashed = normalized.replace(" ", "")
     words = normalized.split()
     stemmed_joined = "".join(stem(word) for word in words)
-    hashtags = tuple(
-        canonical_keyword(token.text)
-        for token in tokenize(text)
-        if token.type is TokenType.HASHTAG
+    # A HASHTAG token starts with a literal "#": a text without one has
+    # no hashtags and skips the token scan.
+    hashtags = (
+        tuple(canonical_keyword(tag) for tag in raw_hashtags(text))
+        if "#" in text
+        else ()
     )
     return PostAnalysis(
         text=text,

@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nlp.normalize import stem
-from repro.nlp.tokenizer import Token, TokenType, tokenize
+from repro.nlp.tokenizer import TokenType, scan
 
 #: Signed valence lexicon (stemmed form -> valence).  Positive valence on
 #: an attack-related post means *enthusiasm for the attack* — the signal
@@ -136,8 +136,7 @@ class SentimentAnalyzer:
 
     def score(self, text: str) -> SentimentResult:
         """Score ``text`` and return the normalised sentiment result."""
-        tokens = tokenize(text)
-        raw, hits = self._raw_score(tokens)
+        raw, hits = self._raw_score(scan(text))
         normalised = _normalise(raw, hits)
         return SentimentResult(
             score=normalised, label=self._label(normalised), hits=hits
@@ -146,8 +145,8 @@ class SentimentAnalyzer:
     def score_analysis(self, analysis) -> SentimentResult:
         """Score a precomputed :class:`~repro.nlp.analysis.PostAnalysis`.
 
-        Reuses the analysis' token stream (no re-tokenization) and
-        memoizes the result on the analysis keyed by this analyzer's
+        Scores the analysis' text like :meth:`score` and memoizes the
+        result on the analysis keyed by this analyzer's
         :attr:`fingerprint` — so each distinct post text is scored at
         most once per scoring behaviour, however many SAI windows,
         weight-mix sweeps or fleet members revisit it.
@@ -155,7 +154,7 @@ class SentimentAnalyzer:
         cached = analysis.cached_sentiment(self._fingerprint)
         if cached is not None:
             return cached
-        raw, hits = self._raw_score(analysis.tokens)
+        raw, hits = self._raw_score(scan(analysis.text))
         normalised = _normalise(raw, hits)
         result = SentimentResult(
             score=normalised, label=self._label(normalised), hits=hits
@@ -173,20 +172,21 @@ class SentimentAnalyzer:
             return 0.0
         return sum(r.score for r in self.score_many(texts)) / len(texts)
 
-    def _raw_score(self, tokens: Sequence[Token]) -> tuple:
+    def _raw_score(self, pairs: Sequence[Tuple[TokenType, str]]) -> tuple:
+        """Raw valence sum and hit count over :func:`scan` token pairs."""
         raw = 0.0
         hits = 0
         window: List[str] = []
-        for token in tokens:
-            if token.type is TokenType.EMOJI_SENTIMENT:
-                valence = EMOJI_VALENCE.get(token.text)
+        for token_type, text in pairs:
+            if token_type is TokenType.EMOJI_SENTIMENT:
+                valence = EMOJI_VALENCE.get(text)
                 if valence is not None:
                     raw += valence
                     hits += 1
                 continue
-            if token.type is not TokenType.WORD:
+            if token_type is not TokenType.WORD:
                 continue
-            lowered = token.text.lower()
+            lowered = text.lower()
             stemmed = stem(lowered)
             valence = self._lexicon.get(stemmed, self._lexicon.get(lowered))
             if valence is not None:

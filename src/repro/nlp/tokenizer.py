@@ -61,15 +61,23 @@ _MASTER_RE = re.compile(
 _GROUP_TYPES = {f"g{i}": tt for i, (tt, _) in enumerate(_TOKEN_PATTERNS)}
 
 
+def scan(text: str) -> List[Tuple[TokenType, str]]:
+    """The ``(type, text)`` pair of every token of ``text``, in order.
+
+    One regex pass and no :class:`Token` objects: the form the hot
+    paths read (hashtag extraction, sentiment scoring), from which
+    :func:`iter_tokens` and :func:`tokenize` build their tokens.
+    """
+    return [
+        (_GROUP_TYPES[match.lastgroup], match.group())
+        for match in _MASTER_RE.finditer(text)
+    ]
+
+
 def iter_tokens(text: str) -> Iterator[Token]:
     """Yield typed tokens from ``text`` in order of appearance."""
-    position = 0
-    for match in _MASTER_RE.finditer(text):
-        group_name = match.lastgroup
-        if group_name is None:
-            continue
-        yield Token(text=match.group(), type=_GROUP_TYPES[group_name], position=position)
-        position += 1
+    for position, (token_type, token_text) in enumerate(scan(text)):
+        yield Token(text=token_text, type=token_type, position=position)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -79,14 +87,14 @@ def tokenize(text: str) -> List[Token]:
 
 def words(text: str) -> List[str]:
     """Just the WORD token texts of ``text`` (original casing)."""
-    return [t.text for t in iter_tokens(text) if t.type is TokenType.WORD]
+    return [s for t, s in scan(text) if t is TokenType.WORD]
 
 
 def hashtags(text: str) -> List[str]:
     """Just the HASHTAG token texts of ``text`` (including ``#``)."""
-    return [t.text for t in iter_tokens(text) if t.type is TokenType.HASHTAG]
+    return [s for t, s in scan(text) if t is TokenType.HASHTAG]
 
 
 def prices(text: str) -> List[str]:
     """Just the PRICE token texts of ``text`` (raw, unparsed)."""
-    return [t.text for t in iter_tokens(text) if t.type is TokenType.PRICE]
+    return [s for t, s in scan(text) if t is TokenType.PRICE]

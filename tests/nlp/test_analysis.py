@@ -9,7 +9,7 @@ from repro.nlp.normalize import (
     stem,
 )
 from repro.nlp.sentiment import SentimentAnalyzer
-from repro.nlp.tokenizer import tokenize
+from repro.nlp.tokenizer import scan, tokenize
 
 
 class TestAnalyzeText:
@@ -23,7 +23,7 @@ class TestAnalyzeText:
         assert analysis.stems == tuple(stem(w) for w in analysis.words)
         assert analysis.stemmed_joined == "".join(analysis.stems)
         assert analysis.hashtags == tuple(extract_hashtags(text))
-        assert analysis.tokens == tuple(tokenize(text))
+        assert scan(text) == [(tok.type, tok.text) for tok in tokenize(text)]
         assert analysis.word_set == frozenset(analysis.words)
         assert analysis.insider_voice == bool(
             analysis.word_set & INSIDER_MARKERS
