@@ -122,6 +122,11 @@ def _compact_columns(state: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
+def _oldest_ord(posts: Iterable[Post]) -> Optional[int]:
+    """The oldest date ordinal among ``posts`` (None when empty)."""
+    return min((post.created_at.toordinal() for post in posts), default=None)
+
+
 def _plain_columns(compact: Mapping[str, object]) -> Dict[str, object]:
     """The JSON-serialisable form of a :func:`_compact_columns` dict."""
     return {key: list(value) for key, value in compact.items()}  # type: ignore[call-overload]
@@ -283,6 +288,10 @@ class TieredCorpusIndex:
         )
         self._interner = TextInterner()
         self._hot: List[Post] = []
+        #: The hot tail's oldest date ordinal (None while it is empty):
+        #: the seal check's O(1) answer to "does any hot post belong to
+        #: a completed span?".  Derived state, rebuilt on restore.
+        self._hot_min_ord: Optional[int] = None
         self._hot_index: Optional[CorpusIndex] = None
         self._warm: Dict[int, List[CorpusIndex]] = {}
         self._warm_count = 0
@@ -336,6 +345,7 @@ class TieredCorpusIndex:
                 seen.add(post.post_id)
             self._ids.update(seen)
             self._hot.extend(initial)
+            self._hot_min_ord = _oldest_ord(initial)
             self._max_ord = max(p.created_at.toordinal() for p in initial)
             self._maintain()
 
@@ -382,9 +392,13 @@ class TieredCorpusIndex:
         self._hot_index = None
         self._appends += 1
         self._appends_total.inc()
-        batch_max = max(p.created_at.toordinal() for p in batch)
+        ordinals = [post.created_at.toordinal() for post in batch]
+        batch_max = max(ordinals)
         if batch_max > self._max_ord:
             self._max_ord = batch_max
+        batch_min = min(ordinals)
+        if self._hot_min_ord is None or batch_min < self._hot_min_ord:
+            self._hot_min_ord = batch_min
         self._maintain()
         return len(batch)
 
@@ -395,7 +409,12 @@ class TieredCorpusIndex:
         self._seal_cold()
 
     def _seal_hot(self) -> None:
-        """Move completed-span (or policy-triggered) hot posts to warm."""
+        """Move completed-span (or policy-triggered) hot posts to warm.
+
+        Without a policy trigger the check is O(1): no hot post can
+        belong to a completed span while the oldest one is in the
+        current span.
+        """
         tail = len(self._hot)
         if tail == 0:
             return
@@ -409,17 +428,15 @@ class TieredCorpusIndex:
             remaining: List[Post] = []
         else:
             current_span = self._span_of(self._max_ord)
-            to_seal = [
-                post
-                for post in self._hot
-                if self._span_of(post.created_at.toordinal()) < current_span
-            ]
-            if not to_seal:
+            if self._span_of(self._hot_min_ord) == current_span:  # type: ignore[arg-type]
                 return
-            sealed_ids = {post.post_id for post in to_seal}
-            remaining = [
-                post for post in self._hot if post.post_id not in sealed_ids
-            ]
+            to_seal = []
+            remaining = []
+            for post in self._hot:
+                if self._span_of(post.created_at.toordinal()) < current_span:
+                    to_seal.append(post)
+                else:
+                    remaining.append(post)
         by_span: Dict[int, List[Post]] = {}
         for post in to_seal:
             by_span.setdefault(
@@ -430,6 +447,7 @@ class TieredCorpusIndex:
             self._warm.setdefault(span, []).append(chunk)
             self._warm_count += len(chunk)
         self._hot = remaining
+        self._hot_min_ord = _oldest_ord(remaining)
         self._hot_index = None
         self._hot_seals += 1
         self._hot_seals_total.inc()
@@ -528,6 +546,7 @@ class TieredCorpusIndex:
             self._warm.setdefault(span, []).append(chunk)
             self._warm_count += len(chunk)
         self._hot = []
+        self._hot_min_ord = None
         self._hot_index = None
         self._hot_seals += 1
         self._hot_seals_total.inc()
@@ -938,6 +957,7 @@ class TieredCorpusIndex:
         self._cold_age_days = int(state["cold_age_days"])  # type: ignore[arg-type]
         self._interner = TextInterner()
         self._hot = columns_to_posts(state["hot"])  # type: ignore[arg-type]
+        self._hot_min_ord = _oldest_ord(self._hot)
         self._hot_index = None
         self._warm = {}
         self._warm_count = 0

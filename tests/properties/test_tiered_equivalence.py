@@ -12,7 +12,9 @@ The contracts behind :class:`repro.stream.tiers.TieredCorpusIndex`:
   the segment's posts one at a time — window counts and votes
   bit-for-bit, the float sentiment sum included (one segment is one
   columnar sweep, which is the per-post fold);
-* ``state_dict``/``load_state`` roundtrips the full tier layout.
+* ``state_dict``/``load_state`` roundtrips the full tier layout, and an
+  index restored mid-stream seals, consolidates and answers exactly like
+  the uninterrupted one as appends continue.
 """
 
 import datetime as dt
@@ -57,13 +59,15 @@ def _database():
 
 
 @st.composite
-def _stream(draw):
+def _stream(draw, ordered=False):
     """Posts in a jittered near-chronological arrival order, batched.
 
     Real feeds are mostly ordered with bounded disorder; fully random
     shuffles are legal but degenerate (every straggler lands in an
     already-cold span and seals a one-post segment), so the jitter is
-    bounded to keep the generated layouts representative.
+    bounded to keep the generated layouts representative.  ``ordered``
+    sorts the posts by date first, so a batch often lies wholly in a
+    span newer than every hot post.
     """
     count = draw(st.integers(min_value=0, max_value=45))
     start = dt.date(2019, 1, 1).toordinal()
@@ -87,6 +91,8 @@ def _stream(draw):
                 ),
             )
         )
+    if ordered:
+        posts.sort(key=lambda post: (post.created_at, post.post_id))
     batches = []
     remaining = list(posts)
     while remaining:
@@ -140,6 +146,35 @@ class TestTieredEquivalence:
             assert [p.post_id for p in roundtripped[keyword]] == [
                 p.post_id for p in original[keyword]
             ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.one_of(_stream(), _stream(ordered=True)), draw=st.data())
+    def test_resume_then_continue_matches_uninterrupted(self, data, draw):
+        posts, batches, knobs = data
+        cut = draw.draw(st.integers(min_value=0, max_value=len(batches)))
+        uninterrupted = TieredCorpusIndex(**knobs)
+        for batch in batches[:cut]:
+            uninterrupted.append(batch)
+        resumed = TieredCorpusIndex(**knobs)
+        resumed.load_state(uninterrupted.state_dict())
+        for batch in batches[cut:]:
+            uninterrupted.append(batch)
+            resumed.append(batch)
+            assert resumed.segment_stats == uninterrupted.segment_stats
+            # Each append seals every post of a completed span, so the
+            # hot tail never holds more than the current span.
+            assert resumed.tier_stats["hot"]["spans"] <= 1
+
+        assert resumed.segment_stats == uninterrupted.segment_stats
+        for since, until in WINDOWS:
+            expected = uninterrupted.search_many(
+                KEYWORDS, since=since, until=until
+            )
+            got = resumed.search_many(KEYWORDS, since=since, until=until)
+            for keyword in KEYWORDS:
+                assert [p.post_id for p in got[keyword]] == [
+                    p.post_id for p in expected[keyword]
+                ], (keyword, since, until)
 
     @settings(max_examples=30, deadline=None)
     @given(data=_stream(), region=st.sampled_from((None,) + REGIONS))

@@ -210,6 +210,26 @@ class TestStatsAndState:
         assert restored.segment_stats == tiered.segment_stats
         _assert_same_queries(restored, CorpusIndex(posts))
 
+    def test_restored_index_seals_on_the_next_span_crossing(self):
+        # The seal check reads the hot tail's oldest date, which a
+        # restore rebuilds: a batch wholly inside a newer span must
+        # still seal the restored hot posts out of the older one.
+        posts = _daily_posts(40)
+        knobs = dict(
+            compact_threshold=1000, warm_span_days=30, cold_age_days=3650
+        )
+        uninterrupted = TieredCorpusIndex(**knobs)
+        uninterrupted.append(posts[:5])
+        resumed = TieredCorpusIndex(**knobs)
+        resumed.load_state(uninterrupted.state_dict())
+        for index in (uninterrupted, resumed):
+            index.append(posts[35:])
+        assert uninterrupted.segment_stats["hot_seals"] == 1
+        assert resumed.segment_stats == uninterrupted.segment_stats
+        assert resumed.tier_stats["hot"] == {
+            "posts": 5, "spans": 1, "indexed": False,
+        }
+
     def test_factory_defaults(self):
         assert isinstance(build_stream_index(), StreamingCorpusIndex)
         only_warm = build_stream_index(warm_span_days=30)
