@@ -96,18 +96,6 @@ class MultiPlatformClient(SocialMediaClient):
         """Names of the aggregated platforms."""
         return tuple(s.name for s in self._sources)
 
-    @staticmethod
-    def _branded(source: PlatformSource, post: Post) -> Post:
-        """Namespace the post id with the platform and trust-scale engagement."""
-        return Post(
-            post_id=f"{source.name}:{post.post_id}",
-            text=post.text,
-            author=post.author,
-            created_at=post.created_at,
-            region=post.region,
-            engagement=_scaled(post.engagement, source.trust),
-        )
-
     def search(self, query: SearchQuery) -> List[Post]:
         """Search every platform and merge, oldest first.
 
@@ -117,7 +105,7 @@ class MultiPlatformClient(SocialMediaClient):
         merged: List[Post] = []
         for source in self._sources:
             for post in source.client.search(query):
-                merged.append(self._branded(source, post))
+                merged.append(branded_post(source, post))
         merged.sort(key=lambda p: (p.created_at, p.post_id))
         return merged
 
@@ -139,7 +127,7 @@ class MultiPlatformClient(SocialMediaClient):
         for keyword in batch.keywords:
             posts: List[Post] = []
             for source, result in per_platform:
-                posts.extend(self._branded(source, p) for p in result.posts(keyword))
+                posts.extend(branded_post(source, p) for p in result.posts(keyword))
             posts.sort(key=lambda p: (p.created_at, p.post_id))
             merged[keyword] = posts
         return BatchResult(
