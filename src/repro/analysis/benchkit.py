@@ -709,7 +709,7 @@ def run_stream_bench(
             "stats": {
                 k: v
                 for k, v in runtime.stream_stats.items()
-                if k != "index"
+                if k != "shard_stats"
             },
             "metrics": metrics.snapshot(),
         },

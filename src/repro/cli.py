@@ -182,7 +182,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.poisoning import PostAuthenticityFilter
     from repro.obs.registry import MetricsRegistry
     from repro.obs import views as obs_views
-    from repro.stream import StreamRuntime, SyntheticFeed
     from repro.stream.sharding import ShardedStreamRuntime, shard_feeds
     from repro.vehicle import reference_architecture
 
@@ -205,26 +204,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         metrics=registry,
     )
     posts = spec.corpus().posts
-    if args.shards > 1:
-        runtime = ShardedStreamRuntime(
-            shard_feeds(posts, args.shards),
-            database,
-            workers=args.workers,
-            **shared,
-        )
-        print(
-            f"streaming {args.scenario}: {len(posts)} posts over "
-            f"{args.shards} shards ({runtime.executor.kind} executor), "
-            f"micro-batches of {args.batch_size} per shard"
-        )
-    else:
-        runtime = StreamRuntime(
-            SyntheticFeed(posts), database, **shared
-        )
-        print(
-            f"streaming {args.scenario}: {len(posts)} posts in "
-            f"micro-batches of {args.batch_size}"
-        )
+    runtime = ShardedStreamRuntime(
+        shard_feeds(posts, args.shards),
+        database,
+        workers=args.workers,
+        **shared,
+    )
+    print(
+        f"streaming {args.scenario}: {len(posts)} posts over "
+        f"{args.shards} shard(s) ({runtime.executor.kind} executor), "
+        f"micro-batches of {args.batch_size} per shard"
+    )
     try:
         for tick in runtime.run():
             line = tick.describe()
@@ -272,22 +262,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
         return lines
 
-    if args.shards > 1:
-        for shard in stats["shard_stats"]:
-            segments = shard["index"]
-            print(
-                f"shard {shard['shard']}: {shard['posts']} posts, "
-                f"index base {segments['base_posts']} + tail "
-                f"{segments['tail_posts']}, {segments['compactions']} "
-                "compaction(s)"
-            )
-            if args.stats:
-                for line in tier_lines(segments):
-                    print(line)
-    else:
-        segments = stats["index"]
+    for shard in stats["shard_stats"]:
+        segments = shard["index"]
         print(
-            f"index segments: base {segments['base_posts']} + tail "
+            f"shard {shard['shard']}: {shard['posts']} posts, index "
+            f"segments: base {segments['base_posts']} + tail "
             f"{segments['tail_posts']} posts, {segments['compactions']} "
             "compaction(s)"
         )
@@ -326,23 +305,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         stats_table,
     )
     from repro.obs.registry import MetricsRegistry
-    from repro.stream import StreamRuntime, SyntheticFeed
     from repro.stream.sharding import ShardedStreamRuntime, shard_feeds
 
     spec = get_scenario(args.scenario)
     registry = MetricsRegistry()
-    posts = spec.corpus().posts
-    kwargs = dict(
-        target=spec.target, batch_size=args.batch_size, metrics=registry
+    runtime = ShardedStreamRuntime(
+        shard_feeds(spec.corpus().posts, args.shards),
+        spec.database(),
+        target=spec.target,
+        batch_size=args.batch_size,
+        metrics=registry,
     )
-    if args.shards > 1:
-        runtime = ShardedStreamRuntime(
-            shard_feeds(posts, args.shards), spec.database(), **kwargs
-        )
-    else:
-        runtime = StreamRuntime(
-            SyntheticFeed(posts), spec.database(), **kwargs
-        )
     try:
         ticks = 0
         for _ in runtime.run():

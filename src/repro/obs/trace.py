@@ -1,11 +1,11 @@
 """Tick-span tracing: monotonic-clock stage timings as a span tree.
 
-:class:`TickTrace` wraps each stage of the stream tick (``filter`` →
-``append`` → ``delta_ingest`` → ``sai`` → ``retune`` → ``rescore`` →
-``alert_emit``) and the sharded runtime's ``shard_map``/``shard_merge``
-legs.  Every ``span()`` both appends a node to the current tick's span
-tree (kept for the last :data:`KEEP_TICKS` ticks, for ``repro stats``
-and debugging) and observes the duration into two registry histograms:
+:class:`TickTrace` wraps each stage of the stream tick (``shard_map``
+→ ``shard_merge`` → ``sai`` → ``retune`` → ``rescore`` →
+``alert_emit``).  Every ``span()`` both appends a node to the current
+tick's span tree (kept for the last :data:`KEEP_TICKS` ticks, for
+``repro stats`` and debugging) and observes the duration into two
+registry histograms:
 
 * ``psp_tick_seconds`` — whole-tick latency;
 * ``psp_tick_stage_seconds{stage=...}`` — per-stage latency.

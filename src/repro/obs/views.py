@@ -1,17 +1,16 @@
 """Registry-backed runtime-health views and the legacy stat aliases.
 
-Before this module the stack surfaced three unrelated dict shapes —
-``StreamRuntime.stream_stats``, the index ``segment_stats``, and the
-sharding ``state_dict`` counters — each assembled ad hoc at its call
-site.  Both runtimes now delegate their ``stream_stats`` property here,
-so every stats consumer (``repro stream --stats``, checkpoint metadata,
-the bench harness) reads from **one** source:
+Every stream runtime is a
+:class:`~repro.stream.runtime.ShardedStreamRuntime` (a single feed is
+one shard), and its ``stream_stats`` property delegates here, so every
+stats consumer (``repro stream --stats``, the replay audit, the bench
+harness) reads one shape from **one** source:
 
 * :func:`runtime_health` — the unified, schema-versioned health
   document: counters, per-stage latency summaries (from the shared
-  registry when instrumentation is on), and per-index tier stats;
+  registry when instrumentation is on), and one index row per shard;
 * :func:`stream_stats` — the **deprecated legacy aliases**: exactly the
-  flat dict shapes the pre-obs runtimes returned, derived from the
+  flat dict shape the pre-obs sharded runtime returned, derived from the
   health document (``tests/obs/test_stat_views.py`` pins both shapes);
 * :func:`stage_latencies` — count/total/mean per tick stage out of the
   ``psp_tick_stage_seconds`` histogram.
@@ -28,7 +27,7 @@ from typing import Dict, Optional
 from repro.obs.registry import Histogram, MetricsRegistry
 
 #: Version stamp of the health-document shape.
-HEALTH_SCHEMA_VERSION = 1
+HEALTH_SCHEMA_VERSION = 2
 
 
 def stage_latencies(registry: MetricsRegistry) -> Dict[str, Dict[str, float]]:
@@ -65,48 +64,38 @@ def stage_latencies(registry: MetricsRegistry) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def _counter_block(runtime) -> Dict[str, object]:
-    """The shared counter core both runtime flavours report."""
+def runtime_health(runtime) -> Dict[str, object]:
+    """The unified health document of a stream runtime, any shard count.
+
+    Reads only the runtime's public surface (``ticks``, ``deltas``,
+    ``evaluator``, ``filter_reports``, ``learned_keywords``,
+    ``metrics``, ``executor`` and the per-shard ``cursors``,
+    ``shard_deltas`` and ``shard_indexes``).
+    """
     evaluator = runtime.evaluator
     return {
-        "ticks": len(runtime.ticks),
-        # Observed, not indexed: also survives a restore from a lean
-        # (include_index=False) checkpoint, where the index restarts
-        # empty.
-        "posts_ingested": runtime.deltas.observed_posts,
-        "posts_rejected": sum(
-            len(report.rejected) for report in runtime.filter_reports
-        ),
-        "retunes": evaluator.retunes,
-        "forced_retunes": evaluator.forced_retunes,
-        "tara_rescores": evaluator.rescores,
-        "alerts": len(evaluator.alerts),
-        "learned_keywords": list(runtime.learned_keywords),
-    }
-
-
-def runtime_health(runtime) -> Dict[str, object]:
-    """The unified health document for either runtime flavour.
-
-    ``runtime`` is a :class:`~repro.stream.runtime.StreamRuntime` or
-    :class:`~repro.stream.sharding.ShardedStreamRuntime` — detected by
-    the ``shard_count`` attribute, not by type, so future runtime
-    flavours only need the same small surface (``ticks``, ``deltas``,
-    ``evaluator``, ``filter_reports``, ``learned_keywords``,
-    ``metrics``).
-    """
-    sharded = hasattr(runtime, "shard_count")
-    doc: Dict[str, object] = {
         "health_schema": HEALTH_SCHEMA_VERSION,
-        "runtime": "sharded" if sharded else "stream",
-        "counters": _counter_block(runtime),
+        "runtime": "sharded",
+        "counters": {
+            "ticks": len(runtime.ticks),
+            # Observed, not indexed: also survives a restore from a lean
+            # (include_index=False) checkpoint, where the index restarts
+            # empty.
+            "posts_ingested": runtime.deltas.observed_posts,
+            "posts_rejected": sum(
+                len(report.rejected) for report in runtime.filter_reports
+            ),
+            "retunes": evaluator.retunes,
+            "forced_retunes": evaluator.forced_retunes,
+            "tara_rescores": evaluator.rescores,
+            "alerts": len(evaluator.alerts),
+            "learned_keywords": list(runtime.learned_keywords),
+        },
         "stages": stage_latencies(runtime.metrics),
-    }
-    if sharded:
-        doc["shards"] = runtime.shard_count
-        doc["executor"] = getattr(runtime.executor, "kind", "unknown")
-        doc["cursors"] = list(runtime.cursors)
-        doc["shard_stats"] = [
+        "shards": runtime.shard_count,
+        "executor": getattr(runtime.executor, "kind", "unknown"),
+        "cursors": list(runtime.cursors),
+        "shard_stats": [
             {
                 "shard": shard_id,
                 "cursor": cursor,
@@ -116,17 +105,14 @@ def runtime_health(runtime) -> Dict[str, object]:
             for shard_id, (cursor, deltas, index) in enumerate(
                 zip(runtime.cursors, runtime.shard_deltas, runtime.shard_indexes)
             )
-        ]
-    else:
-        doc["cursor"] = runtime.cursor
-        doc["index"] = runtime.index.segment_stats
-    return doc
+        ],
+    }
 
 
 def stream_stats(runtime) -> Dict[str, object]:
     """The legacy flat ``stream_stats`` dict — **deprecated aliases**.
 
-    Exactly the pre-obs shapes, key for key, derived from
+    Exactly the pre-obs sharded shape, key for key, derived from
     :func:`runtime_health` so old dashboards and benches keep working
     while new consumers read the health document (or the registry
     directly).
@@ -134,20 +120,10 @@ def stream_stats(runtime) -> Dict[str, object]:
     health = runtime_health(runtime)
     counters: Dict[str, object] = dict(health["counters"])  # type: ignore[arg-type]
     stats: Dict[str, object] = {"ticks": counters.pop("ticks")}
-    if health["runtime"] == "sharded":
-        stats.update(
-            {
-                "shards": health["shards"],
-                "executor": health["executor"],
-                "cursors": health["cursors"],
-            }
-        )
-        stats.update(counters)
-        stats["shard_stats"] = health["shard_stats"]
-    else:
-        stats["cursor"] = health["cursor"]
-        stats.update(counters)
-        stats["index"] = health["index"]
+    for key in ("shards", "executor", "cursors"):
+        stats[key] = health[key]
+    stats.update(counters)
+    stats["shard_stats"] = health["shard_stats"]
     return stats
 
 
@@ -158,9 +134,6 @@ def describe_stages(
     if not stages:
         return None
     order = [
-        "filter",
-        "append",
-        "delta_ingest",
         "shard_map",
         "shard_merge",
         "sai",

@@ -17,14 +17,15 @@ everything.  This package is their streaming counterpart — the paper's
 * :mod:`repro.stream.deltas` — dirty-keyword tracking and running SAI
   aggregates, so an arriving micro-batch updates keyword evidence in
   O(new posts) instead of O(corpus);
-* :mod:`repro.stream.runtime` — the :class:`StreamRuntime` orchestrator:
-  append → dirty SAI → conditional weight retune → conditional TARA
-  rescore, emitting :class:`~repro.core.monitor.TrendAlert` records (the
-  retune/rescore core lives in the shared :class:`TickEvaluator`);
-* :mod:`repro.stream.sharding` — :class:`ShardedStreamRuntime`: N
-  region/platform-sharded feeds with per-shard index+tracker pairs,
-  mergeable :class:`SignalDelta` shard batches dispatched through a
-  pluggable executor, and one shared evaluation per tick;
+* :mod:`repro.stream.runtime` — the one tick implementation,
+  :class:`ShardedStreamRuntime`: N feeds with per-shard index+tracker
+  pairs, mergeable :class:`SignalDelta` shard batches dispatched
+  through a pluggable executor, and one :class:`TickEvaluator` pass
+  (conditional weight retune → conditional TARA rescore) per tick,
+  emitting :class:`~repro.core.monitor.TrendAlert` records;
+  :class:`StreamRuntime` is that runtime over one feed;
+* :mod:`repro.stream.sharding` — feed partitioning
+  (:func:`shard_feeds`) and the pure-sum :func:`merge_signals`;
 * :mod:`repro.stream.checkpoint` — stop/resume without replaying the
   feed, as full base snapshots or O(changed-keywords) delta
   checkpoints, with :class:`CheckpointRotation` managing base/delta

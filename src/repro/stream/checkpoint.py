@@ -77,7 +77,7 @@ def checkpoint_state(
     # A spilling index stores cold columns outside this file: record
     # where (directory + manifest) so an operator restoring elsewhere
     # knows which directory to bring along (--spill-dir on restore).
-    store = getattr(runtime.index, "store", None)
+    store = runtime.store
     if store is not None:
         metadata["store"] = {
             "directory": str(store.directory),
@@ -85,9 +85,8 @@ def checkpoint_state(
             "segments": store.segment_count,
             "bytes": store.bytes_on_disk,
         }
-    metrics = getattr(runtime, "metrics", None)
-    if metrics is not None and getattr(metrics, "enabled", False):
-        metadata["metrics"] = metrics.snapshot()
+    if runtime.metrics.enabled:
+        metadata["metrics"] = runtime.metrics.snapshot()
     return {
         "checkpoint_version": CHECKPOINT_VERSION,
         "kind": KIND_BASE,
@@ -110,13 +109,13 @@ def save_checkpoint(
     here on.
 
     Raises:
-        TypeError: for runtimes without the checkpoint API — a
-            :class:`~repro.stream.sharding.ShardedStreamRuntime`
+        TypeError: for runtimes other than :class:`StreamRuntime` — a
+            multi-feed :class:`~repro.stream.runtime.ShardedStreamRuntime`
             persists through its own ``state_dict()``/``load_state()``
             (per-shard cursors and trackers), not this single-feed file
             format.
     """
-    if not hasattr(runtime, "mark_checkpoint_base"):
+    if not isinstance(runtime, StreamRuntime):
         raise TypeError(
             f"save_checkpoint supports StreamRuntime, got "
             f"{type(runtime).__name__}; sharded runtimes persist via "
@@ -159,12 +158,11 @@ def save_delta_checkpoint(
         "base_id": base_id,
         "runtime_delta": runtime.delta_state_dict(),
     }
-    metrics = getattr(runtime, "metrics", None)
-    if metrics is not None and getattr(metrics, "enabled", False):
+    if runtime.metrics.enabled:
         # Same contract as the base's metadata block: advisory, outside
         # any content hash, and the *current* cumulative totals (deltas
         # are cumulative against their base, and so is this snapshot).
-        payload["metadata"] = {"metrics": metrics.snapshot()}
+        payload["metadata"] = {"metrics": runtime.metrics.snapshot()}
     destination = Path(path)
     destination.parent.mkdir(parents=True, exist_ok=True)
     destination.write_text(
@@ -386,7 +384,7 @@ def restore_runtime(
             The base's content id must match the one the delta recorded.
         **runtime_kwargs: forwarded to :class:`StreamRuntime` — target,
             config, network, tracker, post_filter, batch sizes, and the
-            spill knobs (``spill_dir``/``store``/``max_resident_cold``):
+            spill knobs (``spill_dir``/``max_resident_cold``):
             a checkpoint whose index spilled cold segments restores only
             with its store re-attached (pass the checkpoint metadata's
             store directory), and a resident checkpoint restored with a
@@ -438,8 +436,15 @@ def restore_runtime(
     if metrics_snapshot is not None and runtime.metrics.enabled:
         # Counter continuity: the resumed registry starts from the saved
         # totals, so resumed + uninterrupted runs agree on cumulative
-        # counts (asserted in tests/stream/test_checkpoint.py).
-        runtime.metrics.restore(metrics_snapshot)
+        # counts (asserted in tests/stream/test_checkpoint.py).  Gauges
+        # are point-in-time sizes the runtime's collectors refresh at
+        # export; restored, they would add onto the live shard values.
+        cumulative = {
+            name: entry
+            for name, entry in metrics_snapshot["metrics"].items()
+            if entry["kind"] != "gauge"
+        }
+        runtime.metrics.restore({**metrics_snapshot, "metrics": cumulative})
     if adopted_base_id is not None:
         # The restored runtime can keep delta-saving against the same
         # base file — no fresh base required after every resume.

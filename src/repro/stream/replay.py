@@ -638,12 +638,8 @@ def replay_scenario(
             stream_tables[boundary] = _table_rows(runtime.current_table)
             if tick.retuned and boundary not in shadow:
                 last_retuned = boundary
-            stats = runtime.stream_stats
-            if shards > 1:
-                indexes = [s["index"] for s in stats["shard_stats"]]
-            else:
-                indexes = [stats["index"]]
-            for index_stats in indexes:
+            for shard_stats in runtime.stream_stats["shard_stats"]:
+                index_stats = shard_stats["index"]
                 if not _segments_bounded(
                     index_stats,
                     threshold=REPLAY_COMPACT_THRESHOLD,

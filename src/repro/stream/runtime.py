@@ -1,48 +1,55 @@
-"""The streaming PSP orchestrator: feed in, alerts out.
+"""The streaming PSP runtime: feeds in, alerts out.
 
-:class:`StreamRuntime` is the event-driven counterpart of
-:class:`~repro.core.monitor.PSPMonitor`'s grow-window re-run loop.  One
-tick consumes a micro-batch of :class:`~repro.stream.feed.PostEvent`
-records and performs, in order:
+:class:`ShardedStreamRuntime` is the one tick implementation, the
+event-driven counterpart of :class:`~repro.core.monitor.PSPMonitor`'s
+grow-window re-run loop.  It consumes N feeds, one per shard, and
+:class:`StreamRuntime` is the same runtime over one feed.  One tick
+consumes a micro-batch per shard and performs, in order:
 
-1. **authenticity filtering** — the poisoning heuristics of
-   :mod:`repro.core.poisoning` applied per micro-batch, so a flood
-   injected mid-stream is rejected *before* it can dirty any keyword;
-2. **index append** — accepted posts join the
-   :class:`~repro.stream.index.StreamingCorpusIndex` (O(batch));
-3. **dirty SAI** — the :class:`~repro.stream.deltas.DeltaTracker` maps
-   each post to the keywords it affects and bumps their running
-   aggregates (O(batch × keywords) string probes, no corpus scan);
-4. **conditional weight retune** — insider weights are re-derived only
+1. **shard map** — each shard batch passes the authenticity filter
+   (:mod:`repro.core.poisoning`, so a flood injected mid-stream is
+   rejected *before* it can dirty any keyword) and is reduced to an
+   additive :class:`~repro.stream.deltas.SignalDelta` by the arena-sweep
+   batch kernel, through a pluggable :mod:`~repro.core.executor`;
+2. **shard merge** — the accepted posts join the shard's index (the
+   flat :class:`~repro.stream.index.StreamingCorpusIndex` or the tiered
+   :class:`~repro.stream.tiers.TieredCorpusIndex`) and the delta folds
+   into the shard's :class:`~repro.stream.deltas.DeltaTracker` and into
+   the maintained pure-sum merge of all shards;
+3. **conditional weight retune** — insider weights are re-derived only
    when a dirty keyword is insider-classified (before or after
-   reclassification); pure-outsider chatter leaves the table in force;
-5. **conditional TARA rescore** — the compiled
+   reclassification) or the in-window volume went stale; pure-outsider
+   chatter leaves the table in force;
+4. **conditional TARA rescore** — the compiled
    :class:`~repro.tara.scoring.BatchTaraScorer` re-scores only when the
    insider table's rating fingerprint actually changed, and the tick
    emits a :class:`~repro.core.monitor.TrendAlert` (same shape as the
    batch monitor's) plus an optional lifecycle trend-shift event.
 
-Steps 4-5 live in :class:`TickEvaluator`, shared verbatim with the
-sharded runtime (:mod:`repro.stream.sharding`) — N shards merge their
-deltas and run this evaluator *once* per tick, which is exactly what
-makes retune/rescore cost independent of shard count.
+Steps 3-4 live in :class:`TickEvaluator` and run *once* per tick over
+the merge, so retune/rescore cost is independent of shard count: the
+runtime is the one controller holding state, shards only hand it
+additive deltas.
 
 The first evaluation always tunes (establishing the baseline table and
 never alerting — the monitor's first-tick contract).  All mutable state
-is checkpointable (:mod:`repro.stream.checkpoint`): a stopped runtime
-resumes from its cursor and produces the same remaining alerts as an
-uninterrupted run.
+is checkpointable (``state_dict``/``load_state``; for
+:class:`StreamRuntime` also the version-1 files of
+:mod:`repro.stream.checkpoint`): a stopped runtime resumes from its
+cursors and emits the same remaining alerts as an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classification import ClassifiedEntry, InsiderOutsiderSplit
 from repro.core.config import PSPConfig, TargetApplication
 from repro.core.errors import PSPError
+from repro.core.executor import resolve_executor
 from repro.core.framework import PSPRunResult
 from repro.core.keywords import KeywordDatabase
 from repro.core.monitor import TrendAlert, VectorChange
@@ -54,9 +61,11 @@ from repro.iso21434.feasibility.attack_vector import WeightTable
 from repro.obs import views as obs_views
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
 from repro.obs.trace import trace_for
-from repro.stream.deltas import DeltaTracker
+from repro.social.post import Post
+from repro.stream.deltas import DeltaTracker, SignalDelta, compute_signal_delta
 from repro.stream.feed import FeedSource, PostEvent
 from repro.stream.index import DEFAULT_COMPACT_THRESHOLD, StreamingCorpusIndex
+from repro.stream.store import DEFAULT_MAX_RESIDENT_COLD, SegmentStore
 from repro.stream.tiers import build_stream_index
 from repro.tara.lifecycle import LifecycleTracker
 from repro.tara.model import compile_threat_model
@@ -67,16 +76,16 @@ from repro.tara.scoring import (
 )
 from repro.vehicle.network import VehicleNetwork
 
-#: Default micro-batch size for :meth:`StreamRuntime.step`.
+#: Default per-shard micro-batch size for :meth:`ShardedStreamRuntime.tick`.
 DEFAULT_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
 class StreamTick:
-    """Outcome of one runtime tick (one micro-batch).
+    """Outcome of one runtime tick (one micro-batch per shard).
 
-    ``shard_accepted`` is empty for the single-feed runtime; the sharded
-    runtime records how many accepted posts each shard contributed.
+    ``shard_accepted`` records how many accepted posts each shard
+    contributed (one entry for a single feed).
     """
 
     seq: int
@@ -108,13 +117,12 @@ class StreamTick:
 class TickEvaluator:
     """Conditional retune + conditional rescore over running aggregates.
 
-    The table-producing half of a streaming tick, factored out of
-    :class:`StreamRuntime` so the sharded runtime can run the identical
-    evaluation *once* over its merged shard deltas: classification from
-    votes, SAI from signals, weight tuning, fingerprint diffing, TARA
+    The table-producing half of a streaming tick, run *once* per tick
+    over the runtime's merged shard deltas: classification from votes,
+    SAI from signals, weight tuning, fingerprint diffing, TARA
     rescoring and alert emission all live here, parameterised only by
-    the :class:`~repro.stream.deltas.DeltaTracker` (or merged view)
-    handed to :meth:`evaluate`.
+    the :class:`~repro.stream.deltas.DeltaTracker` handed to
+    :meth:`evaluate`.
     """
 
     def __init__(
@@ -262,9 +270,8 @@ class TickEvaluator:
     ) -> Tuple[bool, bool, Optional[TrendAlert]]:
         """Conditional retune + conditional rescore for one tick.
 
-        ``deltas`` is whichever aggregate view covers the whole logical
-        stream — the single runtime's own tracker, or the sharded
-        runtime's pure-sum merge of its shard trackers.
+        ``deltas`` is the aggregate view covering the whole logical
+        stream: the runtime's pure-sum merge of its shard trackers.
         """
         first = self.last_table is None
         before = any(self.insider_flags.get(k, False) for k in dirty)
@@ -391,57 +398,124 @@ class TickEvaluator:
         self.forced_retunes = int(state.get("forced_retunes", 0))  # type: ignore[arg-type]
 
 
-class StreamRuntime:
-    """Event-driven incremental PSP over a replayable feed.
+# -- the per-shard ingest job -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ShardJob:
+    """One shard's micro-batch, as a picklable work item."""
+
+    keywords: Tuple[str, ...]
+    region: Optional[str]
+    posts: Tuple[Post, ...]
+    post_filter: Optional[PostAuthenticityFilter]
+
+
+def _run_shard_job(
+    job: _ShardJob,
+) -> Tuple[SignalDelta, Optional[FilterReport]]:
+    """Filter + delta-reduce one shard batch (runs inside any executor).
+
+    Module-level and pure so a :class:`~repro.core.executor.
+    ProcessExecutor` can ship it to a worker: in comes plain data, out
+    comes an additive :class:`SignalDelta` and the authenticity-filter
+    audit report.
+    """
+    report: Optional[FilterReport] = None
+    posts: Sequence[Post] = job.posts
+    if job.post_filter is not None and posts:
+        report = job.post_filter.filter(list(posts))
+        posts = report.accepted
+    delta = compute_signal_delta(job.keywords, posts, region=job.region)
+    return delta, report
+
+
+@dataclass
+class _ShardState:
+    """One shard's private slice of the runtime.
+
+    ``metrics`` is the shard's child registry (merged into the parent by
+    pure summation at collect time); ``ingested`` and ``merge_seconds``
+    are its shard-labelled instruments.
+    """
+
+    shard_id: int
+    feed: FeedSource
+    index: StreamingCorpusIndex  # or TieredCorpusIndex (duck-compatible)
+    deltas: DeltaTracker
+    cursor: int = -1
+    metrics: object = None
+    ingested: object = None
+    merge_seconds: object = None
+
+
+# -- the runtime --------------------------------------------------------------
+
+
+class ShardedStreamRuntime:
+    """Event-driven incremental PSP: N feeds, one evaluation per tick.
 
     Args:
-        feed: the event source (any :class:`~repro.stream.feed.FeedSource`).
-        database: attack-keyword database.  *Additions* (keyword
-            learning) are adopted on the next tick: the tracker's
+        feeds: the shard event sources (any
+            :class:`~repro.stream.feed.FeedSource`), e.g. from
+            :func:`~repro.stream.sharding.shard_feeds`.
+        database: shared attack-keyword database.  *Additions* (keyword
+            learning) are adopted on the next tick: every tracker's
             universe grows, the new keywords' aggregates backfill from
-            the index, and they join the dirty set.  Removals or
+            the shard indexes, and they join the dirty set.  Removals or
             replacements still raise — that is a different monitor, not
             a retune.
-        target: what the assessment is about; its region scopes the SAI
-            aggregates exactly as the batch pipeline's region filter.
+        target: what the assessment is about; its region scopes every
+            shard's SAI aggregates exactly as the batch pipeline's
+            region filter.
         config: pipeline tunables (SAI weights, tuning thresholds).
         since_year: lower bound of the analysis window (the monitor's
             ``start_year``); None = everything ingested.
         network: when given, the threat model is compiled once and every
             table-changing tick re-scores it (continuous TARA).
         tracker: lifecycle tracker; alerts record PSP_TREND_SHIFT events.
-        post_filter: authenticity filter applied per micro-batch; posts
-            it rejects never reach the index or the aggregates.
-        batch_size: default micro-batch size for :meth:`step`/:meth:`run`.
-        compact_threshold: tail size triggering index compaction.
-        compact_ratio: optional tail/base ratio triggering compaction
-            (see :class:`~repro.stream.index.StreamingCorpusIndex`).
-        warm_span_days: when set (or ``cold_age_days`` is), the index is
-            a :class:`~repro.stream.tiers.TieredCorpusIndex` with warm
-            spans of this many days of post dates.
-        cold_age_days: age horizon past which whole warm spans seal into
-            immutable cold segments with aggregate sidecars (see
-            :mod:`repro.stream.tiers`).
-        store: optional pre-opened :class:`~repro.stream.store.
-            SegmentStore` cold seals spill into (takes precedence over
-            ``spill_dir``); requires tiered retention.
-        spill_dir: when set, cold seals spill their columns into a
-            :class:`~repro.stream.store.SegmentStore` at this directory
-            and only sidecars stay resident; requires tiered retention.
-        max_resident_cold: LRU bound on hydrated cold segments kept
-            resident (the spill store's hydration cache); None = the
-            store default.
+        post_filter: authenticity filter, applied *per shard batch*
+            inside the shard job (its share-based heuristics judge each
+            shard's traffic on its own); posts it rejects never reach
+            the index or the aggregates.
+        batch_size: default per-shard micro-batch size for :meth:`tick`
+            and :meth:`run`.
+        compact_threshold / compact_ratio: per-shard index compaction
+            policy (see :class:`~repro.stream.index.
+            StreamingCorpusIndex`).
+        warm_span_days / cold_age_days: per-shard retention knobs;
+            setting either builds every shard on a
+            :class:`~repro.stream.tiers.TieredCorpusIndex` (hot tail,
+            date-bounded warm segments, cold segments with aggregate
+            sidecars) instead of the flat streaming index.
+        spill_dir / max_resident_cold: when ``spill_dir`` is set, ONE
+            :class:`~repro.stream.store.SegmentStore` opens there and
+            every shard spills its cold seals into it (keys are
+            content-addressed, so shards sharing a directory never
+            collide); shard appends run serially in the merge leg, so
+            the shared store sees no concurrent writes.
+            ``max_resident_cold`` bounds the hydrated cold segments kept
+            resident (None = the store default).  Requires tiered
+            retention.
+        executor: explicit :mod:`~repro.core.executor` instance; wins
+            over ``workers``.
+        workers: requested parallelism for the shard jobs; resolved by
+            :func:`~repro.core.executor.resolve_executor` (``auto`` —
+            degrades to serial on a single-CPU host).
         metrics: a :class:`~repro.obs.registry.MetricsRegistry` every
             tick writes into (counters, per-stage latency histograms via
-            :class:`~repro.obs.trace.TickTrace`, tier gauges at export
-            time).  None — the default — wires the
+            :class:`~repro.obs.trace.TickTrace`); each shard gets a
+            **child registry** (shard-labelled instruments, tier gauges)
+            merged into this one by pure summation at export time — the
+            metric-space mirror of the ``SignalDelta.merge`` the tick
+            itself performs.  None — the default — wires the
             :class:`~repro.obs.registry.NullRegistry` no-op path, whose
             overhead the ``obs_overhead`` microbench bounds.
     """
 
     def __init__(
         self,
-        feed: FeedSource,
+        feeds: Sequence[FeedSource],
         database: KeywordDatabase,
         *,
         target: Optional[TargetApplication] = None,
@@ -455,14 +529,17 @@ class StreamRuntime:
         compact_ratio: Optional[float] = None,
         warm_span_days: Optional[int] = None,
         cold_age_days: Optional[int] = None,
-        store=None,
         spill_dir=None,
         max_resident_cold: Optional[int] = None,
+        executor=None,
+        workers: Optional[int] = None,
         metrics=None,
     ) -> None:
+        feeds = list(feeds)
+        if not feeds:
+            raise ValueError("ShardedStreamRuntime needs at least one feed")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self._feed = feed
         self._database = database
         self._db_version = database.version
         self._target = target or TargetApplication(
@@ -471,6 +548,7 @@ class StreamRuntime:
         self._config = config or PSPConfig()
         self._batch_size = batch_size
         self._filter = post_filter
+        region = target.region if target is not None else None
         self._metrics = ensure_registry(metrics)
         self._trace = trace_for(self._metrics)
         self._ticks_total = self._metrics.counter(
@@ -495,10 +573,9 @@ class StreamRuntime:
             buckets=DEFAULT_SIZE_BUCKETS,
         )
         self._cursor_gauge = self._metrics.gauge(
-            "psp_feed_cursor", "Highest consumed feed sequence number"
-        )
-        self._deltas = DeltaTracker(
-            database, region=target.region if target is not None else None
+            "psp_feed_cursor",
+            "Highest consumed feed sequence number",
+            labelnames=("shard",),
         )
         self._evaluator = TickEvaluator(
             database,
@@ -510,46 +587,101 @@ class StreamRuntime:
             metrics=self._metrics,
             trace=self._trace,
         )
-        self._index = build_stream_index(
-            compact_threshold=compact_threshold,
-            compact_ratio=compact_ratio,
-            warm_span_days=warm_span_days,
-            cold_age_days=cold_age_days,
-            # Cold sidecars must share the tracker's scoring context so
-            # their sums stay bit-identical to per-post observe folding.
-            sidecar_keywords=database.keywords,
-            sidecar_region=self._deltas.region,
-            sidecar_analyzer=self._deltas.analyzer,
-            store=store,
-            spill_dir=spill_dir,
-            max_resident_cold=max_resident_cold,
-            metrics=self._metrics,
+        # All shards spill into ONE store: keys are content-addressed,
+        # so a shared directory is collision-free, and shard appends run
+        # serially in the merge leg, so the store sees no concurrent
+        # writes.  Store metrics land on the parent registry (spills are
+        # a runtime-wide resource, not a per-shard one).
+        self._store: Optional[SegmentStore] = None
+        if spill_dir is not None:
+            if warm_span_days is None and cold_age_days is None:
+                raise ValueError(
+                    "spill-to-disk requires tiered retention: set "
+                    "warm_span_days or cold_age_days alongside spill_dir"
+                )
+            self._store = SegmentStore(
+                spill_dir,
+                max_resident_cold=(
+                    DEFAULT_MAX_RESIDENT_COLD
+                    if max_resident_cold is None
+                    else max_resident_cold
+                ),
+                metrics=self._metrics,
+            )
+        self._shards: List[_ShardState] = []
+        for shard_id, feed in enumerate(feeds):
+            deltas = DeltaTracker(database, region=region)
+            shard_metrics = self._metrics.child()
+            index = build_stream_index(
+                compact_threshold=compact_threshold,
+                compact_ratio=compact_ratio,
+                warm_span_days=warm_span_days,
+                cold_age_days=cold_age_days,
+                # Cold sidecars must share the tracker's scoring context
+                # so their sums stay bit-identical to per-post folding.
+                sidecar_keywords=database.keywords,
+                sidecar_region=deltas.region,
+                sidecar_analyzer=deltas.analyzer,
+                store=self._store,
+                max_resident_cold=max_resident_cold,
+                metrics=shard_metrics,
+            )
+            self._shards.append(
+                _ShardState(
+                    shard_id=shard_id,
+                    feed=feed,
+                    index=index,
+                    deltas=deltas,
+                    metrics=shard_metrics,
+                    ingested=shard_metrics.counter(
+                        "psp_shard_posts_ingested_total",
+                        "Posts accepted per shard",
+                        labelnames=("shard",),
+                    ),
+                    merge_seconds=shard_metrics.histogram(
+                        "psp_shard_merge_seconds",
+                        "Per-shard merge-leg latency "
+                        "(index append + delta apply)",
+                        labelnames=("shard",),
+                    ),
+                )
+            )
+        self._adopted_keywords: List[str] = []
+        #: The incrementally maintained pure-sum merge of every shard's
+        #: deltas — each tick applies the shard SignalDeltas here too,
+        #: which is the associative merge done additively (equal to
+        #: re-merging from scratch; see merged_deltas()).
+        self._merged = DeltaTracker(database, region=region)
+        self._executor = (
+            executor if executor is not None else resolve_executor(workers)
         )
-
-        self._cursor = -1
         self._tick_seq = 0
         self._max_date: Optional[dt.date] = None
         self._ticks: List[StreamTick] = []
         self._filter_reports: List[FilterReport] = []
-        self._checkpoint_base_id: Optional[str] = None
-        self._adopted_keywords: List[str] = []
         if self._metrics.enabled:
             self._metrics.add_collector(self._refresh_gauges)
 
     def _refresh_gauges(self) -> None:
-        """Refresh cheap point-in-time gauges at export/snapshot time."""
-        self._cursor_gauge.set(self._cursor)
+        """Refresh the per-shard cursor gauges at export/snapshot time."""
+        for shard in self._shards:
+            self._cursor_gauge.set(shard.cursor, shard=str(shard.shard_id))
 
     # -- introspection ------------------------------------------------------
 
     @property
-    def cursor(self) -> int:
-        """Highest consumed feed sequence number (-1 = nothing yet)."""
-        return self._cursor
+    def shard_count(self) -> int:
+        """How many shards this runtime fans in."""
+        return len(self._shards)
+
+    @property
+    def store(self) -> Optional[SegmentStore]:
+        """The shared spill store (None when fully resident)."""
+        return self._store
 
     @property
     def metrics(self):
-        """The telemetry registry (a no-op ``NullRegistry`` by default)."""
+        """The parent telemetry registry (children merge into it)."""
         return self._metrics
 
     @property
@@ -558,29 +690,53 @@ class StreamRuntime:
         return self._trace
 
     @property
+    def shard_metrics(self) -> Tuple[object, ...]:
+        """Per-shard child registries (pure-sum merged into the parent)."""
+        return tuple(shard.metrics for shard in self._shards)
+
+    @property
     def learned_keywords(self) -> Tuple[str, ...]:
         """Keywords adopted mid-stream (keyword learning), oldest first."""
         return tuple(self._adopted_keywords)
 
     @property
-    def index(self):
-        """The appendable corpus index of everything ingested.
-
-        A :class:`StreamingCorpusIndex`, or a
-        :class:`~repro.stream.tiers.TieredCorpusIndex` when retention
-        knobs were set — query- and checkpoint-compatible either way.
-        """
-        return self._index
-
-    @property
-    def deltas(self) -> DeltaTracker:
-        """The dirty-keyword tracker (running aggregates)."""
-        return self._deltas
+    def executor(self):
+        """The executor running the per-shard ingest jobs."""
+        return self._executor
 
     @property
     def evaluator(self) -> TickEvaluator:
         """The shared conditional retune/rescore core."""
         return self._evaluator
+
+    @property
+    def cursors(self) -> Tuple[int, ...]:
+        """Per-shard highest consumed feed sequence numbers."""
+        return tuple(shard.cursor for shard in self._shards)
+
+    @property
+    def shard_indexes(self) -> Tuple[StreamingCorpusIndex, ...]:
+        """Per-shard appendable corpus indexes."""
+        return tuple(shard.index for shard in self._shards)
+
+    @property
+    def shard_deltas(self) -> Tuple[DeltaTracker, ...]:
+        """Per-shard dirty-keyword trackers."""
+        return tuple(shard.deltas for shard in self._shards)
+
+    @property
+    def deltas(self) -> DeltaTracker:
+        """The maintained pure-sum merge of every shard's aggregates."""
+        return self._merged
+
+    def merged_deltas(self) -> DeltaTracker:
+        """A *fresh* pure-sum merge of the shard trackers.
+
+        Recomputes the merge from scratch — equal to :attr:`deltas`
+        modulo the transient dirty set, which is the associativity
+        guarantee the property tests pin down.
+        """
+        return DeltaTracker.merged([s.deltas for s in self._shards])
 
     @property
     def alerts(self) -> Tuple[TrendAlert, ...]:
@@ -609,23 +765,17 @@ class StreamRuntime:
 
     @property
     def post_filter(self) -> Optional[PostAuthenticityFilter]:
-        """The per-batch authenticity filter (None = unfiltered)."""
+        """The per-shard-batch authenticity filter (None = unfiltered)."""
         return self._filter
 
     @property
     def filter_reports(self) -> Tuple[FilterReport, ...]:
-        """Authenticity filter reports, one per filtered micro-batch."""
+        """Filter audit reports, one per filtered shard batch."""
         return tuple(self._filter_reports)
 
-    @property
-    def checkpoint_base_id(self) -> Optional[str]:
-        """Identity of the last base checkpoint saved from this runtime.
-
-        Set by :func:`~repro.stream.checkpoint.save_checkpoint`; delta
-        checkpoints record it so a resume can verify base and delta
-        belong together.
-        """
-        return self._checkpoint_base_id
+    def baseline_tara(self) -> Optional[TaraReportData]:
+        """The static-table TARA (None without a network)."""
+        return self._evaluator.baseline_tara()
 
     @property
     def stream_stats(self) -> Dict[str, object]:
@@ -642,75 +792,393 @@ class StreamRuntime:
         :mod:`repro.obs.views`)."""
         return obs_views.runtime_health(self)
 
-    def baseline_tara(self) -> Optional[TaraReportData]:
-        """The static-table TARA (None without a network)."""
-        return self._evaluator.baseline_tara()
-
     # -- the tick -----------------------------------------------------------
 
     def _sync_database(self) -> Tuple[str, ...]:
         """Adopt database additions (keyword learning) into the stream.
 
-        When the database version moved, the tracker's keyword universe
-        grows to match, the added keywords' aggregates backfill from the
-        retained index (``observed == 0`` — the posts were already
-        counted) and the additions join the dirty set so the next
-        evaluation classifies and scores them.  Anything other than pure
-        additions raises: a shrunken or replaced keyword set is a
-        different monitor and needs a fresh runtime.
+        Every tracker widens to the database's keyword tuple, each shard
+        index backfills the added keywords' aggregates (``observed ==
+        0`` — the posts were already counted) into its tracker and the
+        merge, and the additions are marked dirty on every tracker, so a
+        checkpoint taken before the next tick still carries them.  A
+        version bump without additions is an annotation change and
+        marks every keyword dirty.  Anything but pure additions raises:
+        a shrunken or replaced keyword set needs a fresh runtime.
         """
         if self._database.version == self._db_version:
             return ()
+        old_version = self._db_version
+        adopted = self._database.keywords
         try:
-            added = self._deltas.adopt_keywords(self._database.keywords)
+            added = self._merged.adopt_keywords(adopted)
+            for shard in self._shards:
+                shard.deltas.adopt_keywords(adopted)
         except ValueError as exc:
             raise PSPError(
                 "keyword database changed mid-stream in an unsupported "
-                f"way (version {self._db_version} -> "
+                f"way (version {old_version} -> "
                 f"{self._database.version}): {exc} — only additions "
                 "(keyword learning) can be adopted without a restart"
             ) from exc
         if added:
-            backfill = self._index.signal_backfill(
-                added,
-                region=self._deltas.region,
-                analyzer=self._deltas.analyzer,
-            )
-            self._deltas.apply_delta(backfill)
-            self._deltas.mark_dirty(added)
-            adopt_sidecars = getattr(
-                self._index, "adopt_sidecar_keywords", None
-            )
-            if adopt_sidecars is not None:
-                adopt_sidecars(self._deltas.keywords)
+            for shard in self._shards:
+                delta = shard.index.signal_backfill(
+                    added,
+                    region=shard.deltas.region,
+                    analyzer=shard.deltas.analyzer,
+                )
+                shard.deltas.apply_delta(delta)
+                self._merged.apply_delta(delta)
+                adopt_sidecar = getattr(
+                    shard.index, "adopt_sidecar_keywords", None
+                )
+                if adopt_sidecar is not None:
+                    adopt_sidecar(shard.deltas.keywords)
             self._adopted_keywords.extend(added)
             self._learned_total.inc(len(added))
-        else:
-            # A version bump with no new keywords is an annotation
-            # (owner approval changed): reclassify everything next tick.
-            self._deltas.mark_dirty(self._deltas.keywords)
+        for tracker in (self._merged, *self.shard_deltas):
+            tracker.mark_dirty(added or tracker.keywords)
         self._db_version = self._database.version
         return added
+
+    def _ingest(
+        self,
+        events_per_shard: Sequence[Sequence[PostEvent]],
+        upto_year: Optional[int],
+    ) -> StreamTick:
+        """One merged tick over each shard's micro-batch."""
+        self._sync_database()
+        with self._trace.tick():
+            keywords = self._merged.keywords
+            region = self._merged.region
+            jobs = [
+                _ShardJob(
+                    keywords=keywords,
+                    region=region,
+                    posts=tuple(event.post for event in events),
+                    post_filter=self._filter,
+                )
+                for events in events_per_shard
+            ]
+            # The embarrassingly parallel stage: filter + delta-reduce
+            # every shard batch.  Serial, thread and process executors
+            # produce identical deltas; only wall-clock differs.
+            with self._trace.span("shard_map"):
+                outcomes = self._executor.map(_run_shard_job, jobs)
+
+            accepted_counts: List[int] = []
+            events_total = 0
+            rejected = 0
+            with self._trace.span("shard_merge"):
+                for shard, events, job, (delta, report) in zip(
+                    self._shards, events_per_shard, jobs, outcomes
+                ):
+                    leg_start = time.perf_counter()
+                    if report is not None:
+                        self._filter_reports.append(report)
+                        accepted: Sequence[Post] = report.accepted
+                        rejected += len(report.rejected)
+                    else:
+                        accepted = job.posts
+                    shard.index.append(accepted)
+                    shard.deltas.apply_delta(delta)
+                    # mirrored into the merged tracker
+                    shard.deltas.take_dirty()
+                    self._merged.apply_delta(delta)
+                    events_total += len(events)
+                    accepted_counts.append(len(accepted))
+                    for event in events:
+                        if event.seq > shard.cursor:
+                            shard.cursor = event.seq
+                    for post in accepted:
+                        if (
+                            self._max_date is None
+                            or post.created_at > self._max_date
+                        ):
+                            self._max_date = post.created_at
+                    shard.ingested.inc(
+                        len(accepted), shard=str(shard.shard_id)
+                    )
+                    shard.merge_seconds.observe(
+                        time.perf_counter() - leg_start,
+                        shard=str(shard.shard_id),
+                    )
+
+            # take_dirty also folds in any dirty keywords a restored
+            # checkpoint carried over from an interrupted tick.
+            dirty = self._merged.take_dirty()
+            if upto_year is None and self._max_date is not None:
+                upto_year = self._max_date.year
+            retuned, rescored, alert = self._evaluator.evaluate(
+                self._merged, dirty, upto_year
+            )
+        self._ticks_total.inc()
+        self._events_total.inc(events_total)
+        self._ingested_total.inc(sum(accepted_counts))
+        self._rejected_total.inc(rejected)
+        self._dirty_hist.observe(len(dirty))
+        self._tick_seq += 1
+        tick = StreamTick(
+            seq=self._tick_seq,
+            events=events_total,
+            accepted=sum(accepted_counts),
+            rejected=rejected,
+            dirty=tuple(sorted(dirty)),
+            retuned=retuned,
+            rescored=rescored,
+            alert=alert,
+            upto_year=upto_year,
+            shard_accepted=tuple(accepted_counts),
+        )
+        self._ticks.append(tick)
+        return tick
+
+    def tick(self, batch_size: Optional[int] = None) -> Optional[StreamTick]:
+        """Consume one micro-batch per shard as a single merged tick.
+
+        Returns None when every feed is drained.  Shards that are
+        temporarily empty contribute an empty batch — a lagging region
+        does not stall the others.
+        """
+        limit = batch_size or self._batch_size
+        events_per_shard = [
+            shard.feed.events_after(shard.cursor, limit=limit)
+            for shard in self._shards
+        ]
+        if not any(events_per_shard):
+            return None
+        return self._ingest(events_per_shard, None)
+
+    def advance_to(
+        self, until: dt.date, *, upto_year: Optional[int] = None
+    ) -> StreamTick:
+        """Consume everything up to ``until`` on every shard as one tick.
+
+        This is the monitor-compatibility driver: the batch monitor's
+        ``tick(year)`` maps to ``advance_to(date(year, 12, 31))``.  Empty
+        shard batches still evaluate, so the first call establishes the
+        baseline table even when no post precedes ``until``.
+        """
+        events_per_shard = [
+            shard.feed.events_after(shard.cursor, until=until)
+            for shard in self._shards
+        ]
+        return self._ingest(
+            events_per_shard,
+            upto_year if upto_year is not None else until.year,
+        )
 
     def learn_keywords(
         self, *, min_support: float = 0.05, max_new: int = 10
     ) -> Tuple[str, ...]:
-        """Mine retained texts for new keywords and adopt them in-stream.
+        """Mine every shard's retained texts for new keywords.
 
-        Runs the database's co-occurrence learning over the index's
-        retained texts (hot + warm for a tiered index — learning mines
-        recent chatter, not frozen history), then synchronizes the
-        stream: aggregates backfill, the learned keywords join the
+        Co-occurrence mining runs over the union of the shards' retained
+        texts (hot + warm tiers on tiered indexes — learning mines
+        recent chatter, not frozen history), then the stream
+        synchronizes: aggregates backfill, the learned keywords join the
         dirty set, and the next tick scores them.  Returns the learned
         canonical keywords.
         """
+        texts: List[str] = []
+        for shard in self._shards:
+            texts.extend(shard.index.retained_texts())
         learned = self._database.learn_from_texts(
-            self._index.retained_texts(),
-            min_support=min_support,
-            max_new=max_new,
+            texts, min_support=min_support, max_new=max_new
         )
         self._sync_database()
         return tuple(entry.keyword for entry in learned)
+
+    def ingest(
+        self,
+        events_per_shard: Sequence[Sequence[PostEvent]],
+        *,
+        upto_year: Optional[int] = None,
+    ) -> StreamTick:
+        """One merged tick over caller-supplied per-shard event batches.
+
+        The push-style entry point for drivers that generate events on
+        the fly (e.g. the retention bench) instead of pre-loading a
+        replayable feed per shard: ``events_per_shard[i]`` is shard
+        *i*'s micro-batch for this tick.  ``upto_year`` labels the
+        tick's alert/result window (default: the newest post's year).
+        Feed cursors still advance from the event sequence numbers, so
+        push- and pull-style ingest can be mixed.
+        """
+        if len(events_per_shard) != len(self._shards):
+            raise ValueError(
+                f"got batches for {len(events_per_shard)} shards, "
+                f"runtime has {len(self._shards)}"
+            )
+        return self._ingest(events_per_shard, upto_year)
+
+    def run(self, batch_size: Optional[int] = None) -> List[StreamTick]:
+        """Drain every feed in merged micro-batch ticks."""
+        ticks: List[StreamTick] = []
+        while True:
+            tick = self.tick(batch_size)
+            if tick is None:
+                return ticks
+            ticks.append(tick)
+
+    def close(self) -> None:
+        """Release the executor's worker pool (idempotent)."""
+        self._executor.close()
+
+    def __enter__(self) -> "ShardedStreamRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- checkpoint support -------------------------------------------------
+
+    def _scalar_state(self) -> Dict[str, object]:
+        """Tick counters and evaluator state, shared by every layout."""
+        state: Dict[str, object] = {
+            "tick_seq": self._tick_seq,
+            "max_date": self._max_date.isoformat() if self._max_date else None,
+            "since_year": self._evaluator.since_year,
+            "db_version": self._db_version,
+        }
+        state.update(self._evaluator.state_slice())
+        return state
+
+    def _load_scalar_state(self, state: Mapping[str, object]) -> None:
+        """Restore the :meth:`_scalar_state` fields."""
+        self._tick_seq = int(state["tick_seq"])  # type: ignore[arg-type]
+        raw_date = state.get("max_date")
+        self._max_date = (
+            dt.date.fromisoformat(raw_date) if raw_date else None  # type: ignore[arg-type]
+        )
+        self._evaluator.since_year = state.get("since_year")  # type: ignore[assignment]
+        self._evaluator.load_slice(
+            state,
+            database_matches=state.get("db_version") == self._database.version,
+        )
+
+    def state_dict(self, *, include_index: bool = True) -> Dict[str, object]:
+        """JSON-serialisable snapshot of all resumable state.
+
+        Per-shard cursors, tracker aggregates and columnar index
+        segments plus the shared evaluator state, so a restored runtime
+        reports the exact segment layout and answers historical queries
+        identically to one that never stopped.  Pass
+        ``include_index=False`` for the lean layout — alerts never need
+        historical posts (aggregates carry the evidence), so index-less
+        snapshots stay fully resumable, merely with per-shard indexes
+        that restart empty.
+        """
+        state: Dict[str, object] = {"cursors": list(self.cursors)}
+        state.update(self._scalar_state())
+        state["shard_deltas"] = [
+            shard.deltas.state_dict() for shard in self._shards
+        ]
+        if include_index:
+            state["shard_indexes"] = [
+                shard.index.state_dict() for shard in self._shards
+            ]
+        return state
+
+    def load_state(self, state: Mapping[str, object]) -> None:
+        """Restore a :meth:`state_dict` snapshot (same shard count)."""
+        cursors = list(state["cursors"])  # type: ignore[arg-type]
+        shard_states = list(state["shard_deltas"])  # type: ignore[arg-type]
+        if len(cursors) != len(self._shards) or len(shard_states) != len(
+            self._shards
+        ):
+            raise ValueError(
+                f"checkpoint has {len(cursors)} shards, runtime has "
+                f"{len(self._shards)}"
+            )
+        self._load_scalar_state(state)
+        index_states = state.get("shard_indexes")
+        if index_states is not None and len(index_states) != len(self._shards):  # type: ignore[arg-type]
+            raise ValueError(
+                f"checkpoint has {len(index_states)} shard indexes, "  # type: ignore[arg-type]
+                f"runtime has {len(self._shards)}"
+            )
+        for position, (shard, cursor, shard_state) in enumerate(
+            zip(self._shards, cursors, shard_states)
+        ):
+            shard.cursor = int(cursor)
+            shard.deltas.load_state(shard_state)
+            if index_states is not None:
+                shard.index.load_state(index_states[position])  # type: ignore[index]
+        # Rebuild the maintained merge from the restored shard trackers;
+        # the merged dirty set is the union of the shards' interrupted
+        # dirty sets, so a mid-tick stop re-evaluates exactly them.
+        self._merged = DeltaTracker.merged([s.deltas for s in self._shards])
+
+
+class StreamRuntime(ShardedStreamRuntime):
+    """:class:`ShardedStreamRuntime` over one feed.
+
+    The tick, drivers, keyword learning and stats are the shared ones;
+    this class adds what a single feed needs: its :attr:`cursor` and
+    :attr:`index`, a flat :meth:`ingest`, :meth:`step`, and the
+    version-1 checkpoint API of :mod:`repro.stream.checkpoint`, whose
+    ``cursor``/``deltas``/``index`` layout is the one shard's state.
+    Its shard job runs serially.  The arguments are
+    :class:`ShardedStreamRuntime`'s, with one ``feed`` in place of
+    ``feeds`` and no executor knobs.
+    """
+
+    def __init__(
+        self,
+        feed: FeedSource,
+        database: KeywordDatabase,
+        *,
+        target: Optional[TargetApplication] = None,
+        config: Optional[PSPConfig] = None,
+        since_year: Optional[int] = None,
+        network: Optional[VehicleNetwork] = None,
+        tracker: Optional[LifecycleTracker] = None,
+        post_filter: Optional[PostAuthenticityFilter] = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
+        compact_ratio: Optional[float] = None,
+        warm_span_days: Optional[int] = None,
+        cold_age_days: Optional[int] = None,
+        spill_dir=None,
+        max_resident_cold: Optional[int] = None,
+        metrics=None,
+    ) -> None:
+        super().__init__(
+            [feed],
+            database,
+            target=target,
+            config=config,
+            since_year=since_year,
+            network=network,
+            tracker=tracker,
+            post_filter=post_filter,
+            batch_size=batch_size,
+            compact_threshold=compact_threshold,
+            compact_ratio=compact_ratio,
+            warm_span_days=warm_span_days,
+            cold_age_days=cold_age_days,
+            spill_dir=spill_dir,
+            max_resident_cold=max_resident_cold,
+            metrics=metrics,
+        )
+        self._checkpoint_base_id: Optional[str] = None
+
+    @property
+    def cursor(self) -> int:
+        """Highest consumed feed sequence number (-1 = nothing yet)."""
+        return self._shards[0].cursor
+
+    @property
+    def index(self):
+        """The appendable corpus index of everything ingested.
+
+        A :class:`~repro.stream.index.StreamingCorpusIndex`, or a
+        :class:`~repro.stream.tiers.TieredCorpusIndex` when retention
+        knobs were set — query- and checkpoint-compatible either way.
+        """
+        return self._shards[0].index
 
     def ingest(
         self,
@@ -718,137 +1186,37 @@ class StreamRuntime:
         *,
         upto_year: Optional[int] = None,
     ) -> StreamTick:
-        """Process one micro-batch of events as a single tick.
-
-        Args:
-            events: the batch (may be empty — the first empty tick still
-                establishes the baseline table).
-            upto_year: explicit window upper bound for the tick's
-                alert/result labelling; defaults to the newest ingested
-                post's year.
-        """
-        self._sync_database()
-        with self._trace.tick():
-            posts = [event.post for event in events]
-            rejected = 0
-            with self._trace.span("filter"):
-                if self._filter is not None and posts:
-                    report = self._filter.filter(posts)
-                    self._filter_reports.append(report)
-                    accepted = list(report.accepted)
-                    rejected = len(report.rejected)
-                else:
-                    accepted = posts
-            with self._trace.span("append"):
-                self._index.append(accepted)
-            with self._trace.span("delta_ingest"):
-                # The arena-sweep batch kernel: bit-for-bit the same
-                # aggregates as per-post observe(), one C-level scan per
-                # keyword instead of len(batch) x len(keywords)
-                # substring probes.
-                self._deltas.ingest_batch(accepted)
-                # take_dirty also folds in any dirty keywords a restored
-                # checkpoint carried over from an interrupted tick.
-                dirty = self._deltas.take_dirty()
-            for event in events:
-                if event.seq > self._cursor:
-                    self._cursor = event.seq
-            for post in accepted:
-                if self._max_date is None or post.created_at > self._max_date:
-                    self._max_date = post.created_at
-            if upto_year is None and self._max_date is not None:
-                upto_year = self._max_date.year
-
-            retuned, rescored, alert = self._evaluator.evaluate(
-                self._deltas, dirty, upto_year
-            )
-        self._ticks_total.inc()
-        self._events_total.inc(len(events))
-        self._ingested_total.inc(len(accepted))
-        self._rejected_total.inc(rejected)
-        self._dirty_hist.observe(len(dirty))
-        self._tick_seq += 1
-        tick = StreamTick(
-            seq=self._tick_seq,
-            events=len(events),
-            accepted=len(accepted),
-            rejected=rejected,
-            dirty=tuple(sorted(dirty)),
-            retuned=retuned,
-            rescored=rescored,
-            alert=alert,
-            upto_year=upto_year,
-        )
-        self._ticks.append(tick)
-        return tick
-
-    # -- feed drivers -------------------------------------------------------
+        """Process one micro-batch of the feed's events as a single tick."""
+        return self._ingest([events], upto_year)
 
     def step(self, batch_size: Optional[int] = None) -> Optional[StreamTick]:
         """Consume the next micro-batch; None when the feed is drained."""
-        events = self._feed.events_after(
-            self._cursor, limit=batch_size or self._batch_size
-        )
-        if not events:
-            return None
-        return self.ingest(events)
+        return self.tick(batch_size)
 
-    def advance_to(
-        self, until: dt.date, *, upto_year: Optional[int] = None
-    ) -> StreamTick:
-        """Consume everything up to ``until`` as one tick.
+    # -- version-1 checkpoint API -------------------------------------------
 
-        This is the monitor-compatibility driver: the batch monitor's
-        ``tick(year)`` maps to ``advance_to(date(year, 12, 31))``.  An
-        empty batch still evaluates, so the first call establishes the
-        baseline table even when no post precedes ``until``.
+    @property
+    def checkpoint_base_id(self) -> Optional[str]:
+        """Identity of the last base checkpoint saved from this runtime.
+
+        Set by :func:`~repro.stream.checkpoint.save_checkpoint`; delta
+        checkpoints record it so a resume can verify base and delta
+        belong together.
         """
-        events = self._feed.events_after(self._cursor, until=until)
-        return self.ingest(
-            events, upto_year=upto_year if upto_year is not None else until.year
-        )
-
-    def run(self, batch_size: Optional[int] = None) -> List[StreamTick]:
-        """Drain the feed in micro-batches; returns the processed ticks."""
-        ticks: List[StreamTick] = []
-        while True:
-            tick = self.step(batch_size)
-            if tick is None:
-                return ticks
-            ticks.append(tick)
-
-    def close(self) -> None:
-        """Release held resources (none here; sharded runtimes own pools).
-
-        Exists so drivers — the monitor, the CLI — can close any stream
-        runtime uniformly without caring which variant they built.
-        """
-
-    # -- checkpoint support -------------------------------------------------
+        return self._checkpoint_base_id
 
     def state_dict(self, *, include_index: bool = True) -> Dict[str, object]:
-        """JSON-serialisable snapshot of all resumable state.
+        """The version-1 snapshot that :mod:`repro.stream.checkpoint` writes.
 
-        The corpus index serialises as plain columnar segments
-        (:meth:`StreamingCorpusIndex.state_dict`), so a restored runtime
-        reports the exact base/tail split and answers historical queries
-        identically to one that never stopped.  Pass
-        ``include_index=False`` for the lean pre-columnar layout —
-        alerts never need historical posts (aggregates carry the
-        evidence), so index-less checkpoints remain fully resumable,
-        merely with an index that restarts empty.
+        The one shard's ``cursor``, ``deltas`` and (unless
+        ``include_index=False``) ``index`` beside the shared scalars.
         """
-        state: Dict[str, object] = {
-            "cursor": self._cursor,
-            "tick_seq": self._tick_seq,
-            "max_date": self._max_date.isoformat() if self._max_date else None,
-            "since_year": self._evaluator.since_year,
-            "db_version": self._db_version,
-        }
-        state.update(self._evaluator.state_slice())
-        state["deltas"] = self._deltas.state_dict()
+        shard = self._shards[0]
+        state: Dict[str, object] = {"cursor": shard.cursor}
+        state.update(self._scalar_state())
+        state["deltas"] = shard.deltas.state_dict()
         if include_index:
-            state["index"] = self._index.state_dict()
+            state["index"] = shard.index.state_dict()
         return state
 
     def delta_state_dict(self) -> Dict[str, object]:
@@ -860,21 +1228,17 @@ class StreamRuntime:
         restricted to the keywords dirtied since
         :attr:`checkpoint_base_id` was saved.
         """
-        state: Dict[str, object] = {
-            "cursor": self._cursor,
-            "tick_seq": self._tick_seq,
-            "max_date": self._max_date.isoformat() if self._max_date else None,
-            "since_year": self._evaluator.since_year,
-            "db_version": self._db_version,
-        }
-        state.update(self._evaluator.state_slice())
-        state["deltas_delta"] = self._deltas.delta_state()
+        shard = self._shards[0]
+        state: Dict[str, object] = {"cursor": shard.cursor}
+        state.update(self._scalar_state())
+        state["deltas_delta"] = shard.deltas.delta_state()
         return state
 
     def mark_checkpoint_base(self, base_id: str) -> None:
         """Record that a base checkpoint now covers the current state."""
         self._checkpoint_base_id = base_id
-        self._deltas.mark_snapshot()
+        self._shards[0].deltas.mark_snapshot()
+        self._merged.mark_snapshot()
 
     def adopt_checkpoint_base(self, base_id: str) -> None:
         """Adopt an existing base as this runtime's delta reference.
@@ -888,21 +1252,14 @@ class StreamRuntime:
 
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot into this runtime."""
-        self._cursor = int(state["cursor"])  # type: ignore[arg-type]
-        self._tick_seq = int(state["tick_seq"])  # type: ignore[arg-type]
-        raw_date = state.get("max_date")
-        self._max_date = (
-            dt.date.fromisoformat(raw_date) if raw_date else None  # type: ignore[arg-type]
-        )
-        self._evaluator.since_year = state.get("since_year")  # type: ignore[assignment]
-        self._evaluator.load_slice(
-            state,
-            database_matches=state.get("db_version") == self._database.version,
-        )
-        self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        shard = self._shards[0]
+        shard.cursor = int(state["cursor"])  # type: ignore[arg-type]
+        self._load_scalar_state(state)
+        shard.deltas.load_state(state["deltas"])  # type: ignore[arg-type]
         index_state = state.get("index")
         if index_state is not None:
-            self._index.load_state(index_state)  # type: ignore[arg-type]
+            shard.index.load_state(index_state)  # type: ignore[arg-type]
+        self._merged = DeltaTracker.merged([shard.deltas])
 
 
 def _table_state(table: Optional[WeightTable]) -> Optional[Dict[str, object]]:

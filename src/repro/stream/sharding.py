@@ -1,77 +1,44 @@
-"""Sharded streaming PSP: N feeds in, one merged evaluation out.
+"""Feed sharding and the pure-sum merge: N feeds, one evaluation.
 
-One :class:`~repro.stream.runtime.StreamRuntime` consumes one feed.
-Platform-scale monitoring wants N region- or platform-sharded feeds —
-and the PR-4 way to consume them, interleaving every shard's micro-batch
-through a single runtime, pays one full conditional-retune (and
-potentially a TARA rescore) *per shard batch*.  This module exploits the
-additivity of every streaming aggregate to do better:
+Platform-scale monitoring wants N region- or platform-sharded feeds.
+The runtime (:class:`~repro.stream.runtime.ShardedStreamRuntime`,
+re-exported here) gives each shard its own index + tracker pair and
+reduces each shard's micro-batch to an additive
+:class:`~repro.stream.deltas.SignalDelta`; the deltas merge by pure
+summation and feed one shared evaluation per tick, so the retune and
+rescore cost stops scaling with the number of feeds.  This module holds
+the helpers around it:
 
-* each shard owns a :class:`~repro.stream.index.StreamingCorpusIndex` +
-  :class:`~repro.stream.deltas.DeltaTracker` pair, fed by its own
-  :class:`~repro.stream.feed.FeedSource`;
-* a shard's micro-batch is reduced to a picklable pure-data
-  :class:`~repro.stream.deltas.SignalDelta` by the arena-sweep batch
-  kernel (:func:`~repro.stream.deltas.compute_signal_delta`) — the
-  embarrassingly parallel part, dispatched through a pluggable
-  :mod:`~repro.core.executor` (serial / thread pool / process pool);
-* shard deltas **merge by pure summation** (:func:`merge_signals` — the
-  keyword×year engagement/sentiment buckets and voice votes are
-  additive, so the merge is associative and order-independent,
-  property-tested in
-  ``tests/properties/test_shard_merge_equivalence.py``);
-* the merged view feeds **one** shared
-  :class:`~repro.stream.runtime.TickEvaluator` pass — insider
-  classification, SAI, weight retuning and compiled-TARA rescoring
-  happen once per tick *regardless of shard count*.
+* :func:`partition_posts` / :func:`shard_feeds` — deterministic,
+  disjoint routing of one post collection into N replayable feeds;
+* :func:`merge_signals` — the keyword×year engagement/sentiment
+  buckets and voice votes are additive, so the merge is associative and
+  order-independent (property-tested in
+  ``tests/properties/test_shard_merge_equivalence.py``).
 
-Alerts are identical to an equivalent single-feed run over the union of
-the shards' posts (``benchmarks/bench_shard.py`` gates it), while the
-per-tick evaluation cost stops scaling with the number of feeds.
+Alerts are identical to a single-feed run over the union of the shards'
+posts (``benchmarks/bench_shard.py`` gates it).
 """
 
 from __future__ import annotations
 
-import datetime as dt
-import time
 import zlib
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     Hashable,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.core.config import PSPConfig, TargetApplication
-from repro.core.errors import PSPError
-from repro.core.executor import resolve_executor
-from repro.core.keywords import KeywordDatabase
-from repro.core.monitor import TrendAlert
-from repro.core.poisoning import FilterReport, PostAuthenticityFilter
 from repro.core.sai import KeywordSignals
-from repro.obs import views as obs_views
-from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
-from repro.obs.trace import trace_for
-from repro.stream.deltas import (
-    DeltaTracker,
-    SignalDelta,
-    compute_signal_delta,
-)
-from repro.stream.feed import FeedSource, PostEvent, SyntheticFeed
-from repro.stream.index import DEFAULT_COMPACT_THRESHOLD, StreamingCorpusIndex
-from repro.stream.runtime import DEFAULT_BATCH_SIZE, StreamTick, TickEvaluator
-from repro.stream.store import DEFAULT_MAX_RESIDENT_COLD, SegmentStore
-from repro.stream.tiers import build_stream_index
 from repro.social.post import Post
-from repro.tara.lifecycle import LifecycleTracker
-from repro.tara.scoring import BatchTaraScorer
-from repro.vehicle.network import VehicleNetwork
+from repro.stream.deltas import DeltaTracker
+from repro.stream.feed import SyntheticFeed
+from repro.stream.runtime import ShardedStreamRuntime
 
 __all__ = [
     "ShardedStreamRuntime",
@@ -158,677 +125,3 @@ def merge_signals(
     return DeltaTracker.merged(trackers).signals(
         since_year=since_year, until_year=until_year
     )
-
-
-# -- the per-shard ingest job -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ShardJob:
-    """One shard's micro-batch, as a picklable work item."""
-
-    keywords: Tuple[str, ...]
-    region: Optional[str]
-    posts: Tuple[Post, ...]
-    post_filter: Optional[PostAuthenticityFilter]
-
-
-def _run_shard_job(
-    job: _ShardJob,
-) -> Tuple[SignalDelta, Optional[FilterReport]]:
-    """Filter + delta-reduce one shard batch (runs inside any executor).
-
-    Module-level and pure so a :class:`~repro.core.executor.
-    ProcessExecutor` can ship it to a worker: in comes plain data, out
-    comes an additive :class:`SignalDelta` and the authenticity-filter
-    audit report.
-    """
-    report: Optional[FilterReport] = None
-    posts: Sequence[Post] = job.posts
-    if job.post_filter is not None and posts:
-        report = job.post_filter.filter(list(posts))
-        posts = report.accepted
-    delta = compute_signal_delta(job.keywords, posts, region=job.region)
-    return delta, report
-
-
-@dataclass
-class _ShardState:
-    """One shard's private slice of the runtime.
-
-    ``metrics`` is the shard's child registry (merged into the parent by
-    pure summation at collect time); ``ingested`` and ``merge_seconds``
-    are its shard-labelled instruments.
-    """
-
-    shard_id: int
-    feed: FeedSource
-    index: StreamingCorpusIndex  # or TieredCorpusIndex (duck-compatible)
-    deltas: DeltaTracker
-    cursor: int = -1
-    metrics: object = None
-    ingested: object = None
-    merge_seconds: object = None
-
-
-# -- the sharded runtime ------------------------------------------------------
-
-
-class ShardedStreamRuntime:
-    """N sharded feeds fanned into one shared tick evaluation.
-
-    The constructor mirrors :class:`~repro.stream.runtime.StreamRuntime`
-    except that it takes a *sequence* of feeds (one per shard) plus an
-    execution policy:
-
-    Args:
-        feeds: the shard event sources, e.g. from :func:`shard_feeds`.
-        database: shared attack-keyword database (snapshot semantics,
-            like the single runtime).
-        target: assessment target; its region scopes every shard's SAI
-            aggregates.
-        config: pipeline tunables.
-        since_year: lower bound of the analysis window.
-        network: compiled once; table-changing ticks re-score it.
-        tracker: lifecycle tracker for trend-shift events.
-        post_filter: authenticity filter, applied *per shard batch*
-            inside the shard job (its share-based heuristics then judge
-            each shard's traffic on its own — the per-shard analogue of
-            the single runtime's per-batch filtering).
-        batch_size: default per-shard micro-batch size for :meth:`tick`.
-        compact_threshold / compact_ratio: per-shard index compaction
-            policy (each shard compacts its own, smaller, segments).
-        warm_span_days / cold_age_days: per-shard retention knobs;
-            setting either builds every shard on a
-            :class:`~repro.stream.tiers.TieredCorpusIndex` (hot tail,
-            date-bounded warm segments, cold segments with aggregate
-            sidecars) instead of the flat streaming index.
-        spill_dir / max_resident_cold: when ``spill_dir`` is set, ONE
-            :class:`~repro.stream.store.SegmentStore` opens there and
-            every shard spills its cold seals into it (keys are
-            content-addressed, so shards sharing a directory never
-            collide); shard appends run serially in the merge leg, so
-            the shared store sees no concurrent writes.  Requires tiered
-            retention.
-        executor: explicit :mod:`~repro.core.executor` instance; wins
-            over ``workers``.
-        workers: requested parallelism for the shard jobs; resolved by
-            :func:`~repro.core.executor.resolve_executor` (``auto`` —
-            degrades to serial on a single-CPU host).
-        metrics: a :class:`~repro.obs.registry.MetricsRegistry`; each
-            shard gets a **child registry** (shard-labelled instruments,
-            tier gauges) merged into this one by pure summation at
-            export time — the metric-space mirror of the
-            ``SignalDelta.merge`` the tick itself performs.  None wires
-            the no-op path.
-    """
-
-    def __init__(
-        self,
-        feeds: Sequence[FeedSource],
-        database: KeywordDatabase,
-        *,
-        target: Optional[TargetApplication] = None,
-        config: Optional[PSPConfig] = None,
-        since_year: Optional[int] = None,
-        network: Optional[VehicleNetwork] = None,
-        tracker: Optional[LifecycleTracker] = None,
-        post_filter: Optional[PostAuthenticityFilter] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
-        compact_ratio: Optional[float] = None,
-        warm_span_days: Optional[int] = None,
-        cold_age_days: Optional[int] = None,
-        spill_dir=None,
-        max_resident_cold: Optional[int] = None,
-        executor=None,
-        workers: Optional[int] = None,
-        metrics=None,
-    ) -> None:
-        feeds = list(feeds)
-        if not feeds:
-            raise ValueError("ShardedStreamRuntime needs at least one feed")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self._database = database
-        self._db_version = database.version
-        self._target = target or TargetApplication(
-            "streamed", "global", "stream"
-        )
-        self._config = config or PSPConfig()
-        self._batch_size = batch_size
-        self._filter = post_filter
-        region = target.region if target is not None else None
-        self._metrics = ensure_registry(metrics)
-        self._trace = trace_for(self._metrics)
-        self._ticks_total = self._metrics.counter(
-            "psp_ticks_total", "Stream ticks processed"
-        )
-        self._events_total = self._metrics.counter(
-            "psp_events_total", "Feed events consumed"
-        )
-        self._ingested_total = self._metrics.counter(
-            "psp_posts_ingested_total", "Posts accepted into the index"
-        )
-        self._rejected_total = self._metrics.counter(
-            "psp_posts_rejected_total",
-            "Posts rejected by the authenticity filter",
-        )
-        self._learned_total = self._metrics.counter(
-            "psp_keywords_learned_total", "Keywords adopted mid-stream"
-        )
-        self._dirty_hist = self._metrics.histogram(
-            "psp_dirty_keywords",
-            "Dirty keywords per tick",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        self._evaluator = TickEvaluator(
-            database,
-            target=self._target,
-            config=self._config,
-            since_year=since_year,
-            network=network,
-            tracker=tracker,
-            metrics=self._metrics,
-            trace=self._trace,
-        )
-        # All shards spill into ONE store: keys are content-addressed,
-        # so a shared directory is collision-free, and shard appends run
-        # serially in the merge leg, so the store sees no concurrent
-        # writes.  Store metrics land on the parent registry (spills are
-        # a runtime-wide resource, not a per-shard one).
-        self._store: Optional[SegmentStore] = None
-        if spill_dir is not None:
-            if warm_span_days is None and cold_age_days is None:
-                raise ValueError(
-                    "spill-to-disk requires tiered retention: set "
-                    "warm_span_days or cold_age_days alongside spill_dir"
-                )
-            self._store = SegmentStore(
-                spill_dir,
-                max_resident_cold=(
-                    DEFAULT_MAX_RESIDENT_COLD
-                    if max_resident_cold is None
-                    else max_resident_cold
-                ),
-                metrics=self._metrics,
-            )
-        self._shards: List[_ShardState] = []
-        for shard_id, feed in enumerate(feeds):
-            deltas = DeltaTracker(database, region=region)
-            shard_metrics = self._metrics.child()
-            index = build_stream_index(
-                compact_threshold=compact_threshold,
-                compact_ratio=compact_ratio,
-                warm_span_days=warm_span_days,
-                cold_age_days=cold_age_days,
-                sidecar_keywords=database.keywords,
-                sidecar_region=deltas.region,
-                sidecar_analyzer=deltas.analyzer,
-                store=self._store,
-                max_resident_cold=max_resident_cold,
-                metrics=shard_metrics,
-            )
-            self._shards.append(
-                _ShardState(
-                    shard_id=shard_id,
-                    feed=feed,
-                    index=index,
-                    deltas=deltas,
-                    metrics=shard_metrics,
-                    ingested=shard_metrics.counter(
-                        "psp_shard_posts_ingested_total",
-                        "Posts accepted per shard",
-                        labelnames=("shard",),
-                    ),
-                    merge_seconds=shard_metrics.histogram(
-                        "psp_shard_merge_seconds",
-                        "Per-shard merge-leg latency "
-                        "(index append + delta apply)",
-                        labelnames=("shard",),
-                    ),
-                )
-            )
-        self._adopted_keywords: List[str] = []
-        #: The incrementally maintained pure-sum merge of every shard's
-        #: deltas — each tick applies the shard SignalDeltas here too,
-        #: which is the associative merge done additively (equal to
-        #: re-merging from scratch; see merged_deltas()).
-        self._merged = DeltaTracker(database, region=region)
-        self._executor = (
-            executor if executor is not None else resolve_executor(workers)
-        )
-        self._tick_seq = 0
-        self._max_date: Optional[dt.date] = None
-        self._ticks: List[StreamTick] = []
-        self._filter_reports: List[FilterReport] = []
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        """How many shards this runtime fans in."""
-        return len(self._shards)
-
-    @property
-    def store(self) -> Optional[SegmentStore]:
-        """The shared spill store (None when fully resident)."""
-        return self._store
-
-    @property
-    def metrics(self):
-        """The parent telemetry registry (children merge into it)."""
-        return self._metrics
-
-    @property
-    def trace(self):
-        """The tick-span recorder bound to :attr:`metrics`."""
-        return self._trace
-
-    @property
-    def shard_metrics(self) -> Tuple[object, ...]:
-        """Per-shard child registries (pure-sum merged into the parent)."""
-        return tuple(shard.metrics for shard in self._shards)
-
-    @property
-    def learned_keywords(self) -> Tuple[str, ...]:
-        """Keywords adopted mid-stream (keyword learning), oldest first."""
-        return tuple(self._adopted_keywords)
-
-    @property
-    def executor(self):
-        """The executor running the per-shard ingest jobs."""
-        return self._executor
-
-    @property
-    def evaluator(self) -> TickEvaluator:
-        """The shared conditional retune/rescore core."""
-        return self._evaluator
-
-    @property
-    def cursors(self) -> Tuple[int, ...]:
-        """Per-shard highest consumed feed sequence numbers."""
-        return tuple(shard.cursor for shard in self._shards)
-
-    @property
-    def shard_indexes(self) -> Tuple[StreamingCorpusIndex, ...]:
-        """Per-shard appendable corpus indexes."""
-        return tuple(shard.index for shard in self._shards)
-
-    @property
-    def shard_deltas(self) -> Tuple[DeltaTracker, ...]:
-        """Per-shard dirty-keyword trackers."""
-        return tuple(shard.deltas for shard in self._shards)
-
-    @property
-    def deltas(self) -> DeltaTracker:
-        """The maintained pure-sum merge of every shard's aggregates."""
-        return self._merged
-
-    def merged_deltas(self) -> DeltaTracker:
-        """A *fresh* pure-sum merge of the shard trackers.
-
-        Recomputes the merge from scratch — equal to :attr:`deltas`
-        modulo the transient dirty set, which is the associativity
-        guarantee the property tests pin down.
-        """
-        return DeltaTracker.merged([s.deltas for s in self._shards])
-
-    @property
-    def alerts(self) -> Tuple[TrendAlert, ...]:
-        """All alerts emitted so far, oldest first."""
-        return tuple(self._evaluator.alerts)
-
-    @property
-    def ticks(self) -> Tuple[StreamTick, ...]:
-        """All processed ticks, oldest first."""
-        return tuple(self._ticks)
-
-    @property
-    def current_table(self):
-        """The insider table in force (None before the first retune)."""
-        return self._evaluator.last_table
-
-    @property
-    def current_result(self):
-        """The PSP result of the latest retune (None before the first)."""
-        return self._evaluator.last_result
-
-    @property
-    def tara_scorer(self) -> Optional[BatchTaraScorer]:
-        """The compiled-model scorer (None without a network)."""
-        return self._evaluator.scorer
-
-    @property
-    def post_filter(self) -> Optional[PostAuthenticityFilter]:
-        """The per-shard-batch authenticity filter (None = unfiltered)."""
-        return self._filter
-
-    @property
-    def filter_reports(self) -> Tuple[FilterReport, ...]:
-        """Filter audit reports, one per filtered shard batch."""
-        return tuple(self._filter_reports)
-
-    def baseline_tara(self):
-        """The static-table TARA (None without a network)."""
-        return self._evaluator.baseline_tara()
-
-    @property
-    def stream_stats(self) -> Dict[str, object]:
-        """Operational counters for dashboards and benches.
-
-        **Deprecated alias**: the flat pre-obs dict shape, now derived
-        from :func:`repro.obs.views.runtime_health` so every stats
-        consumer reads from one source.
-        """
-        return obs_views.stream_stats(self)
-
-    def runtime_health(self) -> Dict[str, object]:
-        """The unified, schema-versioned health document (see
-        :mod:`repro.obs.views`)."""
-        return obs_views.runtime_health(self)
-
-    # -- the tick -----------------------------------------------------------
-
-    def _sync_database(self) -> Tuple[str, ...]:
-        """Adopt mid-stream keyword additions across every shard.
-
-        The sharded analogue of the single runtime's sync: each shard
-        tracker (and the maintained merge) widens to the database's new
-        keyword tuple, each shard *index* backfills the added keywords'
-        aggregates over its own tiers (cold sidecars extend lazily), and
-        the backfill deltas fold into both the shard tracker and the
-        merge so the next evaluation sees full-history evidence.
-        """
-        if self._database.version == self._db_version:
-            return ()
-        old_version = self._db_version
-        adopted = self._database.keywords
-        try:
-            added = self._merged.adopt_keywords(adopted)
-            for shard in self._shards:
-                shard.deltas.adopt_keywords(adopted)
-        except ValueError as exc:
-            raise PSPError(
-                "keyword database changed mid-stream in an unsupported "
-                f"way (version {old_version} -> "
-                f"{self._database.version}): {exc} — only additions "
-                "(keyword learning) can be adopted without a restart"
-            ) from exc
-        if added:
-            for shard in self._shards:
-                delta = shard.index.signal_backfill(
-                    added,
-                    region=shard.deltas.region,
-                    analyzer=shard.deltas.analyzer,
-                )
-                shard.deltas.apply_delta(delta)
-                shard.deltas.take_dirty()  # mirrored via the merge below
-                self._merged.apply_delta(delta)
-                adopt_sidecar = getattr(
-                    shard.index, "adopt_sidecar_keywords", None
-                )
-                if adopt_sidecar is not None:
-                    adopt_sidecar(shard.deltas.keywords)
-            self._merged.mark_dirty(added)
-            self._adopted_keywords.extend(added)
-            self._learned_total.inc(len(added))
-        else:
-            # A version bump with no new keywords is an annotation
-            # (owner approval changed): reclassify everything next tick.
-            self._merged.mark_dirty(self._merged.keywords)
-        self._db_version = self._database.version
-        return added
-
-    def _ingest(
-        self,
-        events_per_shard: Sequence[Sequence[PostEvent]],
-        upto_year: Optional[int],
-    ) -> StreamTick:
-        """One merged tick over each shard's micro-batch."""
-        self._sync_database()
-        with self._trace.tick():
-            keywords = self._merged.keywords
-            region = self._merged.region
-            jobs = [
-                _ShardJob(
-                    keywords=keywords,
-                    region=region,
-                    posts=tuple(event.post for event in events),
-                    post_filter=self._filter,
-                )
-                for events in events_per_shard
-            ]
-            # The embarrassingly parallel stage: filter + delta-reduce
-            # every shard batch.  Serial, thread and process executors
-            # produce identical deltas; only wall-clock differs.
-            with self._trace.span("shard_map"):
-                outcomes = self._executor.map(_run_shard_job, jobs)
-
-            accepted_counts: List[int] = []
-            events_total = 0
-            rejected = 0
-            with self._trace.span("shard_merge"):
-                for shard, events, job, (delta, report) in zip(
-                    self._shards, events_per_shard, jobs, outcomes
-                ):
-                    leg_start = time.perf_counter()
-                    if report is not None:
-                        self._filter_reports.append(report)
-                        accepted: Sequence[Post] = report.accepted
-                        rejected += len(report.rejected)
-                    else:
-                        accepted = job.posts
-                    shard.index.append(accepted)
-                    shard.deltas.apply_delta(delta)
-                    # mirrored into the merged tracker
-                    shard.deltas.take_dirty()
-                    self._merged.apply_delta(delta)
-                    events_total += len(events)
-                    accepted_counts.append(len(accepted))
-                    for event in events:
-                        if event.seq > shard.cursor:
-                            shard.cursor = event.seq
-                    for post in accepted:
-                        if (
-                            self._max_date is None
-                            or post.created_at > self._max_date
-                        ):
-                            self._max_date = post.created_at
-                    shard.ingested.inc(
-                        len(accepted), shard=str(shard.shard_id)
-                    )
-                    shard.merge_seconds.observe(
-                        time.perf_counter() - leg_start,
-                        shard=str(shard.shard_id),
-                    )
-
-            dirty = self._merged.take_dirty()
-            if upto_year is None and self._max_date is not None:
-                upto_year = self._max_date.year
-            retuned, rescored, alert = self._evaluator.evaluate(
-                self._merged, dirty, upto_year
-            )
-        self._ticks_total.inc()
-        self._events_total.inc(events_total)
-        self._ingested_total.inc(sum(accepted_counts))
-        self._rejected_total.inc(rejected)
-        self._dirty_hist.observe(len(dirty))
-        self._tick_seq += 1
-        tick = StreamTick(
-            seq=self._tick_seq,
-            events=events_total,
-            accepted=sum(accepted_counts),
-            rejected=rejected,
-            dirty=tuple(sorted(dirty)),
-            retuned=retuned,
-            rescored=rescored,
-            alert=alert,
-            upto_year=upto_year,
-            shard_accepted=tuple(accepted_counts),
-        )
-        self._ticks.append(tick)
-        return tick
-
-    def tick(self, batch_size: Optional[int] = None) -> Optional[StreamTick]:
-        """Consume one micro-batch per shard as a single merged tick.
-
-        Returns None when every feed is drained.  Shards that are
-        temporarily empty contribute an empty batch — a lagging region
-        does not stall the others.
-        """
-        limit = batch_size or self._batch_size
-        events_per_shard = [
-            shard.feed.events_after(shard.cursor, limit=limit)
-            for shard in self._shards
-        ]
-        if not any(events_per_shard):
-            return None
-        return self._ingest(events_per_shard, None)
-
-    def advance_to(
-        self, until: dt.date, *, upto_year: Optional[int] = None
-    ) -> StreamTick:
-        """Consume everything up to ``until`` on every shard as one tick.
-
-        The monitor-compatibility driver, like the single runtime's:
-        empty shard batches still evaluate, so the first call
-        establishes the baseline table.
-        """
-        events_per_shard = [
-            shard.feed.events_after(shard.cursor, until=until)
-            for shard in self._shards
-        ]
-        return self._ingest(
-            events_per_shard,
-            upto_year if upto_year is not None else until.year,
-        )
-
-    def learn_keywords(
-        self, *, min_support: float = 0.05, max_new: int = 10
-    ) -> Tuple[str, ...]:
-        """Mine every shard's retained texts for new keywords.
-
-        The sharded analogue of the single runtime's in-stream keyword
-        learning: co-occurrence mining runs over the union of the
-        shards' retained texts (hot + warm tiers on tiered indexes),
-        the learned keywords are adopted across every shard tracker and
-        the merge, and their aggregates backfill from the shard
-        indexes.  Returns the learned canonical keywords.
-        """
-        texts: List[str] = []
-        for shard in self._shards:
-            texts.extend(shard.index.retained_texts())
-        learned = self._database.learn_from_texts(
-            texts, min_support=min_support, max_new=max_new
-        )
-        self._sync_database()
-        return tuple(entry.keyword for entry in learned)
-
-    def ingest(
-        self,
-        events_per_shard: Sequence[Sequence[PostEvent]],
-        *,
-        upto_year: Optional[int] = None,
-    ) -> StreamTick:
-        """One merged tick over caller-supplied per-shard event batches.
-
-        The push-style entry point for drivers that generate events on
-        the fly (e.g. the retention bench) instead of pre-loading a
-        replayable feed per shard: ``events_per_shard[i]`` is shard
-        *i*'s micro-batch for this tick.  Feed cursors still advance
-        from the event sequence numbers, so push- and pull-style ingest
-        can be mixed.
-        """
-        if len(events_per_shard) != len(self._shards):
-            raise ValueError(
-                f"got batches for {len(events_per_shard)} shards, "
-                f"runtime has {len(self._shards)}"
-            )
-        return self._ingest(events_per_shard, upto_year)
-
-    def run(self, batch_size: Optional[int] = None) -> List[StreamTick]:
-        """Drain every feed in merged micro-batch ticks."""
-        ticks: List[StreamTick] = []
-        while True:
-            tick = self.tick(batch_size)
-            if tick is None:
-                return ticks
-            ticks.append(tick)
-
-    def close(self) -> None:
-        """Release the executor's worker pool (idempotent)."""
-        self._executor.close()
-
-    def __enter__(self) -> "ShardedStreamRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- checkpoint support -------------------------------------------------
-
-    def state_dict(self, *, include_index: bool = True) -> Dict[str, object]:
-        """JSON-serialisable snapshot of all resumable state.
-
-        Per-shard cursors, tracker aggregates and columnar index
-        segments plus the shared evaluator state.  Like the single
-        runtime's, ``include_index=False`` keeps the lean layout: the
-        per-shard indexes are rebuildable from the feeds and restart
-        empty on restore.
-        """
-        state: Dict[str, object] = {
-            "cursors": list(self.cursors),
-            "tick_seq": self._tick_seq,
-            "max_date": self._max_date.isoformat() if self._max_date else None,
-            "since_year": self._evaluator.since_year,
-            "db_version": self._db_version,
-        }
-        state.update(self._evaluator.state_slice())
-        state["shard_deltas"] = [
-            shard.deltas.state_dict() for shard in self._shards
-        ]
-        if include_index:
-            state["shard_indexes"] = [
-                shard.index.state_dict() for shard in self._shards
-            ]
-        return state
-
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot (same shard count)."""
-        cursors = list(state["cursors"])  # type: ignore[arg-type]
-        shard_states = list(state["shard_deltas"])  # type: ignore[arg-type]
-        if len(cursors) != len(self._shards) or len(shard_states) != len(
-            self._shards
-        ):
-            raise ValueError(
-                f"checkpoint has {len(cursors)} shards, runtime has "
-                f"{len(self._shards)}"
-            )
-        self._tick_seq = int(state["tick_seq"])  # type: ignore[arg-type]
-        raw_date = state.get("max_date")
-        self._max_date = (
-            dt.date.fromisoformat(raw_date) if raw_date else None  # type: ignore[arg-type]
-        )
-        self._evaluator.since_year = state.get("since_year")  # type: ignore[assignment]
-        self._evaluator.load_slice(
-            state,
-            database_matches=state.get("db_version") == self._database.version,
-        )
-        index_states = state.get("shard_indexes")
-        if index_states is not None and len(index_states) != len(self._shards):  # type: ignore[arg-type]
-            raise ValueError(
-                f"checkpoint has {len(index_states)} shard indexes, "  # type: ignore[arg-type]
-                f"runtime has {len(self._shards)}"
-            )
-        for position, (shard, cursor, shard_state) in enumerate(
-            zip(self._shards, cursors, shard_states)
-        ):
-            shard.cursor = int(cursor)
-            shard.deltas.load_state(shard_state)
-            if index_states is not None:
-                shard.index.load_state(index_states[position])  # type: ignore[index]
-        # Rebuild the maintained merge from the restored shard trackers;
-        # the merged dirty set is the union of the shards' interrupted
-        # dirty sets, so a mid-tick stop re-evaluates exactly them.
-        self._merged = DeltaTracker.merged([s.deltas for s in self._shards])

@@ -3,8 +3,8 @@
 ``repro.obs.views`` promises two things this file pins:
 
 * the **deprecated** ``stream_stats`` aliases keep exactly the pre-obs
-  flat dict shapes, key for key, for both runtime flavours — old
-  dashboards and bench baselines must not notice the refactor;
+  flat sharded dict shape, key for key, for every shard count — a
+  single-feed ``StreamRuntime`` reports it with one shard row;
 * the registry's ``psp_*_total`` counters and the health document's
   counter block stay equal — the "one source" contract.
 """
@@ -26,21 +26,8 @@ from tests.conftest import build_ecm_database
 
 ECM_TARGET = TargetApplication("car", "europe", "passenger")
 
-#: The exact pre-obs ``StreamRuntime.stream_stats`` key order.
-SINGLE_KEYS = [
-    "ticks",
-    "cursor",
-    "posts_ingested",
-    "posts_rejected",
-    "retunes",
-    "forced_retunes",
-    "tara_rescores",
-    "alerts",
-    "learned_keywords",
-    "index",
-]
-
-#: The exact pre-obs ``ShardedStreamRuntime.stream_stats`` key order.
+#: The exact pre-obs ``ShardedStreamRuntime.stream_stats`` key order,
+#: which every runtime now reports.
 SHARDED_KEYS = [
     "ticks",
     "shards",
@@ -83,7 +70,13 @@ class TestLegacyShapes:
     def test_single_runtime_shape_is_pinned(self):
         runtime = _single()
         runtime.run()
-        assert list(runtime.stream_stats) == SINGLE_KEYS
+        stats = runtime.stream_stats
+        assert list(stats) == SHARDED_KEYS
+        assert stats["shards"] == 1
+        assert stats["executor"] == "serial"
+        assert stats["cursors"] == [runtime.cursor]
+        (row,) = stats["shard_stats"]
+        assert row["index"] == runtime.index.segment_stats
 
     def test_sharded_runtime_shape_is_pinned(self):
         runtime = _sharded()
@@ -139,11 +132,19 @@ class TestHealthDocument:
         runtime = _single(metrics=MetricsRegistry())
         runtime.run()
         health = runtime_health(runtime)
-        assert health["health_schema"] == HEALTH_SCHEMA_VERSION
-        assert health["runtime"] == "stream"
+        assert health["health_schema"] == HEALTH_SCHEMA_VERSION == 2
+        assert health["runtime"] == "sharded"
         assert health["counters"]["ticks"] == len(runtime.ticks)
-        assert health["cursor"] == runtime.cursor
-        assert "index" in health
+        assert health["shards"] == 1
+        assert health["cursors"] == [runtime.cursor]
+        assert health["shard_stats"] == [
+            {
+                "shard": 0,
+                "cursor": runtime.cursor,
+                "posts": runtime.deltas.observed_posts,
+                "index": runtime.index.segment_stats,
+            }
+        ]
         assert health["stages"]["tick"]["count"] == len(runtime.ticks)
 
     def test_sharded_runtime_health(self):
@@ -167,12 +168,14 @@ class TestStageLatencies:
         runtime = _single(metrics=MetricsRegistry())
         runtime.run()
         stages = stage_latencies(runtime.metrics)
-        for expected in ("filter", "append", "delta_ingest", "sai", "tick"):
+        for expected in ("shard_map", "shard_merge", "sai", "tick"):
             assert expected in stages, expected
             row = stages[expected]
             assert row["count"] > 0
             assert row["total_seconds"] >= 0
             assert row["mean_ms"] >= 0
+        for retired in ("filter", "append", "delta_ingest"):
+            assert retired not in stages, retired
 
     def test_empty_registry_is_empty(self):
         assert stage_latencies(MetricsRegistry()) == {}
@@ -182,12 +185,12 @@ class TestDescribeStages:
     def test_renders_canonical_order(self):
         stages = {
             "sai": {"count": 2, "total_seconds": 0.2, "mean_ms": 100.0},
-            "filter": {"count": 2, "total_seconds": 0.1, "mean_ms": 50.0},
+            "shard_map": {"count": 2, "total_seconds": 0.1, "mean_ms": 50.0},
             "tick": {"count": 2, "total_seconds": 0.5, "mean_ms": 250.0},
         }
         text = describe_stages(stages)
         lines = [line.split()[0] for line in text.splitlines()]
-        assert lines == ["filter", "sai", "tick"]
+        assert lines == ["shard_map", "sai", "tick"]
         assert "mean" in text and "total" in text
 
     def test_empty_input_is_none(self):

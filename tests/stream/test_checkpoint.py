@@ -508,6 +508,30 @@ class TestMetricsContinuity:
             reference.metrics
         )
 
+    def test_resumed_gauges_report_the_live_state(self, tmp_path):
+        from repro.obs.registry import MetricsRegistry
+
+        interrupted = _runtime(metrics=MetricsRegistry())
+        for _ in range(3):
+            interrupted.step()
+        path = save_checkpoint(interrupted, tmp_path / "run.ckpt.json")
+
+        resumed = restore_runtime(
+            path,
+            SyntheticFeed.from_corpus(ecm_reprogramming_corpus()),
+            build_ecm_database(),
+            target=ECM_TARGET,
+            batch_size=BATCH,
+            metrics=MetricsRegistry(),
+        )
+        # Gauges are refreshed from the restored state at export time,
+        # not added onto the sizes the checkpoint saved.
+        for name in ("psp_feed_cursor", "psp_index_posts"):
+            assert (
+                resumed.metrics.collect()[name].samples()
+                == interrupted.metrics.collect()[name].samples()
+            ), name
+
     def test_delta_restore_prefers_the_cumulative_snapshot(self, tmp_path):
         from repro.obs.registry import MetricsRegistry
 

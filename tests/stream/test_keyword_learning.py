@@ -9,6 +9,7 @@ float scores match to relative 1e-9 (summation-order tolerance).
 """
 
 import datetime as dt
+import json
 
 import pytest
 
@@ -196,3 +197,40 @@ class TestShardedLearning:
         assert streamed.stream_stats["learned_keywords"] == ["stage1"]
         streamed.close()
         scratch.close()
+
+
+def _one_feed(posts, database):
+    return _runtime(posts, database)
+
+
+def _two_shards(posts, database):
+    return ShardedStreamRuntime(
+        shard_feeds(posts, 2),
+        database,
+        target=TARGET,
+        since_year=2019,
+        batch_size=40,
+    )
+
+
+class TestLearningCheckpoint:
+    """A checkpoint taken between learning and the next tick keeps the
+    learned keywords' pending dirty marks, so the resumed tick scores
+    them exactly like the uninterrupted one."""
+
+    @pytest.mark.parametrize(
+        "build", [_one_feed, _two_shards], ids=["one-feed", "two-shards"]
+    )
+    def test_state_taken_after_learning_keeps_dirty_marks(self, build):
+        posts = _posts()
+        live = build(posts, _database())
+        for until in (dt.date(2019, 6, 30), dt.date(2019, 12, 31)):
+            live.advance_to(until)
+        assert "stage1" in live.learn_keywords()
+        state = json.loads(json.dumps(live.state_dict()))
+
+        resumed = build(posts, _database_with_learned())
+        resumed.load_state(state)
+        until = dt.date(2019, 12, 31)
+        assert resumed.advance_to(until).dirty == ("stage1",)
+        assert live.advance_to(until).dirty == ("stage1",)

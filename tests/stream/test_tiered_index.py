@@ -281,7 +281,8 @@ class TestRuntimeIntegration:
     def test_runtime_seals_and_matches_flat_alerts(self):
         tiered = self._runtime()
         tiered.run()
-        stats = tiered.stream_stats["index"]
+        (shard,) = tiered.stream_stats["shard_stats"]
+        stats = shard["index"]
         assert stats["layout"] == "tiered"
         assert stats["cold_seals"] > 0
         assert stats["tiers"]["cold"]["sidecars"] > 0
