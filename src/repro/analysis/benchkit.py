@@ -283,7 +283,7 @@ def batched_cached_sai_pass(
     """The engine path: one batched query per window over a cached client.
 
     A monitoring sequence knows its windows up front, so the engine
-    first pre-warms the cached client's (keyword × year) segment grid
+    first pre-warms the cached client's (keyword × year) cell grid
     for the union year span (one batched platform pass per year) —
     every window query afterwards is answered entirely from cache
     instead of missing on each window's newest year.

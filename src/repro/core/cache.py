@@ -11,10 +11,13 @@ target.  This module makes those repeats free:
   and hit/miss/eviction statistics.
 * :class:`CachedClient` — a :class:`~repro.social.api.SocialMediaClient`
   decorator caching search results keyed on
-  ``(platform, keyword, region, time-window)``.  Year-aligned windows
-  are decomposed into per-calendar-year segments so *overlapping*
-  windows share cache entries: after mining 2015-2022, mining 2015-2023
-  only touches the platform for 2023.
+  ``(platform, keyword, region, time-window)``.  Bounded windows that
+  start on Jan 1 are served from grow-only per-(keyword, calendar-year)
+  *cells*, each filled from Jan 1 up to a fill date, so *overlapping*
+  windows share cache entries: after mining 2015-01-01..2022-05-31,
+  mining 2015-01-01..2022-06-30 only touches the platform for June 2022.
+  Cells also memoise their SAI evidence, so the SAI of a growing window
+  scores only the posts it newly covers.
 * :class:`SAICache` — memoises derived per-window results (SAI lists,
   full pipeline runs) keyed on the keyword-database
   :attr:`~repro.core.keywords.KeywordDatabase.version`, so keyword
@@ -37,7 +40,9 @@ from __future__ import annotations
 import datetime as dt
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -45,6 +50,8 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -176,6 +183,14 @@ class TTLCache:
         with self._lock:
             return self._peek_locked(key)
 
+    def record(self, *, hit: bool) -> None:
+        """Count one lookup its caller judged after a :meth:`peek`."""
+        with self._lock:
+            if hit:
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
+
     def _peek_locked(self, key: Hashable) -> Any:
         """The lookup core; the caller holds the lock."""
         entry = self._entries.get(key)
@@ -219,31 +234,116 @@ class TTLCache:
 _MISSING = object()
 
 
-def _year_span(query: SearchQuery) -> Optional[Tuple[int, int]]:
-    """The (first, last) calendar years of a year-aligned bounded window.
+def _cell_window(
+    since: Optional[dt.date], until: Optional[dt.date], limit: Optional[int]
+) -> bool:
+    """Whether a window is served from year cells.
 
-    Returns None when the window is unbounded, not aligned to calendar
-    years, or the query carries a limit (truncation does not distribute
-    over segment concatenation).
+    It must be bounded, start on Jan 1 and carry no limit (truncation
+    does not distribute over cell concatenation).
     """
-    if query.limit is not None:
-        return None
-    since, until = query.since, query.until
-    if since is None or until is None:
-        return None
-    if (since.month, since.day) != (1, 1) or (until.month, until.day) != (12, 31):
-        return None
-    return since.year, until.year
+    return (
+        limit is None
+        and since is not None
+        and until is not None
+        and (since.month, since.day) == (1, 1)
+    )
 
 
 @dataclass(frozen=True)
-class _SegmentKey:
-    """Cache key of one (platform, keyword, region, calendar-year) segment."""
+class _CellKey:
+    """Cache key of one (platform, keyword, region, calendar-year) cell."""
 
     platform: str
     keyword: str
     region: Optional[str]
     year: int
+
+
+class _CellSignals(NamedTuple):
+    """A cell's SAI evidence under one analyzer.
+
+    ``posts`` is how many of the cell's posts are covered; ``scores``
+    holds their sentiment scores in post order, so a window's mean can
+    re-add them in exactly the order :func:`~repro.core.sai.
+    _gather_signals` does.
+    """
+
+    posts: int
+    views: int
+    likes: int
+    reposts: int
+    replies: int
+    scores: Tuple[float, ...]
+
+    def folded(
+        self, posts: Sequence[Post], analyzer: SentimentAnalyzer
+    ) -> "_CellSignals":
+        """These signals with ``posts`` appended."""
+        views, likes = self.views, self.likes
+        reposts, replies = self.reposts, self.replies
+        for post in posts:
+            engagement = post.engagement
+            views += engagement.views
+            likes += engagement.likes
+            reposts += engagement.reposts
+            replies += engagement.replies
+        return _CellSignals(
+            self.posts + len(posts),
+            views,
+            likes,
+            reposts,
+            replies,
+            self.scores
+            + tuple(
+                analyzer.score_analysis(analyze_text(post.text)).score
+                for post in posts
+            ),
+        )
+
+
+_NO_SIGNALS = _CellSignals(0, 0, 0, 0, 0, ())
+
+
+class _Cell:
+    """One keyword's posts of one calendar year, Jan 1 through ``until``.
+
+    Cells only grow: :meth:`extended` appends the posts of the days after
+    ``until`` and hands the signal memos on, so they fold in just the
+    appended posts on their next read.  Posts are oldest first.
+    """
+
+    __slots__ = ("until", "posts", "_signals")
+
+    def __init__(
+        self,
+        until: dt.date,
+        posts: Tuple[Post, ...],
+        signals: Optional[Dict[Hashable, _CellSignals]] = None,
+    ) -> None:
+        self.until = until
+        self.posts = posts
+        self._signals: Dict[Hashable, _CellSignals] = (
+            {} if signals is None else signals
+        )
+
+    def extended(self, until: dt.date, posts: Tuple[Post, ...]) -> "_Cell":
+        """This cell filled on through ``until`` with ``posts``."""
+        return _Cell(until, self.posts + posts, dict(self._signals))
+
+    def cut(self, until: dt.date) -> "_Cell":
+        """An unstored copy holding only the posts up to ``until``."""
+        dates = [post.created_at for post in self.posts]
+        return _Cell(until, self.posts[: bisect_right(dates, until)])
+
+    def signals(self, analyzer: SentimentAnalyzer) -> _CellSignals:
+        """The memoised signals under ``analyzer``, folded up to date."""
+        fingerprint = analyzer.fingerprint
+        memo = self._signals.get(fingerprint, _NO_SIGNALS)
+        if memo.posts < len(self.posts):
+            memo = memo.folded(self.posts[memo.posts :], analyzer)
+            self._signals[fingerprint] = memo
+        return memo
 
 
 @dataclass(frozen=True)
@@ -463,11 +563,16 @@ class CachedClient(SocialMediaClient):
     """Caching decorator over any :class:`SocialMediaClient`.
 
     Search results are cached per ``(platform, keyword, region,
-    time-window)``.  Windows aligned to calendar years are stored as
-    per-year *segments*: a query for 2015-2023 is answered by
-    concatenating the nine year segments, fetching only the ones not yet
-    cached.  Sliding and growing windows — the monitor's workload — thus
-    re-mine only the years they newly cover instead of the whole window.
+    time-window)``.  A bounded window starting on Jan 1 is served from
+    grow-only *cells*, one per (keyword, calendar year), each holding
+    its year's posts from Jan 1 up to its fill date.  A cell filled
+    short of the date a window needs fetches only the missing days, and
+    an older window slices its cell, so a monitor ticking monthly over a
+    growing window fetches only each tick's new month, and the cache
+    holds at most keywords × years cells however many ticks run.  Cells
+    also memoise their SAI evidence per sentiment analyzer
+    (:meth:`window_signals`).  Other windows (mid-year start, unbounded,
+    or with a ``limit``) are cached whole.
 
     Args:
         inner: the platform client actually hitting the backend.
@@ -518,8 +623,6 @@ class CachedClient(SocialMediaClient):
         """Hit/miss statistics of the backing store."""
         return self._cache.stats
 
-    # -- key construction ----------------------------------------------------
-
     def _window_key(self, query: SearchQuery, operation: str = "search") -> _WindowKey:
         return _WindowKey(
             platform=self._platform,
@@ -531,56 +634,129 @@ class CachedClient(SocialMediaClient):
             operation=operation,
         )
 
-    def _segment_keys(self, query: SearchQuery) -> Optional[List[_SegmentKey]]:
-        span = _year_span(query)
-        if span is None:
-            return None
-        first, last = span
-        return [
-            _SegmentKey(
-                platform=self._platform,
-                keyword=query.keyword,
-                region=query.region,
-                year=year,
-            )
-            for year in range(first, last + 1)
-        ]
+    # -- cells ---------------------------------------------------------------
 
-    @staticmethod
-    def _segment_query(query: SearchQuery, year: int) -> SearchQuery:
-        return SearchQuery(
-            keyword=query.keyword,
-            since=dt.date(year, 1, 1),
-            until=dt.date(year, 12, 31),
-            region=query.region,
-        )
+    def _cells(
+        self,
+        keywords: Sequence[str],
+        region: Optional[str],
+        first_year: int,
+        until: dt.date,
+        *,
+        batched: bool = True,
+        counted: bool = True,
+    ) -> Tuple[Dict[str, List[_Cell]], int]:
+        """Each keyword's cells covering Jan 1 of ``first_year`` to ``until``.
+
+        The one cell resolver.  Earlier years need full-year cells and
+        the last year a cell filled through ``until``.  A cell filled
+        short fetches only the days after its fill date; keywords needing
+        the same days share one inner call (``search`` when not
+        ``batched``).  A cell filled past its date is cut back to it.
+        Each lookup counts once in :attr:`stats` unless ``counted`` is
+        false, a lookup that fetches as a miss.  The fetched days
+        continue exactly the prefix the lookup saw, so that cell is the
+        one extended and stored: a racing writer or an eviction in
+        between costs a refetch, never a wrong cell.
+
+        Returns the cells by keyword and the number of cells fetched.
+        """
+        plan = [
+            (
+                _CellKey(self._platform, keyword, region, year),
+                until if year == until.year else dt.date(year, 12, 31),
+            )
+            for keyword in keywords
+            for year in range(first_year, until.year + 1)
+        ]
+        seen: Dict[_CellKey, Optional[_Cell]] = {}
+        missing: Dict[Tuple[dt.date, dt.date], List[_CellKey]] = {}
+        for key, need in plan:
+            cell = self._cache.peek(key)
+            cell = None if cell is _MISSING else cell
+            seen[key] = cell
+            short = cell is None or cell.until < need
+            if counted:
+                self._cache.record(hit=not short)
+            if short:
+                start = (
+                    dt.date(key.year, 1, 1)
+                    if cell is None
+                    else cell.until + dt.timedelta(days=1)
+                )
+                missing.setdefault((start, need), []).append(key)
+
+        for (start, end), keys in missing.items():
+            fetched = self._fetch(
+                tuple(key.keyword for key in keys), region, start, end, batched
+            )
+            for key in keys:
+                posts = tuple(fetched[key.keyword])
+                _warm_analyses(posts)
+                cell = seen[key]
+                cell = (
+                    _Cell(end, posts)
+                    if cell is None
+                    else cell.extended(end, posts)
+                )
+                self._cache.put(key, cell)
+                seen[key] = cell
+
+        cells: Dict[str, List[_Cell]] = {keyword: [] for keyword in keywords}
+        for key, need in plan:
+            cell = seen[key]
+            cells[key.keyword].append(
+                cell if cell.until == need else cell.cut(need)
+            )
+        return cells, sum(len(keys) for keys in missing.values())
+
+    def _fetch(
+        self,
+        keywords: Tuple[str, ...],
+        region: Optional[str],
+        since: dt.date,
+        until: dt.date,
+        batched: bool,
+    ) -> Mapping[str, Sequence[Post]]:
+        """One inner call for the posts of ``keywords`` over the given days."""
+        if batched:
+            return self._inner.search_many(
+                BatchQuery(
+                    keywords=keywords, since=since, until=until, region=region
+                )
+            ).posts_by_keyword
+        (keyword,) = keywords
+        return {
+            keyword: self._inner.search(
+                SearchQuery(
+                    keyword=keyword, since=since, until=until, region=region
+                )
+            )
+        }
 
     # -- client interface ----------------------------------------------------
 
     def search(self, query: SearchQuery) -> List[Post]:
-        """Cached search; only uncovered year segments hit the platform."""
-        segments = self._segment_keys(query)
-        if segments is None:
-            key = self._window_key(query)
-            cached = self._cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                return list(cached)
-            posts = tuple(self._inner.search(query))
-            _warm_analyses(posts)
-            self._cache.put(key, posts)
-            return list(posts)
-
-        out: List[Post] = []
-        for key in segments:
-            cached = self._cache.get(key, _MISSING)
-            if cached is _MISSING:
-                cached = tuple(
-                    self._inner.search(self._segment_query(query, key.year))
-                )
-                _warm_analyses(cached)
-                self._cache.put(key, cached)
-            out.extend(cached)
-        return out
+        """Cached search; only days no cell covers yet hit the platform."""
+        if _cell_window(query.since, query.until, query.limit):
+            cells, _ = self._cells(
+                (query.keyword,),
+                query.region,
+                query.since.year,
+                query.until,
+                batched=False,
+            )
+            return list(
+                chain.from_iterable(cell.posts for cell in cells[query.keyword])
+            )
+        key = self._window_key(query)
+        cached = self._cache.get(key, _MISSING)
+        if cached is not _MISSING:
+            return list(cached)
+        posts = tuple(self._inner.search(query))
+        _warm_analyses(posts)
+        self._cache.put(key, posts)
+        return list(posts)
 
     def count_by_year(self, query: SearchQuery) -> Dict[int, int]:
         """Cached per-year counts (whole-window granularity).
@@ -610,68 +786,28 @@ class CachedClient(SocialMediaClient):
         return dict(counts)
 
     def search_many(self, batch: BatchQuery) -> BatchResult:
-        """Batched search fetching only the uncovered (keyword, year) cells.
+        """Batched search fetching only the days no cell covers yet.
 
-        For year-aligned windows the batch is resolved as a keyword×year
-        grid of cache segments; the missing cells are grouped by year and
-        fetched as one inner batch per year, so platform-side batching
-        (shared corpus scope, bulk endpoints) still applies and a growing
-        window re-mines only its newest year.  Non-decomposable windows
-        fall back to one whole-window inner batch over the missed
-        keywords.
+        A cell window is resolved as a keyword × year grid of cells; the
+        missing days are fetched as one inner batch per distinct day
+        range, so platform-side batching (shared corpus scope, bulk
+        endpoints) still applies and a growing window re-mines only its
+        newest days.  Other windows fall back to one whole-window inner
+        batch over the missed keywords.
         """
-        probe = batch.query_for(batch.keywords[0])
-        span = _year_span(probe)
-        if span is None:
+        if not _cell_window(batch.since, batch.until, batch.limit):
             return self._search_many_whole_window(batch)
-
-        first, last = span
-        grid: Dict[Tuple[str, int], Tuple[Post, ...]] = {}
-        missing_by_year: Dict[int, List[str]] = {}
-        for keyword in batch.keywords:
-            for year in range(first, last + 1):
-                key = _SegmentKey(
-                    platform=self._platform,
-                    keyword=keyword,
-                    region=batch.region,
-                    year=year,
+        cells, _ = self._cells(
+            batch.keywords, batch.region, batch.since.year, batch.until
+        )
+        return BatchResult(
+            posts_by_keyword={
+                keyword: tuple(
+                    chain.from_iterable(cell.posts for cell in cells[keyword])
                 )
-                cached = self._cache.get(key, _MISSING)
-                if cached is _MISSING:
-                    missing_by_year.setdefault(year, []).append(keyword)
-                else:
-                    grid[(keyword, year)] = cached
-
-        for year, keywords in missing_by_year.items():
-            fetched = self._inner.search_many(
-                BatchQuery(
-                    keywords=tuple(keywords),
-                    since=dt.date(year, 1, 1),
-                    until=dt.date(year, 12, 31),
-                    region=batch.region,
-                )
-            )
-            for keyword in keywords:
-                posts = fetched.posts(keyword)
-                _warm_analyses(posts)
-                self._cache.put(
-                    _SegmentKey(
-                        platform=self._platform,
-                        keyword=keyword,
-                        region=batch.region,
-                        year=year,
-                    ),
-                    posts,
-                )
-                grid[(keyword, year)] = posts
-
-        results: Dict[str, Tuple[Post, ...]] = {}
-        for keyword in batch.keywords:
-            out: List[Post] = []
-            for year in range(first, last + 1):
-                out.extend(grid[(keyword, year)])
-            results[keyword] = tuple(out)
-        return BatchResult(posts_by_keyword=results)
+                for keyword in batch.keywords
+            }
+        )
 
     def _search_many_whole_window(self, batch: BatchQuery) -> BatchResult:
         """Fallback batch path caching at whole-window granularity."""
@@ -706,26 +842,55 @@ class CachedClient(SocialMediaClient):
         until: Optional[dt.date] = None,
         analyzer: Optional[SentimentAnalyzer] = None,
     ) -> Optional[Dict[str, KeywordSignals]]:
-        """Sidecar-served SAI evidence for a keyword list, if possible.
+        """Pre-aggregated SAI evidence for a keyword list, if possible.
 
-        The batch-SAI fast path: :meth:`~repro.core.sai.SAIComputer.compute`
-        probes this method before fetching posts.  Returns ``None`` —
-        "fall back to post scans" — unless aggregates are attached, the
-        window is year-resolvable, the region matches the sidecars'
-        scope, and ``analyzer`` is compatible with the one that built
-        the sidecar sentiment sums.
+        The batch-SAI fast path: :meth:`~repro.core.sai.SAIComputer.
+        window_signals` probes this method before scanning posts.
+        Attached sidecar aggregates answer when the window is
+        year-resolvable, the region matches the sidecars' scope and
+        ``analyzer`` is compatible with the one that built the sidecar
+        sentiment sums.  Otherwise a cell window is answered from the
+        cells' memoised signals: integer counts add across cells, and
+        the mean re-adds the cells' scores in post order, the same float
+        additions in the same order as a post scan.  Returns ``None`` —
+        "fall back to post scans" — for any other window.
         """
         aggregates = self._aggregates
-        if aggregates is None or region != aggregates.region:
+        if (
+            aggregates is not None
+            and region == aggregates.region
+            and aggregates.analyzer_compatible(analyzer)
+        ):
+            span = _aligned_years(since, until)
+            if span is not None:
+                return aggregates.window_signals(
+                    keywords, since_year=span[0], until_year=span[1]
+                )
+        if not _cell_window(since, until, None):
             return None
-        if not aggregates.analyzer_compatible(analyzer):
-            return None
-        span = _aligned_years(since, until)
-        if span is None:
-            return None
-        return aggregates.window_signals(
-            keywords, since_year=span[0], until_year=span[1]
-        )
+        scorer = analyzer if analyzer is not None else SentimentAnalyzer()
+        unique = tuple(dict.fromkeys(keywords))
+        cells, _ = self._cells(unique, region, since.year, until)
+        out: Dict[str, KeywordSignals] = {}
+        for keyword in unique:
+            memos = [cell.signals(scorer) for cell in cells[keyword]]
+            posts = sum(memo.posts for memo in memos)
+            if not posts:
+                continue
+            out[keyword] = KeywordSignals(
+                engagement=Engagement(
+                    views=sum(memo.views for memo in memos),
+                    likes=sum(memo.likes for memo in memos),
+                    reposts=sum(memo.reposts for memo in memos),
+                    replies=sum(memo.replies for memo in memos),
+                ),
+                mean_sentiment=sum(
+                    chain.from_iterable(memo.scores for memo in memos)
+                )
+                / posts,
+                post_count=posts,
+            )
+        return out
 
     def prewarm_segments(
         self,
@@ -735,23 +900,23 @@ class CachedClient(SocialMediaClient):
         *,
         region: Optional[str] = None,
     ) -> int:
-        """Populate the (keyword × year) segment grid for a year span.
+        """Fill the (keyword × year) cell grid of a year span.
 
         Fleet and monitor cadences know their windows up front (every
         window of a growing-window sequence lives inside one known year
         span), so an operator can pay the whole span's platform cost in
         one batched pass per missing year — after which every
         overlapping window resolves entirely from cache.  Returns the
-        number of segments fetched; already-cached cells cost nothing.
+        number of cells fetched or filled up; full cells cost nothing.
         Warming is not a query: cache statistics (hits/misses) are
         untouched, so hit rates keep measuring real lookups.
 
         With :class:`SidecarAggregates` attached (and the region
         matching their scope), warming prepares *sidecar coverage*
-        instead of post segments: the one-off sidecar extension for any
-        keyword the cold segments have not met yet is paid here, after
-        which counts and SAI signals resolve from bucket sums without
-        fetching a single post.  Returns 0 — no segments were fetched.
+        instead of cells: the one-off sidecar extension for any keyword
+        the cold segments have not met yet is paid here, after which
+        counts and SAI signals resolve from bucket sums without
+        fetching a single post.  Returns 0 — no cells were fetched.
         """
         if first_year > last_year:
             raise ValueError(
@@ -761,41 +926,14 @@ class CachedClient(SocialMediaClient):
         if aggregates is not None and region == aggregates.region:
             aggregates.ensure(keywords)
             return 0
-        missing_by_year: Dict[int, List[str]] = {}
-        for keyword in dict.fromkeys(keywords):
-            for year in range(first_year, last_year + 1):
-                key = _SegmentKey(
-                    platform=self._platform,
-                    keyword=keyword,
-                    region=region,
-                    year=year,
-                )
-                if self._cache.peek(key) is _MISSING:
-                    missing_by_year.setdefault(year, []).append(keyword)
-        fetched_segments = 0
-        for year, missing in missing_by_year.items():
-            fetched = self._inner.search_many(
-                BatchQuery(
-                    keywords=tuple(missing),
-                    since=dt.date(year, 1, 1),
-                    until=dt.date(year, 12, 31),
-                    region=region,
-                )
-            )
-            for keyword in missing:
-                posts = fetched.posts(keyword)
-                _warm_analyses(posts)
-                self._cache.put(
-                    _SegmentKey(
-                        platform=self._platform,
-                        keyword=keyword,
-                        region=region,
-                        year=year,
-                    ),
-                    posts,
-                )
-                fetched_segments += 1
-        return fetched_segments
+        _, fetched = self._cells(
+            tuple(dict.fromkeys(keywords)),
+            region,
+            first_year,
+            dt.date(last_year, 12, 31),
+            counted=False,
+        )
+        return fetched
 
     def invalidate_keyword(self, keyword: str) -> int:
         """Drop every cached entry for one keyword (any window/region)."""

@@ -84,9 +84,11 @@ class PSPFramework:
         cache: enable query + SAI result caching.  ``True`` creates a
             private unbounded store; passing a :class:`TTLCache` shares
             its entries/TTL policy.  With caching on, overlapping
-            analysis windows (the monitor's growing window, fleet
-            sweeps) reuse year-segment query results, and pipeline runs
-            are memoised until the keyword database changes.
+            analysis windows that start on Jan 1 (the monitor's growing
+            window) reuse the query cache's year cells and their
+            memoised SAI evidence, so each window fetches and scores
+            only the days it newly covers; pipeline runs are memoised
+            until the keyword database changes.
     """
 
     def __init__(
@@ -279,7 +281,7 @@ class PSPFramework:
         Delegates to :func:`repro.core.pipeline.run_fleet` with this
         framework's client, database and config; targets sharing a
         region share one batched query pass (and, with caching enabled,
-        later fleets reuse the cached segments too).  ``workers`` runs
+        later fleets reuse the cached results too).  ``workers`` runs
         the per-member tails through a thread-pool executor.
         """
         return run_fleet(

@@ -14,9 +14,11 @@ happens) so it composes with any scheduler, test harness or batch job.
 Monitoring windows grow: tick N covers ``start..N``, tick N+1 covers
 ``start..N+1`` — almost entirely overlapping.  Build the framework with
 ``cache=True`` (see :class:`~repro.core.framework.PSPFramework`) and
-each tick re-mines only the newly covered year; the earlier years are
-served from the year-segment query cache.  :attr:`PSPMonitor.cache_stats`
-exposes the resulting hit rates for operators.
+each tick fetches and scores only the days it newly covers, yearly or
+monthly (:meth:`PSPMonitor.tick_date`); everything earlier is served
+from the query cache's year cells and their memoised SAI evidence.
+:attr:`PSPMonitor.cache_stats` exposes the resulting hit rates for
+operators.
 
 With ``stream=True`` the grow-window re-run is replaced entirely: ticks
 are served by a :class:`~repro.stream.runtime.StreamRuntime` that

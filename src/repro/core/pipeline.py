@@ -144,7 +144,12 @@ class QueryStage(PipelineStage):
 
 
 class SAIStage(PipelineStage):
-    """Score the SAI list from the fetched posts (blocks 6-7)."""
+    """Score the SAI list from the fetched posts (blocks 6-7).
+
+    A client that can supply the window's pre-aggregated evidence (see
+    :meth:`~repro.core.sai.SAIComputer.window_signals`) is scored from
+    it; otherwise the stage scans the query stage's posts.
+    """
 
     name = "sai"
 
@@ -156,9 +161,20 @@ class SAIStage(PipelineStage):
         computer = self._computer or SAIComputer(
             context.client, config=context.config
         )
-        context.sai = computer.compute_from_posts(
-            context.database, batch.posts_by_keyword
+        signals = computer.window_signals(
+            context.database,
+            region=context.target.region,
+            since=context.window.since,
+            until=context.window.until,
         )
+        if signals is not None:
+            context.sai = computer.compute_from_signals(
+                context.database, signals
+            )
+        else:
+            context.sai = computer.compute_from_posts(
+                context.database, batch.posts_by_keyword
+            )
 
 
 class SplitStage(PipelineStage):

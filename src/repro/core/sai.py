@@ -155,9 +155,16 @@ def _gather_signals(
     scored at most once per corpus lifetime — however many windows,
     weight mixes or fleet members revisit it.
     """
-    total = Engagement()
+    views = likes = reposts = replies = 0
     for post in posts:
-        total = total.combined(post.engagement)
+        engagement = post.engagement
+        views += engagement.views
+        likes += engagement.likes
+        reposts += engagement.reposts
+        replies += engagement.replies
+    total = Engagement(
+        views=views, likes=likes, reposts=reposts, replies=replies
+    )
     if not posts:
         return total, 0.0
     mean = sum(
@@ -202,33 +209,51 @@ class SAIComputer:
         retained with score 0 — an absent topic is itself a (negative)
         finding.
 
-        Clients exposing a ``window_signals`` method (a
-        :class:`~repro.core.cache.CachedClient` with sidecar aggregates
-        attached) are probed first: when they can supply pre-aggregated
-        :class:`KeywordSignals` for this exact window/region/analyzer,
-        the list is scored through :meth:`compute_from_signals` without
-        fetching a single post — the cold tiers of a spilled corpus
-        answer from their sidecars.  A ``None`` probe result falls back
-        to the post-scan path unchanged.
+        The client is probed first (:meth:`window_signals`): when it
+        can supply pre-aggregated :class:`KeywordSignals` for this exact
+        window/region/analyzer, the list is scored through
+        :meth:`compute_from_signals` without scanning a single post.  A
+        ``None`` probe result falls back to the post-scan path unchanged.
         """
         if not len(database):
             return SAIList([])
-        window_signals = getattr(self._client, "window_signals", None)
-        if callable(window_signals):
-            signals = window_signals(
-                database.keywords,
-                region=region,
-                since=since,
-                until=until,
-                analyzer=self._analyzer,
-            )
-            if signals is not None:
-                return self.compute_from_signals(database, signals)
+        signals = self.window_signals(
+            database, region=region, since=since, until=until
+        )
+        if signals is not None:
+            return self.compute_from_signals(database, signals)
         batch = BatchQuery(
             keywords=database.keywords, region=region, since=since, until=until
         )
         result = self._client.search_many(batch)
         return self.compute_from_posts(database, result.posts_by_keyword)
+
+    def window_signals(
+        self,
+        database: KeywordDatabase,
+        *,
+        region: Optional[str] = None,
+        since=None,
+        until=None,
+    ) -> Optional[Mapping[str, KeywordSignals]]:
+        """The client's pre-aggregated evidence for this window, if any.
+
+        Clients exposing a ``window_signals`` method (a
+        :class:`~repro.core.cache.CachedClient`) answer from the
+        sidecars of a spilled corpus or from their year cells, scored
+        with this computer's analyzer.  ``None`` means "scan the posts":
+        the client has no such method or cannot answer this window.
+        """
+        probe = getattr(self._client, "window_signals", None)
+        if not callable(probe):
+            return None
+        return probe(
+            database.keywords,
+            region=region,
+            since=since,
+            until=until,
+            analyzer=self._analyzer,
+        )
 
     def compute_from_posts(
         self,

@@ -399,3 +399,79 @@ class TestTTLCacheThreadSafety:
             t.join()
         assert errors == []
         assert len(cache) <= 8
+
+
+class TestCellThreadSafety:
+    def test_racing_windows_stay_exact(self):
+        """Threads growing, re-reading and extending shared cells race.
+
+        Each thread walks the same month ends in its own rotation, so
+        cells are extended, re-extended and cut back concurrently; a
+        lost or misordered update would show as a wrong post list or
+        wrong signals.
+        """
+        import sys
+        import threading
+
+        from repro.core.sai import _gather_signals
+        from repro.nlp.sentiment import SentimentAnalyzer
+
+        inner = InMemoryClient(excavator_corpus())
+        cached = CachedClient(inner)
+        keywords = build_excavator_database().keywords
+        analyzer = SentimentAnalyzer()
+        since = dt.date(2020, 1, 1)
+        ends = [
+            dt.date(year, month, 28)
+            for year in (2020, 2021)
+            for month in range(1, 13)
+        ]
+        errors = []
+
+        def check(until):
+            batch = BatchQuery(
+                keywords=keywords, since=since, until=until, region="europe"
+            )
+            expected = inner.search_many(batch)
+            if cached.search_many(batch).posts_by_keyword != (
+                expected.posts_by_keyword
+            ):
+                errors.append(("posts", until))
+            signals = cached.window_signals(
+                keywords, region="europe", since=since, until=until,
+                analyzer=analyzer,
+            )
+            for keyword in keywords:
+                posts = expected.posts(keyword)
+                if not posts:
+                    continue
+                engagement, mean = _gather_signals(posts, analyzer)
+                got = signals[keyword]
+                if (got.engagement, got.mean_sentiment.hex()) != (
+                    engagement, mean.hex()
+                ):
+                    errors.append(("signals", until, keyword))
+
+        def worker(offset):
+            try:
+                for until in ends[offset:] + ends[:offset]:
+                    check(until)
+            except Exception as exc:  # pragma: no cover - the bug
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in (0, 5, 11, 17, 23, 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cached.cache) <= len(keywords) * 2

@@ -228,3 +228,70 @@ class TestTaraRescoring:
         assert monitor.baseline_tara() is None
         alerts = monitor.run_years(2018, 2023)
         assert all(alert.tara is None for alert in alerts)
+
+
+class TestCachedMonthlyTicks:
+    def test_monthly_monitor_fetches_each_post_once(self):
+        import datetime as dt
+
+        from repro.core.framework import PSPFramework
+        from repro.core.timewindow import TimeWindow
+        from repro.social.api import BatchQuery
+        from repro.social.registry import get_scenario
+        from repro.stream.replay import month_boundaries
+
+        spec = get_scenario("ecm")
+        client = spec.client()
+        inner_search_many = client.search_many
+        fetched = []
+
+        def counting_search_many(batch):
+            result = inner_search_many(batch)
+            fetched.append(result.total_matches)
+            return result
+
+        client.search_many = counting_search_many
+        database = spec.database()
+        cached = PSPFramework(client, spec.target, database=database, cache=True)
+        plain = PSPFramework(
+            spec.client(), spec.target, database=spec.database()
+        )
+        monitor = PSPMonitor(cached, start_year=spec.start_year)
+        boundaries = month_boundaries(spec.start_year, spec.end_year)
+        assert len(boundaries) == 108
+
+        def bits(sai):
+            return [
+                (
+                    entry.keyword,
+                    entry.score.hex(),
+                    entry.probability.hex(),
+                    entry.mean_sentiment.hex(),
+                    entry.post_count,
+                    entry.engagement,
+                )
+                for entry in sai
+            ]
+
+        since = dt.date(spec.start_year, 1, 1)
+        for boundary in boundaries:
+            monitor.tick_date(boundary)
+            window = TimeWindow(since=since, until=boundary)
+            # The cached run is the tick's own result, memoised per window.
+            assert bits(cached.run(window, learn=False).sai) == bits(
+                plain.run(window, learn=False).sai
+            ), boundary
+
+        final = spec.client().search_many(
+            BatchQuery(
+                keywords=database.keywords,
+                since=since,
+                until=boundaries[-1],
+                region=spec.target.region,
+            )
+        )
+        assert final.total_matches == 1957
+        assert sum(fetched) == final.total_matches
+        assert len(fetched) == len(boundaries)
+        years = spec.end_year - spec.start_year + 1
+        assert len(cached.client.cache) <= len(database) * years == 45
