@@ -402,10 +402,13 @@ class ReplayReport:
     memory_bounded: bool
     mismatches: List[str] = field(default_factory=list)
     #: Per-stage tick latency rollup (stage → count/total_seconds/mean_ms)
-    #: from the replay's metrics registry; empty on the NullRegistry path.
+    #: of this replay's spans in its metrics registry (a shared
+    #: registry's earlier spans are left out); empty on the NullRegistry
+    #: path.
     stage_latencies: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: ``feed_*`` counter totals (retries, dropped batches, delays) the
-    #: wrapped feeds recorded; empty on the NullRegistry path.
+    #: ``feed_*`` counter counts (retries, dropped batches, delays) the
+    #: wrapped feeds recorded during this replay; empty on the
+    #: NullRegistry path.
     feed_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -559,7 +562,9 @@ def replay_scenario(
             checkpoint-resume and SAI-recompute side runs stay
             uninstrumented so counters aren't double-counted).  Audit
             verdicts land in ``replay_audit_outcomes_total`` and the
-            report carries per-stage latencies and ``feed_*`` totals.
+            report carries this replay's per-stage latencies and
+            ``feed_*`` counts; the registry itself keeps accumulating
+            across replays that share it.
 
     The batch side is a cached :class:`~repro.core.framework.
     PSPFramework` driven by :meth:`~repro.core.monitor.PSPMonitor.
@@ -613,6 +618,10 @@ def replay_scenario(
 
     # -- streaming run (uninterrupted reference + mid-run checkpoints) ------
     registry = ensure_registry(metrics)
+    # A shared registry may already hold earlier replays' spans and feed
+    # counts: the report shows only this run's share of them.
+    stages_before = obs_views.stage_latencies(registry)
+    feeds_before = _feed_totals(registry)
     runtime, _, _ = _build_stream(
         spec, posts, shards=shards, workers=workers, config=config,
         warm_span_days=warm_span_days, cold_age_days=cold_age_days,
@@ -815,15 +824,13 @@ def replay_scenario(
     registry.counter(
         "replay_boundaries_total", "Tick boundaries replayed."
     ).inc(len(boundaries))
-    stage_latencies: Dict[str, Dict[str, float]] = {}
-    feed_counters: Dict[str, int] = {}
-    if registry.enabled:
-        stage_latencies = obs_views.stage_latencies(registry)
-        for name, instrument in registry.collect().items():
-            if name.startswith("feed_") and instrument.kind == "counter":
-                feed_counters[name] = int(
-                    sum(instrument.samples().values())
-                )
+    stage_latencies = _stages_since(
+        stages_before, obs_views.stage_latencies(registry)
+    )
+    feed_counters = {
+        name: total - feeds_before.get(name, 0)
+        for name, total in _feed_totals(registry).items()
+    }
     return ReplayReport(
         scenario=spec.name,
         shards=shards,
@@ -843,6 +850,34 @@ def replay_scenario(
         stage_latencies=stage_latencies,
         feed_counters=feed_counters,
     )
+
+
+def _feed_totals(registry) -> Dict[str, int]:
+    """Totals of the registry's ``feed_*`` counters (empty when disabled)."""
+    return {
+        name: int(sum(instrument.samples().values()))
+        for name, instrument in registry.collect().items()
+        if name.startswith("feed_") and instrument.kind == "counter"
+    }
+
+
+def _stages_since(
+    before: Dict[str, Dict[str, float]], after: Dict[str, Dict[str, float]]
+) -> Dict[str, Dict[str, float]]:
+    """The stage rows of the spans recorded between two snapshots."""
+    out: Dict[str, Dict[str, float]] = {}
+    for stage, row in after.items():
+        prior = before.get(stage, {"count": 0, "total_seconds": 0.0})
+        count = row["count"] - prior["count"]
+        if not count:
+            continue
+        total = row["total_seconds"] - prior["total_seconds"]
+        out[stage] = {
+            "count": count,
+            "total_seconds": total,
+            "mean_ms": total / count * 1e3,
+        }
+    return out
 
 
 def _sai_at(

@@ -430,6 +430,19 @@ class TestReplayTelemetry:
         text = report.describe()
         assert "stage" in text
 
+    def test_shared_registry_reports_each_replay_alone(self):
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.views import stage_latencies
+
+        registry = MetricsRegistry()
+        replay_scenario("excavator", months=3, metrics=registry)
+        report = replay_scenario("excavator", months=3, metrics=registry)
+        assert report.stage_latencies["tick"]["count"] == 3
+        row = report.stage_latencies["tick"]
+        assert row["mean_ms"] == row["total_seconds"] / 3 * 1e3
+        # The exported registry itself stays cumulative.
+        assert stage_latencies(registry)["tick"]["count"] == 6
+
     def test_uninstrumented_replay_report_is_unchanged(self):
         report = replay_scenario("excavator", months=2, shards=2)
         assert report.stage_latencies == {}
