@@ -4,11 +4,11 @@ The fleet-scale workload the seed implementation handled quadratically:
 a large keyword database (>= 50 attack topics) analysed over a series of
 *overlapping* sliding windows (the monitor's growing-window cadence).
 The per-keyword path re-scopes the corpus and re-mines every keyword for
-every window; the batched engine shares one corpus scope per window
-(:meth:`InMemoryClient.search_many`) and the cached engine additionally
-re-uses year-segment results across the overlapping windows
-(:class:`~repro.core.cache.CachedClient`), so window N+1 only mines the
-one year it newly covers.
+every window; the cached engine fills the year cells of
+:class:`~repro.core.cache.CachedClient` in one batched pass per year
+(:meth:`InMemoryClient.search_many`) and scores every window's SAI from
+the cells' memoised signals, so window N+1 only scores the one year it
+newly covers.
 
 Both sides now ride the indexed corpus engine — date-sorted windows and
 the arena sweep (see ``bench_indexed_corpus.py`` for that layer's own
@@ -83,6 +83,6 @@ def test_s4_speedup_and_equivalence(workload, bench_report):
     # The batched+cached engine must beat the per-keyword path on this
     # workload.  The margin narrowed when the per-keyword baseline
     # started riding the indexed engine too; the remaining win is the
-    # year-segment reuse across overlapping windows.
+    # year-cell reuse across overlapping windows.
     assert result.speedup > 1.2, payload
     assert payload["bench"] == "batch_engine"
