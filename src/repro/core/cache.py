@@ -203,18 +203,27 @@ class TTLCache:
             return _MISSING
         return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store ``value``, evicting the oldest entry when full."""
+    def put(self, key: Hashable, value: Any, *, keep_age: bool = False) -> None:
+        """Store ``value``, evicting the oldest entry when full.
+
+        With ``keep_age`` a value replacing a stored one keeps that
+        entry's store time, so the TTL of a value grown from an older
+        one still counts from when its oldest part was fetched.
+        """
         with self._lock:
+            entry = self._entries.get(key)
             if (
                 self._max_entries is not None
-                and key not in self._entries
+                and entry is None
                 and len(self._entries) >= self._max_entries
             ):
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
                 self.stats.evictions += 1
-            self._entries[key] = (self._clock(), value)
+            stored_at = (
+                entry[0] if keep_age and entry is not None else self._clock()
+            )
+            self._entries[key] = (stored_at, value)
 
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
@@ -569,10 +578,11 @@ class CachedClient(SocialMediaClient):
     short of the date a window needs fetches only the missing days, and
     an older window slices its cell, so a monitor ticking monthly over a
     growing window fetches only each tick's new month, and the cache
-    holds at most keywords × years cells however many ticks run.  Cells
-    also memoise their SAI evidence per sentiment analyzer
-    (:meth:`window_signals`).  Other windows (mid-year start, unbounded,
-    or with a ``limit``) are cached whole.
+    holds at most keywords × years cells however many ticks run.  A
+    growing cell keeps the store time of its first fetch, so a TTL
+    counts from its oldest posts.  Cells also memoise their SAI evidence
+    per sentiment analyzer (:meth:`window_signals`).  Other windows
+    (mid-year start, unbounded, or with a ``limit``) are cached whole.
 
     Args:
         inner: the platform client actually hitting the backend.
@@ -694,12 +704,12 @@ class CachedClient(SocialMediaClient):
                 posts = tuple(fetched[key.keyword])
                 _warm_analyses(posts)
                 cell = seen[key]
-                cell = (
-                    _Cell(end, posts)
-                    if cell is None
-                    else cell.extended(end, posts)
-                )
-                self._cache.put(key, cell)
+                if cell is None:
+                    cell = _Cell(end, posts)
+                    self._cache.put(key, cell)
+                else:
+                    cell = cell.extended(end, posts)
+                    self._cache.put(key, cell, keep_age=True)
                 seen[key] = cell
 
         cells: Dict[str, List[_Cell]] = {keyword: [] for keyword in keywords}

@@ -180,6 +180,32 @@ class TestCachedClient:
             expected.posts_by_keyword
         )
 
+    def test_extended_cell_expires_with_its_oldest_posts(self):
+        clock = FakeClock()
+        backend = CountingClient(excavator_corpus())
+        cached = CachedClient(backend, cache=TTLCache(ttl=10.0, clock=clock))
+
+        def window(month):
+            return SearchQuery(
+                keyword="dpfdelete",
+                since=dt.date(2020, 1, 1),
+                until=dt.date(2020, month, 28),
+            )
+
+        cached.search(window(3))
+        clock.advance(8.0)
+        cached.search(window(6))  # extends the cell with April-June
+        fetches = backend.search_calls
+        assert cached.search(window(6)) == InMemoryClient(
+            backend.corpus
+        ).search(window(6))
+        assert backend.search_calls == fetches  # still fresh
+        clock.advance(4.0)  # the January-March posts are now 12 s old
+        assert cached.search(window(6)) == InMemoryClient(
+            backend.corpus
+        ).search(window(6))
+        assert backend.search_calls == fetches + 1
+
     def test_invalidate_keyword(self, excavator_client):
         cached = CachedClient(excavator_client)
         cached.search(SearchQuery(keyword="dpfdelete"))
