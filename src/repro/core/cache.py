@@ -51,13 +51,12 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.core.sai import KeywordSignals
+from repro.core.sai import KeywordSignals, SignalSums, combine_signals
 from repro.nlp.analysis import analyze_text
 from repro.nlp.normalize import canonical_keyword
 from repro.nlp.sentiment import SentimentAnalyzer
@@ -203,26 +202,26 @@ class TTLCache:
             return _MISSING
         return value
 
-    def put(self, key: Hashable, value: Any, *, keep_age: bool = False) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Store ``value``, evicting the oldest entry when full.
 
-        With ``keep_age`` a value replacing a stored one keeps that
-        entry's store time, so the TTL of a value grown from an older
-        one still counts from when its oldest part was fetched.
+        A value replacing a live entry keeps that entry's store time, so
+        the TTL of a value grown from an older one still counts from
+        when its oldest part was stored.
         """
         with self._lock:
+            stored_at = self._clock()
             entry = self._entries.get(key)
-            if (
-                self._max_entries is not None
-                and entry is None
-                and len(self._entries) >= self._max_entries
-            ):
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self.stats.evictions += 1
-            stored_at = (
-                entry[0] if keep_age and entry is not None else self._clock()
-            )
+            if entry is None:
+                if (
+                    self._max_entries is not None
+                    and len(self._entries) >= self._max_entries
+                ):
+                    oldest = next(iter(self._entries))
+                    del self._entries[oldest]
+                    self.stats.evictions += 1
+            elif self._ttl is None or stored_at - entry[0] <= self._ttl:
+                stored_at = entry[0]
             self._entries[key] = (stored_at, value)
 
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
@@ -269,51 +268,6 @@ class _CellKey:
     year: int
 
 
-class _CellSignals(NamedTuple):
-    """A cell's SAI evidence under one analyzer.
-
-    ``posts`` is how many of the cell's posts are covered; ``scores``
-    holds their sentiment scores in post order, so a window's mean can
-    re-add them in exactly the order :func:`~repro.core.sai.
-    _gather_signals` does.
-    """
-
-    posts: int
-    views: int
-    likes: int
-    reposts: int
-    replies: int
-    scores: Tuple[float, ...]
-
-    def folded(
-        self, posts: Sequence[Post], analyzer: SentimentAnalyzer
-    ) -> "_CellSignals":
-        """These signals with ``posts`` appended."""
-        views, likes = self.views, self.likes
-        reposts, replies = self.reposts, self.replies
-        for post in posts:
-            engagement = post.engagement
-            views += engagement.views
-            likes += engagement.likes
-            reposts += engagement.reposts
-            replies += engagement.replies
-        return _CellSignals(
-            self.posts + len(posts),
-            views,
-            likes,
-            reposts,
-            replies,
-            self.scores
-            + tuple(
-                analyzer.score_analysis(analyze_text(post.text)).score
-                for post in posts
-            ),
-        )
-
-
-_NO_SIGNALS = _CellSignals(0, 0, 0, 0, 0, ())
-
-
 class _Cell:
     """One keyword's posts of one calendar year, Jan 1 through ``until``.
 
@@ -328,11 +282,11 @@ class _Cell:
         self,
         until: dt.date,
         posts: Tuple[Post, ...],
-        signals: Optional[Dict[Hashable, _CellSignals]] = None,
+        signals: Optional[Dict[Hashable, SignalSums]] = None,
     ) -> None:
         self.until = until
         self.posts = posts
-        self._signals: Dict[Hashable, _CellSignals] = (
+        self._signals: Dict[Hashable, SignalSums] = (
             {} if signals is None else signals
         )
 
@@ -345,10 +299,10 @@ class _Cell:
         dates = [post.created_at for post in self.posts]
         return _Cell(until, self.posts[: bisect_right(dates, until)])
 
-    def signals(self, analyzer: SentimentAnalyzer) -> _CellSignals:
+    def signals(self, analyzer: SentimentAnalyzer) -> SignalSums:
         """The memoised signals under ``analyzer``, folded up to date."""
         fingerprint = analyzer.fingerprint
-        memo = self._signals.get(fingerprint, _NO_SIGNALS)
+        memo = self._signals.get(fingerprint, SignalSums())
         if memo.posts < len(self.posts):
             memo = memo.folded(self.posts[memo.posts :], analyzer)
             self._signals[fingerprint] = memo
@@ -646,6 +600,27 @@ class CachedClient(SocialMediaClient):
 
     # -- cells ---------------------------------------------------------------
 
+    def _plan(
+        self,
+        keywords: Sequence[str],
+        region: Optional[str],
+        first_year: int,
+        until: dt.date,
+    ) -> List[Tuple[_CellKey, dt.date]]:
+        """The (cell key, fill date needed) pairs of a cell window.
+
+        Earlier years need full-year cells and the last year a cell
+        filled through ``until``; keywords first, years ascending.
+        """
+        return [
+            (
+                _CellKey(self._platform, keyword, region, year),
+                until if year == until.year else dt.date(year, 12, 31),
+            )
+            for keyword in keywords
+            for year in range(first_year, until.year + 1)
+        ]
+
     def _cells(
         self,
         keywords: Sequence[str],
@@ -658,27 +633,22 @@ class CachedClient(SocialMediaClient):
     ) -> Tuple[Dict[str, List[_Cell]], int]:
         """Each keyword's cells covering Jan 1 of ``first_year`` to ``until``.
 
-        The one cell resolver.  Earlier years need full-year cells and
-        the last year a cell filled through ``until``.  A cell filled
-        short fetches only the days after its fill date; keywords needing
+        The one cell resolver.  A cell filled short of its :meth:`_plan`
+        date fetches only the days after its fill date; keywords needing
         the same days share one inner call (``search`` when not
         ``batched``).  A cell filled past its date is cut back to it.
         Each lookup counts once in :attr:`stats` unless ``counted`` is
         false, a lookup that fetches as a miss.  The fetched days
         continue exactly the prefix the lookup saw, so that cell is the
         one extended and stored: a racing writer or an eviction in
-        between costs a refetch, never a wrong cell.
+        between costs a refetch, never a wrong cell.  Extensions are
+        stored before new cells, so a new cell evicting to make room
+        cannot push out a cell this call extends and have its extension
+        stored as new, with a fresh TTL.
 
         Returns the cells by keyword and the number of cells fetched.
         """
-        plan = [
-            (
-                _CellKey(self._platform, keyword, region, year),
-                until if year == until.year else dt.date(year, 12, 31),
-            )
-            for keyword in keywords
-            for year in range(first_year, until.year + 1)
-        ]
+        plan = self._plan(keywords, region, first_year, until)
         seen: Dict[_CellKey, Optional[_Cell]] = {}
         missing: Dict[Tuple[dt.date, dt.date], List[_CellKey]] = {}
         for key, need in plan:
@@ -696,6 +666,7 @@ class CachedClient(SocialMediaClient):
                 )
                 missing.setdefault((start, need), []).append(key)
 
+        filled: Dict[_CellKey, _Cell] = {}
         for (start, end), keys in missing.items():
             fetched = self._fetch(
                 tuple(key.keyword for key in keys), region, start, end, batched
@@ -704,13 +675,14 @@ class CachedClient(SocialMediaClient):
                 posts = tuple(fetched[key.keyword])
                 _warm_analyses(posts)
                 cell = seen[key]
-                if cell is None:
-                    cell = _Cell(end, posts)
-                    self._cache.put(key, cell)
-                else:
-                    cell = cell.extended(end, posts)
-                    self._cache.put(key, cell, keep_age=True)
-                seen[key] = cell
+                filled[key] = (
+                    _Cell(end, posts)
+                    if cell is None
+                    else cell.extended(end, posts)
+                )
+        for key in sorted(filled, key=lambda key: seen[key] is None):
+            self._cache.put(key, filled[key])
+        seen.update(filled)
 
         cells: Dict[str, List[_Cell]] = {keyword: [] for keyword in keywords}
         for key, need in plan:
@@ -718,7 +690,29 @@ class CachedClient(SocialMediaClient):
             cells[key.keyword].append(
                 cell if cell.until == need else cell.cut(need)
             )
-        return cells, sum(len(keys) for keys in missing.values())
+        return cells, len(filled)
+
+    def _filled_cells(
+        self,
+        keywords: Sequence[str],
+        region: Optional[str],
+        first_year: int,
+        until: dt.date,
+    ) -> Optional[Dict[str, List[_Cell]]]:
+        """The cells of a window if all are cached and filled through it.
+
+        A read-only probe: it fetches nothing and counts no lookup, and
+        returns ``None`` as soon as one needed cell is missing or short.
+        """
+        cells: Dict[str, List[_Cell]] = {keyword: [] for keyword in keywords}
+        for key, need in self._plan(keywords, region, first_year, until):
+            cell = self._cache.peek(key)
+            if cell is _MISSING or cell.until < need:
+                return None
+            cells[key.keyword].append(
+                cell if cell.until == need else cell.cut(need)
+            )
+        return cells
 
     def _fetch(
         self,
@@ -851,6 +845,7 @@ class CachedClient(SocialMediaClient):
         since: Optional[dt.date] = None,
         until: Optional[dt.date] = None,
         analyzer: Optional[SentimentAnalyzer] = None,
+        fill: bool = True,
     ) -> Optional[Dict[str, KeywordSignals]]:
         """Pre-aggregated SAI evidence for a keyword list, if possible.
 
@@ -860,10 +855,13 @@ class CachedClient(SocialMediaClient):
         year-resolvable, the region matches the sidecars' scope and
         ``analyzer`` is compatible with the one that built the sidecar
         sentiment sums.  Otherwise a cell window is answered from the
-        cells' memoised signals: integer counts add across cells, and
-        the mean re-adds the cells' scores in post order, the same float
-        additions in the same order as a post scan.  Returns ``None`` —
-        "fall back to post scans" — for any other window.
+        cells' memoised signals through :func:`~repro.core.sai.
+        combine_signals`, the same arithmetic as a post scan: its cells
+        are resolved like :meth:`search_many` resolves them, or, when
+        not ``fill``, read only if all are cached and filled through
+        ``until`` — then nothing is fetched and no lookup counted.
+        Returns ``None`` — "fall back to post scans" — for any other
+        window.
         """
         aggregates = self._aggregates
         if (
@@ -880,26 +878,19 @@ class CachedClient(SocialMediaClient):
             return None
         scorer = analyzer if analyzer is not None else SentimentAnalyzer()
         unique = tuple(dict.fromkeys(keywords))
-        cells, _ = self._cells(unique, region, since.year, until)
+        if fill:
+            cells, _ = self._cells(unique, region, since.year, until)
+        else:
+            cells = self._filled_cells(unique, region, since.year, until)
+            if cells is None:
+                return None
         out: Dict[str, KeywordSignals] = {}
         for keyword in unique:
-            memos = [cell.signals(scorer) for cell in cells[keyword]]
-            posts = sum(memo.posts for memo in memos)
-            if not posts:
-                continue
-            out[keyword] = KeywordSignals(
-                engagement=Engagement(
-                    views=sum(memo.views for memo in memos),
-                    likes=sum(memo.likes for memo in memos),
-                    reposts=sum(memo.reposts for memo in memos),
-                    replies=sum(memo.replies for memo in memos),
-                ),
-                mean_sentiment=sum(
-                    chain.from_iterable(memo.scores for memo in memos)
-                )
-                / posts,
-                post_count=posts,
+            signals = combine_signals(
+                [cell.signals(scorer) for cell in cells[keyword]]
             )
+            if signals.post_count:
+                out[keyword] = signals
         return out
 
     def prewarm_segments(

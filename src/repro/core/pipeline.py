@@ -146,9 +146,11 @@ class QueryStage(PipelineStage):
 class SAIStage(PipelineStage):
     """Score the SAI list from the fetched posts (blocks 6-7).
 
-    A client that can supply the window's pre-aggregated evidence (see
-    :meth:`~repro.core.sai.SAIComputer.window_signals`) is scored from
-    it; otherwise the stage scans the query stage's posts.
+    A client that already holds the window's pre-aggregated evidence,
+    such as the year cells a cached query stage has just filled, is
+    scored from it (:meth:`~repro.core.sai.SAIComputer.window_signals`
+    without ``fill``: no fetch, no counted lookup); otherwise the stage
+    scans the query stage's posts.
     """
 
     name = "sai"
@@ -166,6 +168,7 @@ class SAIStage(PipelineStage):
             region=context.target.region,
             since=context.window.since,
             until=context.window.until,
+            fill=False,
         )
         if signals is not None:
             context.sai = computer.compute_from_signals(

@@ -27,7 +27,8 @@ being discussed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import PSPConfig
 from repro.core.keywords import AttackKeyword, KeywordDatabase
@@ -144,33 +145,86 @@ class KeywordSignals:
             raise ValueError("post_count must be >= 0")
 
 
+class SignalSums(NamedTuple):
+    """The additive SAI evidence of a run of one keyword's posts.
+
+    Engagement counters and the post count add across runs.  ``scores``
+    keeps each post's sentiment score in post order, so
+    :func:`combine_signals` re-adds the scores of consecutive runs in
+    exactly the order one scan over all their posts would.
+    """
+
+    posts: int = 0
+    views: int = 0
+    likes: int = 0
+    reposts: int = 0
+    replies: int = 0
+    scores: Tuple[float, ...] = ()
+
+    def folded(
+        self, posts: Sequence[Post], analyzer: SentimentAnalyzer
+    ) -> "SignalSums":
+        """These sums with ``posts`` appended.
+
+        Sentiment is read through the shared
+        :func:`~repro.nlp.analysis.analyze_text` sidecar and the
+        analyzer's per-fingerprint memo, so each distinct post text is
+        tokenized and scored at most once per corpus lifetime — however
+        many windows, weight mixes or fleet members revisit it.
+        """
+        views, likes = self.views, self.likes
+        reposts, replies = self.reposts, self.replies
+        for post in posts:
+            engagement = post.engagement
+            views += engagement.views
+            likes += engagement.likes
+            reposts += engagement.reposts
+            replies += engagement.replies
+        return SignalSums(
+            self.posts + len(posts),
+            views,
+            likes,
+            reposts,
+            replies,
+            self.scores
+            + tuple(
+                analyzer.score_analysis(analyze_text(post.text)).score
+                for post in posts
+            ),
+        )
+
+
+def combine_signals(runs: Sequence[SignalSums]) -> KeywordSignals:
+    """One keyword's signals over consecutive runs of its posts.
+
+    The one place the mean sentiment is taken: the post scan and the
+    year cells of :class:`~repro.core.cache.CachedClient` both end here,
+    so the same posts give bit-identical means however they are split
+    into runs.
+    """
+    posts = sum(run.posts for run in runs)
+    return KeywordSignals(
+        engagement=Engagement(
+            views=sum(run.views for run in runs),
+            likes=sum(run.likes for run in runs),
+            reposts=sum(run.reposts for run in runs),
+            replies=sum(run.replies for run in runs),
+        ),
+        mean_sentiment=(
+            sum(chain.from_iterable(run.scores for run in runs)) / posts
+            if posts
+            else 0.0
+        ),
+        post_count=posts,
+    )
+
+
 def _gather_signals(
     posts: Sequence[Post], analyzer: SentimentAnalyzer
 ) -> Tuple[Engagement, float]:
-    """Total engagement and mean sentiment of one keyword's posts.
-
-    Sentiment is read through the shared
-    :func:`~repro.nlp.analysis.analyze_text` sidecar and the analyzer's
-    per-fingerprint memo, so each distinct post text is tokenized and
-    scored at most once per corpus lifetime — however many windows,
-    weight mixes or fleet members revisit it.
-    """
-    views = likes = reposts = replies = 0
-    for post in posts:
-        engagement = post.engagement
-        views += engagement.views
-        likes += engagement.likes
-        reposts += engagement.reposts
-        replies += engagement.replies
-    total = Engagement(
-        views=views, likes=likes, reposts=reposts, replies=replies
-    )
-    if not posts:
-        return total, 0.0
-    mean = sum(
-        analyzer.score_analysis(analyze_text(p.text)).score for p in posts
-    ) / len(posts)
-    return total, mean
+    """Total engagement and mean sentiment of one keyword's posts."""
+    signals = combine_signals((SignalSums().folded(posts, analyzer),))
+    return signals.engagement, signals.mean_sentiment
 
 
 def _share(value: float, total: float) -> float:
@@ -235,14 +289,19 @@ class SAIComputer:
         region: Optional[str] = None,
         since=None,
         until=None,
+        fill: bool = True,
     ) -> Optional[Mapping[str, KeywordSignals]]:
         """The client's pre-aggregated evidence for this window, if any.
 
         Clients exposing a ``window_signals`` method (a
         :class:`~repro.core.cache.CachedClient`) answer from the
         sidecars of a spilled corpus or from their year cells, scored
-        with this computer's analyzer.  ``None`` means "scan the posts":
-        the client has no such method or cannot answer this window.
+        with this computer's analyzer.  Without ``fill`` the client
+        answers only from cells it already holds, fetching nothing and
+        counting no cache lookup: the SAI stage's mode, re-reading the
+        cells its query stage has just filled.  ``None`` means "scan the
+        posts": the client has no such method or cannot answer this
+        window.
         """
         probe = getattr(self._client, "window_signals", None)
         if not callable(probe):
@@ -253,6 +312,7 @@ class SAIComputer:
             since=since,
             until=until,
             analyzer=self._analyzer,
+            fill=fill,
         )
 
     def compute_from_posts(

@@ -89,6 +89,27 @@ class TestTTLCache:
         assert cache.stats.invalidations == 2
         assert cache.get(("y", 1)) == "c"
 
+    def test_replacing_a_live_entry_keeps_its_age(self):
+        clock = FakeClock()
+        cache = TTLCache(ttl=10.0, clock=clock)
+        cache.put("k", "old")
+        clock.advance(6.0)
+        cache.put("k", "new")
+        clock.advance(3.0)
+        assert cache.get("k") == "new"
+        clock.advance(2.0)  # 11 s after the first put
+        assert cache.get("k") is None
+        assert cache.stats.expirations == 1
+
+    def test_replacing_an_expired_entry_restarts_its_age(self):
+        clock = FakeClock()
+        cache = TTLCache(ttl=10.0, clock=clock)
+        cache.put("k", "old")
+        clock.advance(11.0)  # expired, not yet collected
+        cache.put("k", "new")
+        clock.advance(9.0)
+        assert cache.get("k") == "new"
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TTLCache(ttl=0)
@@ -205,6 +226,86 @@ class TestCachedClient:
             backend.corpus
         ).search(window(6))
         assert backend.search_calls == fetches + 1
+
+    def test_cell_extended_beside_a_new_cell_keeps_its_age(self):
+        clock = FakeClock()
+        backend = CountingClient(excavator_corpus())
+        cached = CachedClient(
+            backend, cache=TTLCache(ttl=10.0, max_entries=2, clock=clock)
+        )
+        plain = InMemoryClient(backend.corpus)
+
+        def batch(keywords, month):
+            return BatchQuery(
+                keywords=keywords,
+                since=dt.date(2020, 1, 1),
+                until=dt.date(2020, month, 28),
+            )
+
+        cached.search_many(batch(("dpfdelete", "egrdelete"), 3))
+        clock.advance(8.0)
+        # The new adbluedelete cell evicts to make room; the dpfdelete
+        # extension must not come back as a fresh entry.
+        cached.search_many(batch(("adbluedelete", "dpfdelete"), 6))
+        clock.advance(7.0)  # dpfdelete's January-March posts are 15 s old
+        fetches = backend.batch_calls
+        window = batch(("dpfdelete",), 6)
+        assert (
+            cached.search_many(window).posts_by_keyword
+            == plain.search_many(window).posts_by_keyword
+        )
+        assert backend.batch_calls == fetches + 1
+
+    def test_read_only_probe_answers_only_from_filled_cells(self):
+        from repro.core.sai import _gather_signals
+        from repro.nlp.sentiment import SentimentAnalyzer
+
+        backend = CountingClient(excavator_corpus())
+        cached = CachedClient(backend)
+        plain = InMemoryClient(backend.corpus)
+        keywords = build_excavator_database().keywords
+        analyzer = SentimentAnalyzer()
+        since = dt.date(2019, 1, 1)
+
+        def window(month):
+            return BatchQuery(
+                keywords=keywords,
+                since=since,
+                until=dt.date(2020, month, 28),
+                region="europe",
+            )
+
+        def probe(month):
+            return cached.window_signals(
+                keywords,
+                region="europe",
+                since=since,
+                until=dt.date(2020, month, 28),
+                analyzer=analyzer,
+                fill=False,
+            )
+
+        assert probe(3) is None
+        cached.search_many(window(3))
+        fetches, lookups = backend.batch_calls, cached.stats.lookups
+        assert probe(6) is None  # the 2020 cells stop at March 28
+        for month in (2, 3):  # an older window cuts the cells
+            signals = probe(month)
+            expected = plain.search_many(window(month))
+            for keyword in keywords:
+                posts = expected.posts(keyword)
+                if not posts:
+                    assert keyword not in signals
+                    continue
+                engagement, mean = _gather_signals(posts, analyzer)
+                got = signals[keyword]
+                assert (got.post_count, got.engagement) == (
+                    len(posts), engagement
+                )
+                assert got.mean_sentiment.hex() == mean.hex()
+        assert (backend.batch_calls, cached.stats.lookups) == (
+            fetches, lookups
+        )
 
     def test_invalidate_keyword(self, excavator_client):
         cached = CachedClient(excavator_client)

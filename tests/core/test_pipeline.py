@@ -1,5 +1,7 @@
 """Pipeline stages, composition, and fleet execution."""
 
+import datetime as dt
+
 import pytest
 
 from repro import PSPConfig, PSPFramework, TargetApplication, TimeWindow
@@ -16,6 +18,7 @@ from repro.core.pipeline import (
     TuneStage,
     run_fleet,
 )
+from repro.core.cache import CachedClient, TTLCache
 from repro.social import InMemoryClient, excavator_corpus
 from tests.conftest import build_excavator_database
 
@@ -30,6 +33,22 @@ def make_context(client, window=None, database=None):
         config=PSPConfig(),
         window=window or TimeWindow.full_history(),
     )
+
+
+class CountingClient(InMemoryClient):
+    """InMemoryClient that counts backend calls."""
+
+    def __init__(self, corpus) -> None:
+        super().__init__(corpus)
+        self.calls = 0
+
+    def search(self, query):
+        self.calls += 1
+        return super().search(query)
+
+    def search_many(self, batch):
+        self.calls += 1
+        return super().search_many(batch)
 
 
 class TestStages:
@@ -325,3 +344,33 @@ class TestParallelFleet:
                 self._fleet(excavator_client, executor=executor)
         finally:
             executor.close()
+
+
+class TestCachedSAIStage:
+    @pytest.mark.parametrize("max_entries", [None, 1])
+    def test_sai_stage_adds_no_fetch_or_lookup(self, max_entries):
+        """The SAI stage re-reads the query stage's cells or scans its batch.
+
+        With one cache entry the cells the query stage filled are gone
+        by the time the SAI stage runs: it must scan the batch, not
+        refetch them.  Either way it counts no cache lookup.
+        """
+        window = TimeWindow(
+            since=dt.date(2015, 1, 1), until=dt.date(2021, 6, 30)
+        )
+
+        def tick(stages):
+            backend = CountingClient(excavator_corpus())
+            cached = CachedClient(
+                backend, cache=TTLCache(max_entries=max_entries)
+            )
+            context = make_context(cached, window)
+            PSPPipeline(stages).run(context)
+            return backend.calls, cached.stats.lookups, context
+
+        query_calls, query_lookups, _ = tick([QueryStage()])
+        calls, lookups, context = tick([QueryStage(), SAIStage()])
+        assert (calls, lookups) == (query_calls, query_lookups)
+        plain = make_context(InMemoryClient(excavator_corpus()), window)
+        PSPPipeline([QueryStage(), SAIStage()]).run(plain)
+        assert context.sai.entries == plain.sai.entries

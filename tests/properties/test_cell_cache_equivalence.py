@@ -12,7 +12,9 @@ under tight cache bounds and random invalidations, and require:
   posts;
 * every non-None ``window_signals`` to equal
   :func:`~repro.core.sai._gather_signals` over the inner client's posts,
-  bit for bit (the post scan is the oracle).
+  bit for bit (the post scan is the oracle);
+* a ``window_signals`` probe without ``fill`` to fetch nothing and count
+  no lookup, and to answer once a fill has cached every cell it needs.
 """
 
 import datetime as dt
@@ -77,8 +79,22 @@ def _platform_corpus(name: str, seed: int) -> Corpus:
     return Corpus(posts)
 
 
+class _CountingClient(MultiPlatformClient):
+    """The two-platform client, counting the calls that reach it."""
+
+    calls = 0
+
+    def search(self, query):
+        self.calls += 1
+        return super().search(query)
+
+    def search_many(self, batch):
+        self.calls += 1
+        return super().search_many(batch)
+
+
 def _inner() -> MultiPlatformClient:
-    return MultiPlatformClient(
+    return _CountingClient(
         [
             PlatformSource("forum", InMemoryClient(_platform_corpus("f", 1))),
             PlatformSource(
@@ -153,13 +169,25 @@ def _is_cell_window(since, until) -> bool:
 
 
 def _check_signals(cached, keywords, since, until, region, analyzer):
-    signals = cached.window_signals(
-        keywords, region=region, since=since, until=until, analyzer=analyzer
-    )
     window = (keywords, since, until, region)
-    assert (signals is not None) == _is_cell_window(since, until), window
+    probes = {}
+    for fill in (False, True, False):
+        calls, lookups = INNER.calls, cached.stats.lookups
+        probes[fill] = cached.window_signals(
+            keywords, region=region, since=since, until=until,
+            analyzer=analyzer, fill=fill,
+        )
+        if not fill:
+            assert (INNER.calls, cached.stats.lookups) == (calls, lookups)
+        _assert_exact(probes[fill], keywords, since, until, region, analyzer)
+    assert (probes[True] is not None) == _is_cell_window(since, until), window
+    return probes[False]
+
+
+def _assert_exact(signals, keywords, since, until, region, analyzer):
     if signals is None:
         return
+    window = (keywords, since, until, region)
     expected = INNER.search_many(
         BatchQuery(keywords=keywords, since=since, until=until, region=region)
     )
@@ -207,8 +235,10 @@ def test_cells_answer_like_the_inner_client(max_entries, steps):
             # Both analyzers read the same cells, the drawn one first:
             # each must get its own memo.
             for analyzer in (ANALYZERS[extra], ANALYZERS[1 - extra]):
-                _check_signals(
+                held = _check_signals(
                     cached, keywords, since, until, region, analyzer
                 )
+                if max_entries is None and _is_cell_window(since, until):
+                    assert held is not None, step
     if max_entries is not None:
         assert len(cached.cache) <= max_entries
