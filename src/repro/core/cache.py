@@ -362,8 +362,8 @@ class SidecarAggregates:
     Answers are scoped exactly like the sidecars themselves: bucket sums
     are in-region for the index's ``sidecar_region`` and sentiment comes
     from its ``sidecar_analyzer`` — callers must check :attr:`region`
-    and :meth:`analyzer_compatible` before trusting an answer
-    (:class:`CachedClient` does).
+    and :meth:`analyzer_compatible` (same analyzer type and fingerprint)
+    before trusting an answer (:class:`CachedClient` does).
     """
 
     def __init__(self, index: Any) -> None:
@@ -399,15 +399,20 @@ class SidecarAggregates:
         """Whether ``analyzer`` would score posts like the sidecars did.
 
         Sentiment sums are baked into the sidecar buckets with the
-        index's own analyzer; an SAI computer carrying a *different*
-        analyzer type must fall back to post scans.  ``None`` on either
-        side means the deterministic default
+        index's own analyzer, so an SAI computer is served only when its
+        analyzer has the same type and the same
+        :attr:`~repro.nlp.sentiment.SentimentAnalyzer.fingerprint`
+        (lexicon and neutral band); any other analyzer, an extended
+        lexicon included, falls back to post scans.  ``None`` on either
+        side means a default
         :class:`~repro.nlp.sentiment.SentimentAnalyzer`.
         """
-        mine = self._index.sidecar_analyzer
-        mine_type = type(mine) if mine is not None else SentimentAnalyzer
-        their_type = type(analyzer) if analyzer is not None else SentimentAnalyzer
-        return mine_type is their_type
+        mine = self._index.sidecar_analyzer or SentimentAnalyzer()
+        theirs = analyzer or SentimentAnalyzer()
+        return (
+            type(mine) is type(theirs)
+            and mine.fingerprint == theirs.fingerprint
+        )
 
     def _buckets(
         self, keywords: Sequence[str]

@@ -12,11 +12,13 @@ and hands every consumer the same :class:`PostAnalysis` sidecar:
   precomputed :attr:`~PostAnalysis.haystack`,
 * :class:`~repro.core.sai.SAIComputer` scores sentiment through
   :meth:`~repro.nlp.sentiment.SentimentAnalyzer.score_analysis`, which
-  scans :attr:`~PostAnalysis.text` into ``(type, text)`` token pairs and
-  memoizes the result per analyzer fingerprint, so a post is scored once
-  per corpus lifetime,
+  reads :attr:`~PostAnalysis.text` through the capture-only
+  :func:`~repro.nlp.tokenizer.sentiment_pairs` scan and memoizes the
+  result per analyzer fingerprint (a short digest string), so a post is
+  scored once per corpus lifetime,
 * keyword learning and :attr:`~repro.social.post.Post.hashtags` read the
-  canonical :attr:`~PostAnalysis.hashtags`,
+  canonical :attr:`~PostAnalysis.hashtags`, found by the capture-only
+  :func:`~repro.nlp.tokenizer.hashtags` scan,
 * insider/outsider classification and both streaming delta kernels read
   the voice bits :attr:`~PostAnalysis.insider_voice` and
   :attr:`~PostAnalysis.outsider_voice`, set once per text from

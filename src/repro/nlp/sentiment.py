@@ -14,12 +14,13 @@ POSITIVE / NEUTRAL / NEGATIVE with a symmetric neutral band.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nlp.normalize import stem
-from repro.nlp.tokenizer import TokenType, scan
+from repro.nlp.tokenizer import sentiment_pairs
 
 #: Signed valence lexicon (stemmed form -> valence).  Positive valence on
 #: an attack-related post means *enthusiasm for the attack* — the signal
@@ -112,31 +113,34 @@ class SentimentAnalyzer:
     ) -> None:
         if not 0.0 <= neutral_band < 1.0:
             raise ValueError(f"neutral_band must be in [0, 1), got {neutral_band}")
-        self._lexicon = dict(DEFAULT_LEXICON if lexicon is None else lexicon)
-        self._neutral_band = neutral_band
+        source = DEFAULT_LEXICON if lexicon is None else lexicon
+        self._lexicon = {word: float(valence) for word, valence in source.items()}
+        self._neutral_band = float(neutral_band)
         self._refresh_fingerprint()
 
     def _refresh_fingerprint(self) -> None:
-        self._fingerprint = (
-            "sentiment",
-            self._neutral_band,
-            tuple(sorted(self._lexicon.items())),
-        )
+        key = repr((self._neutral_band, sorted(self._lexicon.items())))
+        self._fingerprint = hashlib.blake2b(
+            key.encode(), digest_size=16
+        ).hexdigest()
 
     @property
-    def fingerprint(self) -> tuple:
+    def fingerprint(self) -> str:
         """Value-based identity of this analyzer's scoring behaviour.
 
-        Two analyzers with the same lexicon and neutral band produce the
-        same fingerprint, so per-post sentiment memos
+        A 32-character digest of the neutral band and the sorted
+        lexicon items.  Two analyzers with the same lexicon and neutral
+        band produce the same fingerprint, in any process (a pickled
+        analyzer keeps it), so per-post sentiment memos
         (:meth:`score_analysis`) are shared across analyzer instances and
         invalidated when :meth:`extend_lexicon` changes the behaviour.
+        A memo hit is one probe on a short string, which caches its hash.
         """
         return self._fingerprint
 
     def score(self, text: str) -> SentimentResult:
         """Score ``text`` and return the normalised sentiment result."""
-        raw, hits = self._raw_score(scan(text))
+        raw, hits = self._raw_score(sentiment_pairs(text))
         normalised = _normalise(raw, hits)
         return SentimentResult(
             score=normalised, label=self._label(normalised), hits=hits
@@ -154,7 +158,7 @@ class SentimentAnalyzer:
         cached = analysis.cached_sentiment(self._fingerprint)
         if cached is not None:
             return cached
-        raw, hits = self._raw_score(scan(analysis.text))
+        raw, hits = self._raw_score(sentiment_pairs(analysis.text))
         normalised = _normalise(raw, hits)
         result = SentimentResult(
             score=normalised, label=self._label(normalised), hits=hits
@@ -172,21 +176,22 @@ class SentimentAnalyzer:
             return 0.0
         return sum(r.score for r in self.score_many(texts)) / len(texts)
 
-    def _raw_score(self, pairs: Sequence[Tuple[TokenType, str]]) -> tuple:
-        """Raw valence sum and hit count over :func:`scan` token pairs."""
+    def _raw_score(self, pairs: Sequence[Tuple[str, str]]) -> tuple:
+        """Raw valence sum and hit count over
+        :func:`~repro.nlp.tokenizer.sentiment_pairs` captures."""
         raw = 0.0
         hits = 0
         window: List[str] = []
-        for token_type, text in pairs:
-            if token_type is TokenType.EMOJI_SENTIMENT:
-                valence = EMOJI_VALENCE.get(text)
+        for emoji, word in pairs:
+            if emoji:
+                valence = EMOJI_VALENCE.get(emoji)
                 if valence is not None:
                     raw += valence
                     hits += 1
                 continue
-            if token_type is not TokenType.WORD:
+            if not word:
                 continue
-            lowered = text.lower()
+            lowered = word.lower()
             stemmed = stem(lowered)
             valence = self._lexicon.get(stemmed, self._lexicon.get(lowered))
             if valence is not None:

@@ -61,12 +61,34 @@ _MASTER_RE = re.compile(
 _GROUP_TYPES = {f"g{i}": tt for i, (tt, _) in enumerate(_TOKEN_PATTERNS)}
 
 
+def _capture_only(*captured: TokenType) -> "re.Pattern[str]":
+    """The master alternation capturing only the ``captured`` types.
+
+    Every alternative keeps its place, so the pattern matches exactly
+    the tokens :func:`scan` does; the other alternatives are wrapped in
+    ``(?:...)``, so the engine marks no group for them.  ``findall``
+    yields one capture per captured alternative, in pattern order, each
+    empty unless that alternative matched the token.
+    """
+    return re.compile(
+        "|".join(
+            f"({pattern})" if token_type in captured else f"(?:{pattern})"
+            for token_type, pattern in _TOKEN_PATTERNS
+        )
+    )
+
+
+_SENTIMENT_RE = _capture_only(TokenType.EMOJI_SENTIMENT, TokenType.WORD)
+_HASHTAG_RE = _capture_only(TokenType.HASHTAG)
+
+
 def scan(text: str) -> List[Tuple[TokenType, str]]:
     """The ``(type, text)`` pair of every token of ``text``, in order.
 
-    One regex pass and no :class:`Token` objects: the form the hot
-    paths read (hashtag extraction, sentiment scoring), from which
-    :func:`iter_tokens` and :func:`tokenize` build their tokens.
+    One regex pass and no :class:`Token` objects, from which
+    :func:`iter_tokens` and :func:`tokenize` build their tokens.  The
+    hot paths read narrower scans: :func:`sentiment_pairs` and
+    :func:`hashtags`.
     """
     return [
         (_GROUP_TYPES[match.lastgroup], match.group())
@@ -90,9 +112,19 @@ def words(text: str) -> List[str]:
     return [s for t, s in scan(text) if t is TokenType.WORD]
 
 
+def sentiment_pairs(text: str) -> List[Tuple[str, str]]:
+    """The ``(emoji, word)`` capture of every token of ``text``, in order.
+
+    An EMOJI_SENTIMENT token fills ``emoji``, a WORD token fills
+    ``word``, and any other token yields ``("", "")``: the token stream
+    sentiment scoring reads, in one capture-only regex pass.
+    """
+    return _SENTIMENT_RE.findall(text)
+
+
 def hashtags(text: str) -> List[str]:
     """Just the HASHTAG token texts of ``text`` (including ``#``)."""
-    return [s for t, s in scan(text) if t is TokenType.HASHTAG]
+    return [tag for tag in _HASHTAG_RE.findall(text) if tag]
 
 
 def prices(text: str) -> List[str]:

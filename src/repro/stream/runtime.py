@@ -58,6 +58,7 @@ from repro.core.sai import SAIComputer, SAIList
 from repro.core.timewindow import TimeWindow
 from repro.core.weights import WeightTuner
 from repro.iso21434.feasibility.attack_vector import WeightTable
+from repro.nlp.sentiment import SentimentAnalyzer
 from repro.obs import views as obs_views
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
 from repro.obs.trace import trace_for
@@ -403,12 +404,18 @@ class TickEvaluator:
 
 @dataclass(frozen=True)
 class _ShardJob:
-    """One shard's micro-batch, as a picklable work item."""
+    """One shard's micro-batch, as a picklable work item.
+
+    ``analyzer`` is the runtime's one sentiment analyzer, the one its
+    trackers and cold sidecars score with (a process worker gets a
+    pickled copy, whose fingerprint is the same).
+    """
 
     keywords: Tuple[str, ...]
     region: Optional[str]
     posts: Tuple[Post, ...]
     post_filter: Optional[PostAuthenticityFilter]
+    analyzer: SentimentAnalyzer
 
 
 def _run_shard_job(
@@ -419,14 +426,17 @@ def _run_shard_job(
     Module-level and pure so a :class:`~repro.core.executor.
     ProcessExecutor` can ship it to a worker: in comes plain data, out
     comes an additive :class:`SignalDelta` and the authenticity-filter
-    audit report.
+    audit report.  The delta is scored with the job's analyzer, so a
+    tick builds none.
     """
     report: Optional[FilterReport] = None
     posts: Sequence[Post] = job.posts
     if job.post_filter is not None and posts:
         report = job.post_filter.filter(list(posts))
         posts = report.accepted
-    delta = compute_signal_delta(job.keywords, posts, region=job.region)
+    delta = compute_signal_delta(
+        job.keywords, posts, region=job.region, analyzer=job.analyzer
+    )
     return delta, report
 
 
@@ -454,6 +464,12 @@ class _ShardState:
 
 class ShardedStreamRuntime:
     """Event-driven incremental PSP: N feeds, one evaluation per tick.
+
+    The runtime builds one
+    :class:`~repro.nlp.sentiment.SentimentAnalyzer` and scores
+    everything with it: every shard job, every tracker and every cold
+    sidecar.  A tick builds no analyzer, and every sentiment-memo probe
+    uses that analyzer's fingerprint.
 
     Args:
         feeds: the shard event sources (any
@@ -608,9 +624,10 @@ class ShardedStreamRuntime:
                 ),
                 metrics=self._metrics,
             )
+        analyzer = SentimentAnalyzer()
         self._shards: List[_ShardState] = []
         for shard_id, feed in enumerate(feeds):
-            deltas = DeltaTracker(database, region=region)
+            deltas = DeltaTracker(database, region=region, analyzer=analyzer)
             shard_metrics = self._metrics.child()
             index = build_stream_index(
                 compact_threshold=compact_threshold,
@@ -651,7 +668,7 @@ class ShardedStreamRuntime:
         #: deltas — each tick applies the shard SignalDeltas here too,
         #: which is the associative merge done additively (equal to
         #: re-merging from scratch; see merged_deltas()).
-        self._merged = DeltaTracker(database, region=region)
+        self._merged = DeltaTracker(database, region=region, analyzer=analyzer)
         self._executor = (
             executor if executor is not None else resolve_executor(workers)
         )
@@ -858,6 +875,7 @@ class ShardedStreamRuntime:
                     region=region,
                     posts=tuple(event.post for event in events),
                     post_filter=self._filter,
+                    analyzer=self._merged.analyzer,
                 )
                 for events in events_per_shard
             ]

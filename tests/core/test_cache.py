@@ -5,10 +5,16 @@ import datetime as dt
 import pytest
 
 from repro import PSPFramework, TargetApplication, TimeWindow
-from repro.core.cache import CachedClient, SAICache, TTLCache
+from repro.core.cache import CachedClient, SAICache, SidecarAggregates, TTLCache
+from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.core.sai import SAIComputer
+from repro.iso21434.enums import AttackVector
+from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social import InMemoryClient, excavator_corpus
 from repro.social.api import BatchQuery, SearchQuery
+from repro.social.corpus import Corpus
+from repro.social.post import Engagement, Post
+from repro.stream.tiers import TieredCorpusIndex
 from tests.conftest import build_excavator_database
 
 
@@ -477,6 +483,82 @@ class TestPrewarmSegments:
     def test_prewarm_rejects_inverted_span(self):
         with pytest.raises(ValueError):
             self._cached().prewarm_segments(("dpfdelete",), 2023, 2020)
+
+
+class TestSidecarAggregates:
+    """Cold sidecars serve only an SAI computer that scores like them."""
+
+    @staticmethod
+    def _sai(analyzer):
+        """(sidecar-served SAI, post-scan SAI, sidecar answers)."""
+        start = dt.date(2019, 1, 1)
+        posts = [
+            Post(
+                post_id=f"p{i}",
+                text=f"dpf delete mightyboost worked {i}",
+                author="a",
+                created_at=start + dt.timedelta(days=2 * i),
+                region="europe",
+                engagement=Engagement(views=10, likes=1),
+            )
+            for i in range(400)
+        ]
+        database = KeywordDatabase()
+        database.add(
+            AttackKeyword(keyword="dpf delete", vector=AttackVector.LOCAL)
+        )
+        # The sidecars bake in the default analyzer's sentiment sums.
+        index = TieredCorpusIndex(
+            warm_span_days=30,
+            cold_age_days=60,
+            sidecar_keywords=database.keywords,
+            sidecar_region="europe",
+        )
+        index.append(posts)
+        aggregates = SidecarAggregates(index)
+        cached = CachedClient(
+            InMemoryClient(Corpus(posts)), aggregates=aggregates
+        )
+        served = SAIComputer(cached, analyzer=analyzer).compute(
+            database, region="europe"
+        )
+        scanned = SAIComputer(
+            InMemoryClient(Corpus(posts)), analyzer=analyzer
+        ).compute(database, region="europe")
+        return served, scanned, aggregates.served_signals
+
+    def test_extended_lexicon_falls_back_to_post_scan(self):
+        analyzer = SentimentAnalyzer()
+        analyzer.extend_lexicon({"mightyboost": 2.5})
+        served, scanned, served_signals = self._sai(analyzer)
+        assert served_signals == 0
+        assert served.entries == scanned.entries
+        assert served.entries[0].score == pytest.approx(1.2712, abs=1e-4)
+
+    def test_default_lexicon_is_served_from_sidecars(self):
+        served, scanned, served_signals = self._sai(SentimentAnalyzer())
+        assert served_signals > 0
+        assert [e.keyword for e in served.entries] == ["dpfdelete"]
+        # Per-year partial sums vs one running sum: equal up to rounding.
+        assert served.entries[0].score == pytest.approx(
+            scanned.entries[0].score, rel=1e-9
+        )
+
+    def test_compatibility_compares_type_and_fingerprint(self):
+        aggregates = SidecarAggregates(TieredCorpusIndex())
+        extended = SentimentAnalyzer()
+        extended.extend_lexicon({"mightyboost": 2.5})
+
+        class Subclassed(SentimentAnalyzer):
+            pass
+
+        assert aggregates.analyzer_compatible(None)
+        assert aggregates.analyzer_compatible(SentimentAnalyzer())
+        assert not aggregates.analyzer_compatible(extended)
+        assert not aggregates.analyzer_compatible(
+            SentimentAnalyzer(neutral_band=0.2)
+        )
+        assert not aggregates.analyzer_compatible(Subclassed())
 
 
 class TestTTLCacheThreadSafety:

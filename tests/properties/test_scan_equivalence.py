@@ -1,17 +1,29 @@
-"""Property tests: the token-pair scan == the Token-object tokenizer.
+"""Property tests: the token scans == the Token-object tokenizer.
 
-Hashtag extraction and sentiment scoring read :func:`repro.nlp.tokenizer.
-scan`'s ``(type, text)`` pairs, and ``analyze_text`` skips the scan for a
+Hashtag extraction and sentiment scoring read capture-only scans
+(:func:`repro.nlp.tokenizer.hashtags` and :func:`~repro.nlp.tokenizer.
+sentiment_pairs`), and ``analyze_text`` skips the hashtag scan for a
 text without ``#``.  Over texts dense in token boundaries (hashtags,
 mentions, URLs, prices in every currency form, emoticons, apostrophes,
 hyphens, underscores, non-ASCII letters):
 
+* ``scan(text)`` is ``tokenize(text)`` as ``(type, text)`` pairs;
+* ``sentiment_pairs(text)`` has one ``(emoji, word)`` pair per token of
+  ``tokenize(text)``, filled only for EMOJI_SENTIMENT and WORD tokens,
+  and ``hashtags(text)`` are its HASHTAG texts;
 * ``analyze_text(text).hashtags`` are the canonical HASHTAG texts of
   ``tokenize(text)``;
 * ``score(text)`` and ``score_analysis(analyze_text(text))`` equal the
   Token-based scoring loop kept below as the reference, floats bit for
   bit.
+
+Over random lexicons and neutral bands, the analyzer fingerprint is a
+value identity: equal exactly when the lexicon items and band are, kept
+by a pickle round trip, and changed by ``extend_lexicon`` exactly when a
+valence changes.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +38,13 @@ from repro.nlp.sentiment import (
     SentimentAnalyzer,
     _normalise,
 )
-from repro.nlp.tokenizer import TokenType, scan, tokenize
+from repro.nlp.tokenizer import (
+    TokenType,
+    hashtags,
+    scan,
+    sentiment_pairs,
+    tokenize,
+)
 
 #: Fragments glued with no separator between them, so every token
 #: pattern meets every neighbour at a boundary.
@@ -91,6 +109,21 @@ class TestScanEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(text=TEXTS)
+    def test_capture_only_scans_keep_the_tokens(self, text):
+        tokens = tokenize(text)
+        assert sentiment_pairs(text) == [
+            (
+                tok.text if tok.type is TokenType.EMOJI_SENTIMENT else "",
+                tok.text if tok.type is TokenType.WORD else "",
+            )
+            for tok in tokens
+        ]
+        assert hashtags(text) == [
+            tok.text for tok in tokens if tok.type is TokenType.HASHTAG
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=TEXTS)
     def test_hashtags_match_tokenized_hashtags(self, text):
         expected = tuple(
             canonical_keyword(tok.text)
@@ -104,7 +137,7 @@ class TestScanEquivalence:
     @given(text=TEXTS)
     def test_scores_match_token_loop_bit_for_bit(self, analyzer, text):
         raw, hits = _token_raw_score(analyzer._lexicon, tokenize(text))
-        pair_raw, pair_hits = analyzer._raw_score(scan(text))
+        pair_raw, pair_hits = analyzer._raw_score(sentiment_pairs(text))
         assert (pair_raw.hex(), pair_hits) == (raw.hex(), hits)
         expected = _normalise(raw, hits).hex()
         for result in (
@@ -112,3 +145,64 @@ class TestScanEquivalence:
             analyzer.score_analysis(analyze_text(text)),
         ):
             assert (result.score.hex(), result.hits) == (expected, hits)
+
+
+#: Finite valences; adding 0.0 turns -0.0 into 0.0, which compares equal
+#: but has another repr.
+VALENCES = st.one_of(
+    st.sampled_from((1.0, -1.5, 2.5)),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(lambda valence: valence + 0.0)
+
+#: Small key and band pools, so equal lexicons and bands are common.
+LEXICONS = st.dictionaries(
+    st.sampled_from(("dpf", "delet", "love", "fine", "won't")),
+    VALENCES,
+    max_size=4,
+)
+
+BANDS = st.sampled_from((0.0, 0.1, 0.3))
+
+
+class TestFingerprint:
+    @settings(max_examples=300, deadline=None)
+    @given(first=LEXICONS, second=LEXICONS, bands=st.tuples(BANDS, BANDS))
+    def test_equal_exactly_when_lexicon_and_band_are(
+        self, first, second, bands
+    ):
+        a = SentimentAnalyzer(first, neutral_band=bands[0])
+        # Insertion order is not part of the value.
+        b = SentimentAnalyzer(
+            dict(reversed(list(second.items()))), neutral_band=bands[1]
+        )
+        same = first == second and bands[0] == bands[1]
+        assert (a.fingerprint == b.fingerprint) == same
+        assert len(a.fingerprint) == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(lexicon=LEXICONS, band=BANDS)
+    def test_pickle_keeps_the_fingerprint(self, lexicon, band):
+        analyzer = SentimentAnalyzer(lexicon, neutral_band=band)
+        copy = pickle.loads(pickle.dumps(analyzer))
+        assert copy.fingerprint == analyzer.fingerprint
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicon=LEXICONS,
+        band=BANDS,
+        word=st.sampled_from(("DPF", "delete", "love", "mightyboost")),
+        valence=VALENCES,
+    )
+    def test_extend_lexicon_changes_it_exactly_when_a_valence_does(
+        self, lexicon, band, word, valence
+    ):
+        analyzer = SentimentAnalyzer(lexicon, neutral_band=band)
+        before = analyzer.fingerprint
+        key = stem(word.lower())
+        analyzer.extend_lexicon({word: valence})
+        assert (analyzer.fingerprint != before) == (
+            lexicon.get(key) != valence
+        )
+        assert analyzer.fingerprint == SentimentAnalyzer(
+            {**lexicon, key: valence}, neutral_band=band
+        ).fingerprint

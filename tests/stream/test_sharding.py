@@ -9,6 +9,7 @@ from repro.core.errors import PSPError
 from repro.core.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.core.monitor import PSPMonitor
 from repro.core.poisoning import PostAuthenticityFilter
+from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social import ecm_reprogramming_corpus
 from repro.stream.deltas import DeltaTracker
 from repro.stream.feed import SyntheticFeed
@@ -139,6 +140,42 @@ class TestSingleFeedParity:
         # ticks == retunes upper bound: one evaluation per merged tick,
         # not one per shard batch.
         assert runtime.evaluator.retunes <= len(runtime.ticks)
+
+
+class TestOneAnalyzer:
+    """One sentiment analyzer per runtime scores every delta."""
+
+    @staticmethod
+    def _tiered():
+        return _sharded_runtime(2, warm_span_days=30, cold_age_days=60)
+
+    def test_ticks_build_no_analyzer(self, monkeypatch):
+        runtime = self._tiered()
+        built = []
+        init = SentimentAnalyzer.__init__
+
+        def counting_init(analyzer, *args, **kwargs):
+            built.append(analyzer)
+            init(analyzer, *args, **kwargs)
+
+        monkeypatch.setattr(SentimentAnalyzer, "__init__", counting_init)
+        _advance_years(runtime)
+        assert all(
+            index.segment_stats["cold_seals"] > 0
+            for index in runtime.shard_indexes
+        )
+        assert len(runtime.ticks) == 6
+        assert built == []
+
+    def test_trackers_and_sidecars_share_the_analyzer(self):
+        runtime = self._tiered()
+        analyzer = runtime.deltas.analyzer
+        assert all(d.analyzer is analyzer for d in runtime.shard_deltas)
+        assert all(
+            index.sidecar_analyzer is analyzer
+            for index in runtime.shard_indexes
+        )
+        assert runtime.merged_deltas().analyzer is analyzer
 
 
 class TestMergeStep:
