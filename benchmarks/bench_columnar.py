@@ -2,15 +2,17 @@
 
 The 10M+-corpus ingest workload: a synthetic date-ordered stream lands
 in micro-batches on an appendable index.  The pre-columnar reaction
-(the PR-6 :class:`StreamingCorpusIndex`, replicated verbatim in
+(the PR-6 streaming index, replicated verbatim in
 :mod:`repro.analysis._legacy_index`) keeps per-post ``Post`` /
 ``PostAnalysis`` object lists and three dict posting maps, and every
 1024-post compaction rebuilds all of them over the whole corpus —
-O(N^2/threshold) ingest.  The columnar engine
-(:mod:`repro.social.columnar`) appends into parallel ``array`` columns
-and one joined haystack arena (the arena sweep is its one matcher, so it
-builds no postings), and its geometric compactions concatenate arrays at
-C speed — O(N) ingest.
+O(N^2/threshold) ingest.  The engine is
+the stream index without retention
+(:class:`~repro.stream.tiers.TieredCorpusIndex`): its columnar segments
+(:mod:`repro.social.columnar`) hold parallel ``array`` columns and one
+joined haystack arena (the arena sweep is its one matcher, so it builds
+no postings), and its geometric seals and consolidations concatenate
+arrays at C speed — O(N) ingest.
 
 Run with::
 

@@ -16,8 +16,8 @@ Run with::
 through identical runtimes with and without a live registry
 (interleaved rounds, min-of-rounds per side), asserts the instrumented
 run stays within the overhead budget, that both runs produce identical
-tables/SAI/stats (the instrumentation is purely observational), that
-the registry's counters agree with the legacy ``stream_stats`` dict,
+tables/SAI/counters (the instrumentation is purely observational),
+that the registry's counters agree with the runtime health document's,
 and writes ``BENCH_obs_overhead.json``.
 """
 
@@ -41,7 +41,7 @@ def test_obs_overhead_gate(bench_report):
         "telemetry layer must be purely observational"
     )
     extra = payload["extra"]
-    assert extra["registry_matches_legacy_stats"] is True
+    assert extra["registry_matches_health_counters"] is True
     # The acceptance gate: full instrumentation costs <= 3% tick latency.
     assert extra["overhead_pct"] <= OBS_OVERHEAD_BUDGET_PCT, payload
     assert extra["within_budget"] is True, payload

@@ -24,6 +24,7 @@ LIVE_LAYERS = {
         "core.pipeline.sai.self_s",
         "core.monitor.tick_date.calls",
         "obs.views.runtime_health.calls",
+        "stream.tiers.hot_seals",
     ),
     "stream_tiered": (
         "stream.deltas.compute_signal_delta.self_s",

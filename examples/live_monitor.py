@@ -81,11 +81,11 @@ def main() -> None:
         if tick.alert is not None:
             line += f" — {tick.alert.describe()}"
         print(line)
-    stats = reference.stream_stats
+    counters = reference.runtime_health()["counters"]
     print(
-        f"\n{stats['posts_ingested']} posts ingested, "
-        f"{stats['retunes']} retunes, {stats['tara_rescores']} TARA "
-        f"rescores, {stats['alerts']} alert(s)"
+        f"\n{counters['posts_ingested']} posts ingested, "
+        f"{counters['retunes']} retunes, {counters['tara_rescores']} TARA "
+        f"rescores, {counters['alerts']} alert(s)"
     )
 
     # -- stop, checkpoint, resume --------------------------------------

@@ -1,8 +1,8 @@
 """Frozen replica of the pre-columnar per-object index (bench reference).
 
 The S9 columnar bench (:func:`repro.analysis.benchkit.run_columnar_bench`)
-measures ingest throughput of the columnar
-:class:`~repro.stream.index.StreamingCorpusIndex` against the append
+measures ingest throughput of the columnar stream index
+(:class:`~repro.stream.tiers.TieredCorpusIndex`) against the append
 path it replaced: per-post ``Post``/``PostAnalysis`` object lists, three
 ``dict[str, list[int]]`` posting maps rebuilt from scratch on every
 compaction, and the default fixed compaction threshold.  That code no

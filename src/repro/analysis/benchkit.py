@@ -706,11 +706,7 @@ def run_stream_bench(
             "dirty_keywords": len(tick.dirty),
             "retuned": tick.retuned,
             "segments": runtime.index.segment_stats,
-            "stats": {
-                k: v
-                for k, v in runtime.stream_stats.items()
-                if k != "shard_stats"
-            },
+            "stats": runtime.runtime_health()["counters"],
             "metrics": metrics.snapshot(),
         },
     )
@@ -841,7 +837,6 @@ def run_shard_bench(
     for round_end in round_ends:
         sharded.advance_to(round_end)
     engine_s = time.perf_counter() - start
-    engine_stats = sharded.stream_stats
     sharded.close()
 
     # -- equivalence: year-by-year parity with the single-feed run -----------
@@ -863,7 +858,7 @@ def run_shard_bench(
         equivalent=equivalent,
         extra={
             "cpus": available_cpus(),
-            "executor": engine_stats["executor"],
+            "executor": sharded.executor.kind,
             "naive_evaluations": naive_evaluations,
             "engine_evaluations": len(round_ends),
             "scaling_fixed_shard_volume": scaling,
@@ -1087,7 +1082,7 @@ def _s9_equivalent(pool) -> bool:
     import datetime as dt
 
     from repro.analysis._legacy_index import LegacyStreamingCorpusIndex
-    from repro.stream.index import StreamingCorpusIndex
+    from repro.stream.tiers import TieredCorpusIndex
 
     posts = [
         post
@@ -1097,7 +1092,7 @@ def _s9_equivalent(pool) -> bool:
         for post in batch
     ]
     arrival = posts[0::3] + posts[1::3] + posts[2::3]
-    engine = StreamingCorpusIndex(compact_threshold=700)
+    engine = TieredCorpusIndex(compact_threshold=700)
     legacy = LegacyStreamingCorpusIndex(compact_threshold=700)
     for start in range(0, len(arrival), 257):
         chunk = arrival[start : start + 257]
@@ -1126,10 +1121,11 @@ def run_columnar_bench(profile: str = "full") -> BenchResult:
 
     Both sides consume the identical deterministic synthetic stream in
     date-ordered micro-batches; only the time inside ``append`` is on
-    the clock.  The engine side is the columnar
-    :class:`~repro.stream.index.StreamingCorpusIndex` under a geometric
-    compaction policy (ratio 0.5, no fixed threshold), so its total
-    compaction work is O(posts) array concatenation.  The naive side is
+    the clock.  The engine side is the stream index
+    (:class:`~repro.stream.tiers.TieredCorpusIndex`) without retention,
+    under a geometric seal policy (ratio 0.5, no fixed threshold), so
+    its total seal and consolidation work is O(posts) array
+    concatenation.  The naive side is
     the frozen pre-columnar replica
     (:mod:`repro.analysis._legacy_index`) under its original default
     policy — a fixed 1024-post threshold whose every compaction rebuilds
@@ -1153,7 +1149,7 @@ def run_columnar_bench(profile: str = "full") -> BenchResult:
         LegacyStreamingCorpusIndex,
     )
     from repro.analysis.benchjson import peak_rss_kb
-    from repro.stream.index import StreamingCorpusIndex
+    from repro.stream.tiers import TieredCorpusIndex
 
     if profile not in S9_PROFILES:
         raise ValueError(
@@ -1165,9 +1161,7 @@ def run_columnar_bench(profile: str = "full") -> BenchResult:
     batch_posts = dims["batch_posts"]
     pool = _s9_text_pool(_S9_DISTINCT_TEXTS)
 
-    engine = StreamingCorpusIndex(
-        compact_threshold=1 << 30, compact_ratio=0.5
-    )
+    engine = TieredCorpusIndex(compact_threshold=1 << 30, compact_ratio=0.5)
     engine_s = _s9_timed_ingest(engine, engine_posts, batch_posts, pool)
     engine_rss = peak_rss_kb()
     engine_segments = engine.segment_stats
@@ -1224,18 +1218,19 @@ def run_columnar_bench(profile: str = "full") -> BenchResult:
     )
 
 
-# -- tiered retention vs single-tier flat index ------------------------------
+# -- tiered retention vs no retention -----------------------------------------
 
 #: S10 workload profiles: a multi-year sharded stream replayed twice —
-#: once on the tiered (hot/warm/cold) index, once on the single-tier
-#: PR-7 configuration — comparing *steady-state tick latency* and peak
-#: RSS.  ``full`` is the acceptance workload (5 years); ``smoke`` is the
-#: CI profile — same kernels, same equivalence checks, a fraction of
-#: the wall time.  The flat side's extra cost is its whole-corpus
-#: compactions, so the smoke stream must be long enough for them to
-#: stand out from tick noise: at 2 years × 96 posts/day (~35k posts per
-#: shard) a flat compaction is a cheap array concat and the ratio sat
-#: near 1×; 5 years × 256 posts/day (~234k per shard) reads ~3–4×.
+#: once with retention knobs (hot/warm/cold tiers), once without (the
+#: "flat" phase: every post stays warm) — comparing *steady-state tick
+#: latency* and peak RSS.  ``full`` is the acceptance workload (5
+#: years); ``smoke`` is the CI profile — same kernels, same equivalence
+#: checks, a fraction of the wall time.  The flat side's extra cost is
+#: its whole-history consolidations, so the smoke stream must be long
+#: enough for them to stand out from tick noise: at 2 years × 96
+#: posts/day (~35k posts per shard) one is a cheap array concat and the
+#: ratio sat near 1×; 5 years × 256 posts/day (~234k per shard) reads
+#: ~2–3×.
 S10_PROFILES: Dict[str, Dict[str, int]] = {
     "full": {
         "years": 5,
@@ -1275,7 +1270,7 @@ S10_RSS_RATIO_BUDGET: Dict[str, float] = {
 #: compute (arena sweep + sentiment for matches) is then a minority
 #: cost shared by both sides, and the measured ratio isolates the
 #: structural difference — bounded per-span tier maintenance vs
-#: O(corpus) single-tier compactions that grow with stream age.
+#: O(corpus) consolidations that grow with stream age.
 _S10_TOPICS = (
     "dpf delete kit fitted for the fleet",
     "routine telematics mileage log",
@@ -1369,8 +1364,8 @@ def _s10_run_phase(
 def _s10_steady_seconds(tick_seconds: Sequence[float]) -> float:
     """Mean per-tick latency over the final 20% of ticks.
 
-    By then the flat side's corpus — and with it each compaction — has
-    reached its full-stream size, while the tiered side has settled
+    By then the flat side's corpus — and with it each consolidation —
+    has reached its full-stream size, while the tiered side has settled
     into its bounded hot/warm working set; the tail mean is the
     steady-state cost an always-on monitor actually pays.
     """
@@ -1391,17 +1386,16 @@ def _s10_alert_keys(runtime) -> List[tuple]:
 
 
 def run_retention_bench(profile: str = "full") -> BenchResult:
-    """Time tiered steady-state ticks against the single-tier index.
+    """Time tiered steady-state ticks against ticks without retention.
 
     Both phases drive the identical deterministic multi-year stream
     through a :class:`~repro.stream.sharding.ShardedStreamRuntime` —
-    first on the tiered hot/warm/cold index (retention knobs set),
-    then on the single-tier PR-7 configuration (flat columnar index,
-    default compaction policy).  ``naive_seconds`` /
-    ``engine_seconds`` are the *steady-state per-tick latency means*
-    (final 20% of ticks), so ``speedup`` is the flat-over-tiered
-    latency ratio: the factor by which tier decay shrinks the
-    always-on monitor's tick cost once the corpus has aged.
+    first with retention knobs set (hot/warm/cold tiers), then without
+    (the flat phase: one unbounded warm span, default seal policy).
+    ``naive_seconds`` / ``engine_seconds`` are the *steady-state
+    per-tick latency means* (final 20% of ticks), so ``speedup`` is the
+    flat-over-tiered latency ratio: the factor by which tier decay
+    shrinks the always-on monitor's tick cost once the corpus has aged.
 
     The tiered phase runs first: ``ru_maxrss`` is a process-lifetime
     maximum, so its snapshot is an exact tiered ceiling and the flat
@@ -1458,7 +1452,7 @@ def run_retention_bench(profile: str = "full") -> BenchResult:
             "ticks": ticks,
             "alerts": _s10_alert_keys(runtime),
             "table": result.sai.as_rows() if result is not None else None,
-            "segments": runtime.stream_stats["shard_stats"][0]["index"],
+            "segments": runtime.shard_indexes[0].segment_stats,
         }
         runtime.close()
         return summary
@@ -1514,7 +1508,7 @@ def run_retention_bench(profile: str = "full") -> BenchResult:
             "profile": profile,
             "semantics": (
                 "naive/engine seconds are steady-state per-tick latency "
-                "means over the final 20% of ticks (flat single-tier vs "
+                "means over the final 20% of ticks (no retention vs "
                 "tiered); speedup is their ratio"
             ),
             "ticks": len(tiered["ticks"]),
@@ -1735,7 +1729,7 @@ def _s12_phase_main(config_path: str) -> None:
         "ticks": ticks,
         "alerts": _s10_alert_keys(runtime),
         "table": result.sai.as_rows() if result is not None else None,
-        "segments": runtime.stream_stats["shard_stats"][0]["index"],
+        "segments": runtime.shard_indexes[0].segment_stats,
         "store": dict(store.stats) if store is not None else None,
         "peak_rss_kb": peak_rss_kb(),
     }
@@ -1945,9 +1939,9 @@ def run_obs_overhead_bench(
     and hovers at ~1.0x; the gate is ``extra.overhead_pct``.
 
     Equivalence checks the instrumentation is purely observational:
-    identical final insider tables, SAI rows and legacy ``stream_stats``
+    identical final insider tables, SAI rows and health-document
     counters on both sides — and the registry's own counters must agree
-    with the legacy dict it mirrors.
+    with those counters.
     """
     from repro.core.config import TargetApplication
     from repro.obs.registry import MetricsRegistry
@@ -1979,14 +1973,14 @@ def run_obs_overhead_bench(
             pass
         elapsed = time.perf_counter() - start
         result = runtime.current_result
-        stats = runtime.stream_stats
+        counters = runtime.runtime_health()["counters"]
         return elapsed, {
             "table": (
                 result.insider_table.as_rows() if result is not None else None
             ),
             "sai": result.sai.as_rows() if result is not None else None,
             "counters": {
-                k: stats[k]
+                k: counters[k]
                 for k in ("ticks", "posts_ingested", "retunes", "alerts")
             },
         }
@@ -2039,7 +2033,7 @@ def run_obs_overhead_bench(
             "instrumented_seconds_per_round": [
                 round(t, 4) for t in instr_times
             ],
-            "registry_matches_legacy_stats": registry_agrees,
+            "registry_matches_health_counters": registry_agrees,
             "metrics": registry.snapshot(),
         },
     )

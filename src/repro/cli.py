@@ -223,16 +223,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             print(line)
     finally:
         runtime.close()
-    stats = runtime.stream_stats
+    health = runtime.runtime_health()
+    counters = health["counters"]
     print(
-        f"\n{stats['ticks']} ticks, {stats['posts_ingested']} posts ingested "
-        f"({stats['posts_rejected']} rejected), {stats['retunes']} retunes, "
-        f"{stats['tara_rescores']} TARA rescores, {stats['alerts']} alert(s)"
+        f"\n{counters['ticks']} ticks, {counters['posts_ingested']} posts "
+        f"ingested ({counters['posts_rejected']} rejected), "
+        f"{counters['retunes']} retunes, {counters['tara_rescores']} TARA "
+        f"rescores, {counters['alerts']} alert(s)"
     )
     def tier_lines(segments):
-        tiers = segments.get("tiers")
-        if tiers is None:
-            return ["  (flat index — no tiers; set --warm-span/--cold-age)"]
+        tiers = segments["tiers"]
         hot, warm, cold = tiers["hot"], tiers["warm"], tiers["cold"]
         lines = [
             f"  hot:  {hot['posts']} posts across {hot['spans']} span(s)",
@@ -262,19 +262,19 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
         return lines
 
-    for shard in stats["shard_stats"]:
+    for shard in health["shard_stats"]:
         segments = shard["index"]
         print(
             f"shard {shard['shard']}: {shard['posts']} posts, index "
             f"segments: base {segments['base_posts']} + tail "
-            f"{segments['tail_posts']} posts, {segments['compactions']} "
+            f"{segments['tail_posts']} posts, {segments['hot_seals']} "
             "compaction(s)"
         )
         if args.stats:
             for line in tier_lines(segments):
                 print(line)
-    if stats.get("learned_keywords"):
-        print(f"learned keywords: {', '.join(stats['learned_keywords'])}")
+    if counters["learned_keywords"]:
+        print(f"learned keywords: {', '.join(counters['learned_keywords'])}")
     if registry is not None:
         described = obs_views.describe_stages(
             obs_views.stage_latencies(registry)
@@ -489,20 +489,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--compact-ratio", type=float, default=None,
-        help="also compact the index when tail/base exceeds this ratio "
-             "(default: fixed threshold only)",
+        help="also seal the index's hot tail when it exceeds this ratio "
+             "of the sealed posts (default: fixed threshold only)",
     )
     stream.add_argument(
         "--warm-span", type=int, default=None, metavar="DAYS",
         help="tiered retention: seal hot posts into date-bounded warm "
-             "segments of this many days (default: flat index; 90 when "
-             "only --cold-age is given)",
+             "segments of this many days (default: no retention; 90 "
+             "when only --cold-age is given)",
     )
     stream.add_argument(
         "--cold-age", type=int, default=None, metavar="DAYS",
         help="tiered retention: freeze warm segments older than this "
              "many days into cold segments with aggregate sidecars "
-             "(default: flat index; 365 when only --warm-span is given)",
+             "(default: no retention; 365 when only --warm-span is "
+             "given)",
     )
     stream.add_argument(
         "--spill-dir", default=None, metavar="DIR",
@@ -590,12 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--warm-span", type=int, default=None, metavar="DAYS",
         help="replay on tiered indexes: warm segment span in days "
-             "(default: flat index)",
+             "(default: no retention)",
     )
     replay.add_argument(
         "--cold-age", type=int, default=None, metavar="DAYS",
         help="replay on tiered indexes: cold seal age horizon in days "
-             "(default: flat index)",
+             "(default: no retention)",
     )
     replay.add_argument(
         "--spill-dir", default=None, metavar="DIR",

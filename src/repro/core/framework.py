@@ -31,6 +31,8 @@ from repro.core.pipeline import (
     LearnStage,
     PipelineContext,
     PSPPipeline,
+    SAIStage,
+    SplitStage,
     run_fleet,
 )
 from repro.core.sai import SAIComputer, SAIList
@@ -120,6 +122,13 @@ class PSPFramework:
         self._sai_computer = SAIComputer(client, config=self._config)
         self._classifier = InsiderOutsiderClassifier(client)
         self._tuner = WeightTuner(self._config.tuning)
+        # Built once: the stages score with this framework's computer
+        # and classifier, so a run builds no analyzer.
+        self._pipeline = (
+            PSPPipeline.default(learn=False)
+            .replacing(SAIStage(self._sai_computer))
+            .replacing(SplitStage(self._classifier))
+        )
 
     @property
     def database(self) -> KeywordDatabase:
@@ -248,7 +257,7 @@ class PSPFramework:
                     learned_keywords=learned,
                 )
 
-        PSPPipeline.default(learn=False).run(context)
+        self._pipeline.run(context)
         sai, split, tuning = context.sai, context.split, context.tuning
         if self._sai_cache is not None:
             self._sai_cache.put(

@@ -44,7 +44,6 @@ from repro.obs.views import (
     describe_stages,
     runtime_health,
     stage_latencies,
-    stream_stats,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "runtime_health",
     "stage_latencies",
     "stats_table",
-    "stream_stats",
     "trace_for",
     "write_snapshot",
 ]

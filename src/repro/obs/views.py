@@ -1,23 +1,21 @@
-"""Registry-backed runtime-health views and the legacy stat aliases.
+"""Registry-backed runtime-health views.
 
 Every stream runtime is a
 :class:`~repro.stream.runtime.ShardedStreamRuntime` (a single feed is
-one shard), and its ``stream_stats`` property delegates here, so every
-stats consumer (``repro stream --stats``, the replay audit, the bench
-harness) reads one shape from **one** source:
+one shard), and every stats consumer (``repro stream``, the replay
+audit, the bench harness) reads one shape from **one** source:
 
 * :func:`runtime_health` — the unified, schema-versioned health
   document: counters, per-stage latency summaries (from the shared
   registry when instrumentation is on), and one index row per shard;
-* :func:`stream_stats` — the **deprecated legacy aliases**: exactly the
-  flat dict shape the pre-obs sharded runtime returned, derived from the
-  health document (``tests/obs/test_stat_views.py`` pins both shapes);
 * :func:`stage_latencies` — count/total/mean per tick stage out of the
   ``psp_tick_stage_seconds`` histogram.
 
 The counters in the health document are also what the registry's
 ``psp_*_total`` instruments hold — ``tests/obs/test_stat_views.py``
-asserts the two stay equal, which is the "one source" contract.
+asserts the two stay equal, which is the "one source" contract.  A
+caller that needs only the index rows reads each shard index's
+``segment_stats`` directly, which merges no registry.
 """
 
 from __future__ import annotations
@@ -107,24 +105,6 @@ def runtime_health(runtime) -> Dict[str, object]:
             )
         ],
     }
-
-
-def stream_stats(runtime) -> Dict[str, object]:
-    """The legacy flat ``stream_stats`` dict — **deprecated aliases**.
-
-    Exactly the pre-obs sharded shape, key for key, derived from
-    :func:`runtime_health` so old dashboards and benches keep working
-    while new consumers read the health document (or the registry
-    directly).
-    """
-    health = runtime_health(runtime)
-    counters: Dict[str, object] = dict(health["counters"])  # type: ignore[arg-type]
-    stats: Dict[str, object] = {"ticks": counters.pop("ticks")}
-    for key in ("shards", "executor", "cursors"):
-        stats[key] = health[key]
-    stats.update(counters)
-    stats["shard_stats"] = health["shard_stats"]
-    return stats
 
 
 def describe_stages(

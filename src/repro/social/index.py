@@ -115,8 +115,8 @@ class CorpusIndex:
     def extended_with(self, posts: Iterable[Post]) -> "CorpusIndex":
         """A new index over this one's posts plus ``posts``.
 
-        This is the compaction primitive of the streaming layer
-        (:class:`~repro.stream.index.StreamingCorpusIndex`).  In-order
+        This is the seal and consolidation primitive of the stream
+        index (:class:`~repro.stream.tiers.TieredCorpusIndex`).  In-order
         extensions — the streaming common case — concatenate every
         column and the arena at C speed instead of re-indexing;
         out-of-order extensions gather-merge on the global

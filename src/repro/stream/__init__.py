@@ -7,13 +7,11 @@ everything.  This package is their streaming counterpart — the paper's
 
 * :mod:`repro.stream.feed` — posts as replayable :class:`PostEvent`
   streams behind the :class:`FeedSource` protocol;
-* :mod:`repro.stream.index` — an appendable corpus index
-  (:class:`StreamingCorpusIndex`: immutable base + mutable tail segment,
-  periodically compacted, query-equivalent to a from-scratch rebuild);
-* :mod:`repro.stream.tiers` — the time-decay tiered index
-  (:class:`TieredCorpusIndex`: hot tail / date-bounded warm segments /
-  immutable cold segments with aggregate sidecars, per-tier compaction
-  cadence) behind the :func:`build_stream_index` factory;
+* :mod:`repro.stream.tiers` — the stream index
+  (:class:`TieredCorpusIndex`: an appendable hot tail / date-bounded
+  warm segments / immutable cold segments with aggregate sidecars,
+  query-equivalent to a from-scratch rebuild; without retention knobs
+  it keeps the whole history warm);
 * :mod:`repro.stream.deltas` — dirty-keyword tracking and running SAI
   aggregates, so an arriving micro-batch updates keyword evidence in
   O(new posts) instead of O(corpus);
@@ -53,12 +51,10 @@ from repro.stream.deltas import (
     compute_signal_delta_columnar,
 )
 from repro.stream.feed import FeedSource, PostEvent, SyntheticFeed
-from repro.stream.index import StreamingCorpusIndex
 from repro.stream.tiers import (
     DEFAULT_COLD_AGE_DAYS,
     DEFAULT_WARM_SPAN_DAYS,
     TieredCorpusIndex,
-    build_stream_index,
 )
 from repro.stream.replay import (
     BestEffortFeed,
@@ -99,11 +95,9 @@ __all__ = [
     "SignalDelta",
     "StreamRuntime",
     "StreamTick",
-    "StreamingCorpusIndex",
     "SyntheticFeed",
     "TickEvaluator",
     "TieredCorpusIndex",
-    "build_stream_index",
     "compute_signal_delta",
     "compute_signal_delta_columnar",
     "load_checkpoint",

@@ -21,11 +21,18 @@ deltas can simply be deleted.  :func:`restore_runtime` accepts either a
 base checkpoint or a ``(delta, base=...)`` pair and verifies the two
 belong together via the base's content-derived id.
 
-The post index is deliberately **not** checkpointed: alerting never
-needs historical posts (the aggregates carry the evidence), and a
-queryable index can be re-hydrated by replaying the feed into
-:meth:`~repro.stream.index.StreamingCorpusIndex.append` when an
-operator actually wants one.
+A base checkpoint also carries the stream index (its tiers, in the
+:meth:`~repro.stream.tiers.TieredCorpusIndex.state_dict` layout), so a
+restored runtime answers historical queries like the one that stopped.
+``include_index=False`` writes the lean layout instead: alerting never
+needs historical posts (the aggregates carry the evidence), so the
+index may restart empty.  Delta checkpoints never carry the index, and
+a delta restore starts it empty.
+
+Version 2 is the current layout.  Version-1 files still restore: they
+differ only in the index of a runtime without retention knobs, which
+version 1 wrote in the flat ``base``/``tail`` layout that
+:meth:`~repro.stream.tiers.TieredCorpusIndex.load_state` still reads.
 """
 
 from __future__ import annotations
@@ -39,7 +46,10 @@ from repro.stream.runtime import StreamRuntime
 from repro.stream.store import StoreError
 
 #: Bump on incompatible checkpoint layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Versions :func:`load_checkpoint` and :func:`restore_runtime` accept.
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 #: Payload kinds; payloads without a ``kind`` are legacy base snapshots.
 KIND_BASE = "base"
@@ -173,10 +183,10 @@ def save_delta_checkpoint(
 
 def _validated(payload: Dict[str, Any]) -> Dict[str, Any]:
     version = payload.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported checkpoint version {version!r} "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected one of {_READABLE_VERSIONS})"
         )
     kind = payload.get("kind", KIND_BASE)
     if kind == KIND_BASE and "runtime" not in payload:

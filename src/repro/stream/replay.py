@@ -545,9 +545,9 @@ def replay_scenario(
         config: pipeline tunables shared by both sides.
         checkpoint_dir: where mid-run checkpoints are written
             (``shards == 1`` only); a temp directory by default.
-        warm_span_days / cold_age_days: retention knobs; setting either
-            replays on tiered indexes (hot/warm/cold with sidecars)
-            instead of the flat streaming index, with every audit —
+        warm_span_days / cold_age_days: retention knobs, passed to the
+            runtimes' indexes (unset: no retention; either set: hot,
+            warm and cold tiers with sidecars), with every audit —
             parity, checkpoint resume, bounded memory — unchanged.
         spill_dir / max_resident_cold: when ``spill_dir`` is set (tiered
             retention required), cold seals spill their columns into a
@@ -647,8 +647,8 @@ def replay_scenario(
             stream_tables[boundary] = _table_rows(runtime.current_table)
             if tick.retuned and boundary not in shadow:
                 last_retuned = boundary
-            for shard_stats in runtime.stream_stats["shard_stats"]:
-                index_stats = shard_stats["index"]
+            for index in runtime.shard_indexes:
+                index_stats = index.segment_stats
                 if not _segments_bounded(
                     index_stats,
                     threshold=REPLAY_COMPACT_THRESHOLD,
@@ -683,7 +683,7 @@ def replay_scenario(
             if runtime.current_result is not None
             else None
         )
-        stream_stats = runtime.stream_stats
+        counters = runtime.runtime_health()["counters"]
     finally:
         runtime.close()
 
@@ -838,8 +838,8 @@ def replay_scenario(
         posts=len(posts),
         stream_alerts=stream_alert_count,
         batch_alerts=batch_alert_count,
-        retunes=int(stream_stats["retunes"]),  # type: ignore[arg-type]
-        forced_retunes=int(stream_stats["forced_retunes"]),  # type: ignore[arg-type]
+        retunes=int(counters["retunes"]),  # type: ignore[index]
+        forced_retunes=int(counters["forced_retunes"]),  # type: ignore[index]
         excluded_boundaries=len(shadow | catchup),
         alert_parity=alert_parity,
         table_parity=table_parity,

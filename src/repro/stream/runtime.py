@@ -11,9 +11,8 @@ consumes a micro-batch per shard and performs, in order:
    rejected *before* it can dirty any keyword) and is reduced to an
    additive :class:`~repro.stream.deltas.SignalDelta` by the arena-sweep
    batch kernel, through a pluggable :mod:`~repro.core.executor`;
-2. **shard merge** — the accepted posts join the shard's index (the
-   flat :class:`~repro.stream.index.StreamingCorpusIndex` or the tiered
-   :class:`~repro.stream.tiers.TieredCorpusIndex`) and the delta folds
+2. **shard merge** — the accepted posts join the shard's
+   :class:`~repro.stream.tiers.TieredCorpusIndex` and the delta folds
    into the shard's :class:`~repro.stream.deltas.DeltaTracker` and into
    the maintained pure-sum merge of all shards;
 3. **conditional weight retune** — insider weights are re-derived only
@@ -34,7 +33,7 @@ additive deltas.
 The first evaluation always tunes (establishing the baseline table and
 never alerting — the monitor's first-tick contract).  All mutable state
 is checkpointable (``state_dict``/``load_state``; for
-:class:`StreamRuntime` also the version-1 files of
+:class:`StreamRuntime` also the files of
 :mod:`repro.stream.checkpoint`): a stopped runtime resumes from its
 cursors and emits the same remaining alerts as an uninterrupted run.
 """
@@ -65,9 +64,8 @@ from repro.obs.trace import trace_for
 from repro.social.post import Post
 from repro.stream.deltas import DeltaTracker, SignalDelta, compute_signal_delta
 from repro.stream.feed import FeedSource, PostEvent
-from repro.stream.index import DEFAULT_COMPACT_THRESHOLD, StreamingCorpusIndex
 from repro.stream.store import DEFAULT_MAX_RESIDENT_COLD, SegmentStore
-from repro.stream.tiers import build_stream_index
+from repro.stream.tiers import DEFAULT_COMPACT_THRESHOLD, TieredCorpusIndex
 from repro.tara.lifecycle import LifecycleTracker
 from repro.tara.model import compile_threat_model
 from repro.tara.scoring import (
@@ -451,7 +449,7 @@ class _ShardState:
 
     shard_id: int
     feed: FeedSource
-    index: StreamingCorpusIndex  # or TieredCorpusIndex (duck-compatible)
+    index: TieredCorpusIndex
     deltas: DeltaTracker
     cursor: int = -1
     metrics: object = None
@@ -496,14 +494,14 @@ class ShardedStreamRuntime:
             the index or the aggregates.
         batch_size: default per-shard micro-batch size for :meth:`tick`
             and :meth:`run`.
-        compact_threshold / compact_ratio: per-shard index compaction
-            policy (see :class:`~repro.stream.index.
-            StreamingCorpusIndex`).
-        warm_span_days / cold_age_days: per-shard retention knobs;
-            setting either builds every shard on a
-            :class:`~repro.stream.tiers.TieredCorpusIndex` (hot tail,
-            date-bounded warm segments, cold segments with aggregate
-            sidecars) instead of the flat streaming index.
+        compact_threshold / compact_ratio: per-shard hot-tail size
+            policy (see :class:`~repro.stream.tiers.TieredCorpusIndex`).
+        warm_span_days / cold_age_days: per-shard retention knobs of
+            the :class:`~repro.stream.tiers.TieredCorpusIndex` (hot
+            tail, date-bounded warm segments, cold segments with
+            aggregate sidecars).  Unset, every shard's index retains
+            its whole history; with one set, the other takes its
+            default.
         spill_dir / max_resident_cold: when ``spill_dir`` is set, ONE
             :class:`~repro.stream.store.SegmentStore` opens there and
             every shard spills its cold seals into it (keys are
@@ -511,8 +509,8 @@ class ShardedStreamRuntime:
             collide); shard appends run serially in the merge leg, so
             the shared store sees no concurrent writes.
             ``max_resident_cold`` bounds the hydrated cold segments kept
-            resident (None = the store default).  Requires tiered
-            retention.
+            resident (None = the store default).  Both require a
+            retention knob: without one there is no cold tier to spill.
         executor: explicit :mod:`~repro.core.executor` instance; wins
             over ``workers``.
         workers: requested parallelism for the shard jobs; resolved by
@@ -603,6 +601,14 @@ class ShardedStreamRuntime:
             metrics=self._metrics,
             trace=self._trace,
         )
+        if warm_span_days is None and cold_age_days is None and (
+            spill_dir is not None or max_resident_cold is not None
+        ):
+            raise ValueError(
+                "spill-to-disk requires tiered retention: set "
+                "warm_span_days or cold_age_days alongside "
+                "spill_dir/max_resident_cold"
+            )
         # All shards spill into ONE store: keys are content-addressed,
         # so a shared directory is collision-free, and shard appends run
         # serially in the merge leg, so the store sees no concurrent
@@ -610,11 +616,6 @@ class ShardedStreamRuntime:
         # a runtime-wide resource, not a per-shard one).
         self._store: Optional[SegmentStore] = None
         if spill_dir is not None:
-            if warm_span_days is None and cold_age_days is None:
-                raise ValueError(
-                    "spill-to-disk requires tiered retention: set "
-                    "warm_span_days or cold_age_days alongside spill_dir"
-                )
             self._store = SegmentStore(
                 spill_dir,
                 max_resident_cold=(
@@ -629,7 +630,7 @@ class ShardedStreamRuntime:
         for shard_id, feed in enumerate(feeds):
             deltas = DeltaTracker(database, region=region, analyzer=analyzer)
             shard_metrics = self._metrics.child()
-            index = build_stream_index(
+            index = TieredCorpusIndex(
                 compact_threshold=compact_threshold,
                 compact_ratio=compact_ratio,
                 warm_span_days=warm_span_days,
@@ -732,7 +733,7 @@ class ShardedStreamRuntime:
         return tuple(shard.cursor for shard in self._shards)
 
     @property
-    def shard_indexes(self) -> Tuple[StreamingCorpusIndex, ...]:
+    def shard_indexes(self) -> Tuple[TieredCorpusIndex, ...]:
         """Per-shard appendable corpus indexes."""
         return tuple(shard.index for shard in self._shards)
 
@@ -794,16 +795,6 @@ class ShardedStreamRuntime:
         """The static-table TARA (None without a network)."""
         return self._evaluator.baseline_tara()
 
-    @property
-    def stream_stats(self) -> Dict[str, object]:
-        """Operational counters for dashboards and benches.
-
-        **Deprecated alias**: the flat pre-obs dict shape, now derived
-        from :func:`repro.obs.views.runtime_health` so every stats
-        consumer reads from one source.
-        """
-        return obs_views.stream_stats(self)
-
     def runtime_health(self) -> Dict[str, object]:
         """The unified, schema-versioned health document (see
         :mod:`repro.obs.views`)."""
@@ -847,11 +838,7 @@ class ShardedStreamRuntime:
                 )
                 shard.deltas.apply_delta(delta)
                 self._merged.apply_delta(delta)
-                adopt_sidecar = getattr(
-                    shard.index, "adopt_sidecar_keywords", None
-                )
-                if adopt_sidecar is not None:
-                    adopt_sidecar(shard.deltas.keywords)
+                shard.index.adopt_sidecar_keywords(shard.deltas.keywords)
             self._adopted_keywords.extend(added)
             self._learned_total.inc(len(added))
         for tracker in (self._merged, *self.shard_deltas):
@@ -1135,8 +1122,8 @@ class StreamRuntime(ShardedStreamRuntime):
 
     The tick, drivers, keyword learning and stats are the shared ones;
     this class adds what a single feed needs: its :attr:`cursor` and
-    :attr:`index`, a flat :meth:`ingest`, :meth:`step`, and the
-    version-1 checkpoint API of :mod:`repro.stream.checkpoint`, whose
+    :attr:`index`, a flat :meth:`ingest`, :meth:`step`, and the file
+    checkpoint API of :mod:`repro.stream.checkpoint`, whose
     ``cursor``/``deltas``/``index`` layout is the one shard's state.
     Its shard job runs serially.  The arguments are
     :class:`ShardedStreamRuntime`'s, with one ``feed`` in place of
@@ -1189,13 +1176,8 @@ class StreamRuntime(ShardedStreamRuntime):
         return self._shards[0].cursor
 
     @property
-    def index(self):
-        """The appendable corpus index of everything ingested.
-
-        A :class:`~repro.stream.index.StreamingCorpusIndex`, or a
-        :class:`~repro.stream.tiers.TieredCorpusIndex` when retention
-        knobs were set — query- and checkpoint-compatible either way.
-        """
+    def index(self) -> TieredCorpusIndex:
+        """The feed's stream index (what it retains of everything ingested)."""
         return self._shards[0].index
 
     def ingest(
@@ -1211,7 +1193,7 @@ class StreamRuntime(ShardedStreamRuntime):
         """Consume the next micro-batch; None when the feed is drained."""
         return self.tick(batch_size)
 
-    # -- version-1 checkpoint API -------------------------------------------
+    # -- file checkpoint API ------------------------------------------------
 
     @property
     def checkpoint_base_id(self) -> Optional[str]:
@@ -1224,7 +1206,7 @@ class StreamRuntime(ShardedStreamRuntime):
         return self._checkpoint_base_id
 
     def state_dict(self, *, include_index: bool = True) -> Dict[str, object]:
-        """The version-1 snapshot that :mod:`repro.stream.checkpoint` writes.
+        """The snapshot that :mod:`repro.stream.checkpoint` writes.
 
         The one shard's ``cursor``, ``deltas`` and (unless
         ``include_index=False``) ``index`` beside the shared scalars.

@@ -1,21 +1,19 @@
-"""Time-decay tiered corpus index: hot / warm / cold segments.
+"""The stream index: an appendable corpus index with time-decay tiers.
 
-The flat delta-segment index (:class:`~repro.stream.index.
-StreamingCorpusIndex`) keeps one base+tail pair: every compaction
-re-concatenates the *entire* base's columns (O(corpus) array work per
-compaction) and the base's arena and interned analyses all stay
-resident forever — RSS grows with retention.  At the paper's
-multi-year horizons both costs dominate.  :class:`TieredCorpusIndex`
-replaces the single base with a time-decay hierarchy:
+:class:`~repro.social.index.CorpusIndex` is immutable by design — its
+date-sorted columns and haystack arena are global, so a single appended
+post would shift every position after it.  :class:`TieredCorpusIndex`
+keeps appended posts in segments instead, in a time-decay hierarchy:
 
 * **hot** — the append-only tail of recent arrivals, kept as plain
-  posts and indexed lazily, exactly like the flat index's tail;
+  posts and indexed lazily on first query;
 * **warm** — date-bounded segments.  When arrivals cross a time
   boundary (every ``warm_span_days`` of post dates), the posts of
   completed spans seal out of the hot tail into per-span
-  :class:`~repro.social.index.CorpusIndex` chunks.  Spans consolidate
-  their chunks on their own cadence, so consolidation cost is bounded
-  by a span's size — never by total retention;
+  :class:`~repro.social.index.CorpusIndex` chunks.  A size policy
+  (``compact_threshold``/``compact_ratio``) also seals the whole tail.
+  Spans consolidate their chunks on their own cadence, so consolidation
+  cost is bounded by a span's size — never by total retention;
 * **cold** — once a span's entire date range is older than
   ``cold_age_days`` (measured against the newest post seen), the span
   seals immutably: its raw columns are demoted to compact plain
@@ -27,6 +25,11 @@ replaces the single base with a time-decay hierarchy:
   materializable (replay parity, late keyword backfill) but are never
   cached — a cold segment costs its column data, nothing more.
 
+Without retention knobs the index keeps everything: one warm span
+that never completes and no cold tier, so the hot tail seals only
+under the size policy and the warm span's chunks consolidate into one
+segment holding the whole history.
+
 Query routing bisects tiers by date range: a window query only sweeps
 the hot tail, the warm chunks it overlaps, and materializes only the
 cold segments it overlaps (a steady-state monitoring window overlaps
@@ -35,11 +38,14 @@ none).  Every segment answers with the same arena sweep
 one keyword matcher, so sealing a segment builds no term index.
 Results stay post-for-post identical to a from-scratch
 :class:`~repro.social.index.CorpusIndex` over the same posts —
-property-tested in ``tests/properties/test_tiered_equivalence.py``.
+including out-of-order arrivals, since every merge keys on
+``(created_at, post_id)`` — property-tested in
+``tests/properties/test_tiered_equivalence.py`` and
+``tests/properties/test_stream_index_equivalence.py``.
 
-:func:`build_stream_index` is the runtime's factory: retention knobs
-unset returns the flat index (every pre-existing behaviour, test and
-checkpoint untouched); either knob set returns a tiered index.
+All warm segments share one :class:`~repro.social.columnar.
+TextInterner`, so a text is analyzed once however many seals and
+consolidations its post survives.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ from repro.stream.deltas import (
     compute_signal_delta,
     compute_signal_delta_columnar,
 )
-from repro.stream.index import DEFAULT_COMPACT_THRESHOLD, StreamingCorpusIndex
 from repro.stream.store import (
     DEFAULT_MAX_RESIDENT_COLD,
     HydrationCache,
@@ -75,10 +80,13 @@ from repro.stream.store import (
 
 __all__ = [
     "DEFAULT_COLD_AGE_DAYS",
+    "DEFAULT_COMPACT_THRESHOLD",
     "DEFAULT_WARM_SPAN_DAYS",
     "TieredCorpusIndex",
-    "build_stream_index",
 ]
+
+#: Default hot-tail size that seals the whole tail into warm segments.
+DEFAULT_COMPACT_THRESHOLD = 1024
 
 #: Resident cold segments get process-unique cache tokens (never
 #: serialized; a restore mints fresh ones).
@@ -130,6 +138,54 @@ def _oldest_ord(posts: Iterable[Post]) -> Optional[int]:
 def _plain_columns(compact: Mapping[str, object]) -> Dict[str, object]:
     """The JSON-serialisable form of a :func:`_compact_columns` dict."""
     return {key: list(value) for key, value in compact.items()}  # type: ignore[call-overload]
+
+
+def _merged(chunks: Sequence[CorpusIndex]) -> CorpusIndex:
+    """One chunk holding every chunk's posts, newest chunks folded first.
+
+    Chunks are listed oldest first, and the oldest is the largest (a
+    span's earlier consolidations).  Folding from the newest end copies
+    it once per merge, where a left fold would copy it once per later
+    chunk and keep each copy alive until the next.  ``extended_with``
+    merges on the global sort key, so the columns are the same either
+    way.
+    """
+    merged = chunks[-1]
+    for chunk in reversed(chunks[:-1]):
+        merged = chunk.extended_with_index(merged)
+    return merged
+
+
+def _optional_int(value: object) -> Optional[int]:
+    return None if value is None else int(value)  # type: ignore[call-overload]
+
+
+def _tiered_from_flat(state: Mapping[str, object]) -> Dict[str, object]:
+    """A version-1 flat-index snapshot as a :meth:`state_dict` one.
+
+    The flat index kept a ``base`` segment and an arrival-order
+    ``tail``.  Without retention those are one warm chunk of the
+    unbounded span and the hot tail, and each of its compactions was a
+    hot seal.
+    """
+    base: Mapping[str, list] = state["base"]  # type: ignore[assignment]
+    tail: Mapping[str, list] = state["tail"]  # type: ignore[assignment]
+    return {
+        "layout": "tiered",
+        "hot": tail,
+        "warm": [{"span": 0, "chunks": [base]}] if base["post_ids"] else [],
+        "cold": [],
+        "appends": state["appends"],
+        "hot_seals": state["compactions"],
+        "consolidations": 0,
+        "cold_seals": 0,
+        "interner_evicted": 0,
+        "max_ord": max(base["dates"] + tail["dates"], default=-1),
+        "compact_threshold": state["compact_threshold"],
+        "compact_ratio": state.get("compact_ratio"),
+        "warm_span_days": None,
+        "cold_age_days": None,
+    }
 
 
 class _ColdSegment:
@@ -204,23 +260,33 @@ class _ColdSegment:
 
 
 class TieredCorpusIndex:
-    """An appendable index with per-tier compaction and decay.
+    """The stream index: appends, queries, backfill and checkpoints.
 
-    Duck-type compatible with :class:`~repro.stream.index.
-    StreamingCorpusIndex` (appends, queries, stats, checkpoints), with
-    the flat base+tail replaced by the hot/warm/cold hierarchy described
-    in the module docstring.
+    Every stream runtime keeps one per shard.  Appending a micro-batch
+    is O(batch); queries sweep each overlapping segment and merge on
+    the global sort key.  The hot/warm/cold hierarchy is described in
+    the module docstring.
 
     Args:
         posts: initial posts (run through the normal tier lifecycle).
-        compact_threshold: hot-tail size that forces a full seal of the
-            tail into warm segments (the flat index's threshold policy).
-        compact_ratio: optional hot/retained ratio that also forces a
-            full seal (the flat index's ratio policy).
+        compact_threshold: hot-tail size that seals the whole tail into
+            warm segments.  Small values exercise sealing; large values
+            keep appends O(batch) for longer.
+        compact_ratio: optional hot/retained size ratio that also seals
+            the whole tail.  The fixed threshold alone lets a small
+            retained corpus drag a comparatively huge tail (every query
+            pays a second near-full sweep); a ratio of e.g. ``0.25``
+            bounds the tail at a quarter of the retained posts, and
+            because each seal grows them geometrically the amortised
+            append cost stays O(batch × (1 + 1/ratio)).  ``None`` keeps
+            the pure-threshold policy.
         warm_span_days: days of post dates per warm span; arrivals
             crossing a span boundary seal the completed spans.
         cold_age_days: age horizon (vs the newest post date seen) past
-            which a whole span seals cold.
+            which a whole span seals cold.  With neither retention knob
+            set the index retains everything (one unbounded warm span,
+            no cold tier); with one set, the other takes its default
+            (:data:`DEFAULT_WARM_SPAN_DAYS`, :data:`DEFAULT_COLD_AGE_DAYS`).
         sidecar_keywords: keyword universe swept into cold sidecars at
             seal time (None = no sidecars; purely structural tiering).
         sidecar_region: SAI region scope of the sidecar bucket sums —
@@ -246,8 +312,8 @@ class TieredCorpusIndex:
         *,
         compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
         compact_ratio: Optional[float] = None,
-        warm_span_days: int = DEFAULT_WARM_SPAN_DAYS,
-        cold_age_days: int = DEFAULT_COLD_AGE_DAYS,
+        warm_span_days: Optional[int] = None,
+        cold_age_days: Optional[int] = None,
         sidecar_keywords: Optional[Sequence[str]] = None,
         sidecar_region: Optional[str] = None,
         sidecar_analyzer=None,
@@ -263,14 +329,19 @@ class TieredCorpusIndex:
             raise ValueError(
                 f"compact_ratio must be > 0, got {compact_ratio}"
             )
-        if warm_span_days < 1:
-            raise ValueError(
-                f"warm_span_days must be >= 1, got {warm_span_days}"
-            )
-        if cold_age_days < 1:
-            raise ValueError(
-                f"cold_age_days must be >= 1, got {cold_age_days}"
-            )
+        if warm_span_days is not None or cold_age_days is not None:
+            if warm_span_days is None:
+                warm_span_days = DEFAULT_WARM_SPAN_DAYS
+            if cold_age_days is None:
+                cold_age_days = DEFAULT_COLD_AGE_DAYS
+            if warm_span_days < 1:
+                raise ValueError(
+                    f"warm_span_days must be >= 1, got {warm_span_days}"
+                )
+            if cold_age_days < 1:
+                raise ValueError(
+                    f"cold_age_days must be >= 1, got {cold_age_days}"
+                )
         self._compact_threshold = compact_threshold
         self._compact_ratio = compact_ratio
         self._warm_span_days = warm_span_days
@@ -365,6 +436,8 @@ class TieredCorpusIndex:
     # -- tier arithmetic ----------------------------------------------------
 
     def _span_of(self, ordinal: int) -> int:
+        if self._warm_span_days is None:
+            return 0  # the one unbounded span
         return ordinal // self._warm_span_days
 
     def _span_last_ord(self, span: int) -> int:
@@ -375,9 +448,15 @@ class TieredCorpusIndex:
     def append(self, posts: Iterable[Post]) -> int:
         """Append new posts; returns how many were added.
 
-        Atomic like the flat index's append: ids are validated up
-        front, so a duplicate rejects the whole batch and leaves every
-        tier exactly as it was.
+        The append is atomic: ids are validated up front, so a
+        duplicate rejects the whole batch and leaves every tier exactly
+        as it was.
+
+        Raises:
+            ValueError: when a post id is already present, or repeated
+                within the batch (feeds must not replay posts;
+                authenticity filtering happens before the index, see
+                the runtime).
         """
         batch = list(posts)
         seen: Set[str] = set()
@@ -402,26 +481,34 @@ class TieredCorpusIndex:
         self._maintain()
         return len(batch)
 
-    def _maintain(self) -> None:
+    def _maintain(self, *, force: bool = False) -> None:
         """One round of per-tier maintenance after an append."""
-        self._seal_hot()
+        self._seal_hot(force=force)
         self._consolidate_warm()
         self._seal_cold()
 
-    def _seal_hot(self) -> None:
+    def compact(self) -> None:
+        """Force-seal the whole hot tail into warm segments."""
+        self._maintain(force=True)
+
+    def _seal_hot(self, *, force: bool = False) -> None:
         """Move completed-span (or policy-triggered) hot posts to warm.
 
         Without a policy trigger the check is O(1): no hot post can
         belong to a completed span while the oldest one is in the
-        current span.
+        current span.  ``force`` seals the whole tail.
         """
         tail = len(self._hot)
         if tail == 0:
             return
         retained = self._warm_count + self._cold_count
-        full = tail >= self._compact_threshold or (
-            self._compact_ratio is not None
-            and tail >= self._compact_ratio * max(1, retained)
+        full = (
+            force
+            or tail >= self._compact_threshold
+            or (
+                self._compact_ratio is not None
+                and tail >= self._compact_ratio * max(1, retained)
+            )
         )
         if full:
             to_seal = self._hot
@@ -459,17 +546,14 @@ class TieredCorpusIndex:
         for span, chunks in self._warm.items():
             if len(chunks) < WARM_CONSOLIDATE_CHUNKS:
                 continue
-            merged = chunks[0]
-            for chunk in chunks[1:]:
-                merged = merged.extended_with_index(chunk)
-            self._warm[span] = [merged]
+            self._warm[span] = [_merged(chunks)]
             self._consolidations += 1
             self._consolidations_total.inc()
             self._last_consolidation_append = self._appends
 
     def _seal_cold(self) -> None:
         """Demote warm spans entirely past the age horizon to cold."""
-        if self._max_ord < 0 or not self._warm:
+        if self._cold_age_days is None or self._max_ord < 0 or not self._warm:
             return
         horizon = self._max_ord - self._cold_age_days
         expired = [
@@ -480,11 +564,7 @@ class TieredCorpusIndex:
         if not expired:
             return
         for span in expired:
-            chunks = self._warm.pop(span)
-            merged = chunks[0]
-            for chunk in chunks[1:]:
-                merged = merged.extended_with_index(chunk)
-            columns = merged.columns
+            columns = _merged(self._warm.pop(span)).columns
             sidecar = None
             if self._sidecar_keywords is not None:
                 sidecar = SegmentSidecar.build(
@@ -530,30 +610,6 @@ class TieredCorpusIndex:
         evicted = self._interner.prune(keep)
         self._interner_evicted += evicted
         self._evicted_total.inc(evicted)
-
-    def compact(self) -> None:
-        """Force-seal the whole hot tail into warm segments."""
-        if not self._hot:
-            return
-        sealed = len(self._hot)
-        by_span: Dict[int, List[Post]] = {}
-        for post in self._hot:
-            by_span.setdefault(
-                self._span_of(post.created_at.toordinal()), []
-            ).append(post)
-        for span in sorted(by_span):
-            chunk = CorpusIndex(by_span[span], interner=self._interner)
-            self._warm.setdefault(span, []).append(chunk)
-            self._warm_count += len(chunk)
-        self._hot = []
-        self._hot_min_ord = None
-        self._hot_index = None
-        self._hot_seals += 1
-        self._hot_seals_total.inc()
-        self._sealed_hist.observe(sealed, tier="warm")
-        self._last_hot_seal_append = self._appends
-        self._consolidate_warm()
-        self._seal_cold()
 
     # -- segment access -----------------------------------------------------
 
@@ -663,14 +719,15 @@ class TieredCorpusIndex:
 
     @property
     def segment_stats(self) -> Dict[str, object]:
-        """Flat-compatible counters plus the per-tier rows.
+        """Segment sizes, policy and maintenance counters, plus the tier rows.
 
-        ``base_posts``/``tail_posts``/``compactions`` keep the flat
-        index's meaning (retained-sealed/hot/maintenance-events), so
-        policy audits like the replay harness's bounded-memory check
-        read tiered stats unchanged.  ``base_arena_chars`` counts only
+        ``base_posts`` counts the sealed (warm and cold) posts and
+        ``tail_posts`` the hot tail — what the replay audit's
+        bounded-memory check and ``repro stream`` read — and
+        ``compactions`` every seal and consolidation.
+        ``base_arena_chars`` counts only
         *warm* arenas — cold segments hold no arena, which is the
-        memory reclaim this layout exists for.
+        memory reclaim the cold tier exists for.
         """
         warm_chunks = self._warm_chunks()
         return {
@@ -943,18 +1000,17 @@ class TieredCorpusIndex:
         wholesale — a resumed index must seal and consolidate at
         exactly the moments the uninterrupted run would.  The sidecar
         analyzer/region context is *not* part of the snapshot; the
-        owning runtime re-supplies it at construction.
+        owning runtime re-supplies it at construction.  A version-1
+        flat-index snapshot (``base``/``tail``, no ``layout`` key)
+        restores as an index without retention.
         """
         if state.get("layout") != "tiered":
-            raise ValueError(
-                "snapshot is not a tiered-index state_dict (missing "
-                "layout='tiered'); use StreamingCorpusIndex.load_state"
-            )
+            state = _tiered_from_flat(state)
         self._compact_threshold = int(state["compact_threshold"])  # type: ignore[arg-type]
         ratio = state.get("compact_ratio")
         self._compact_ratio = None if ratio is None else float(ratio)  # type: ignore[arg-type]
-        self._warm_span_days = int(state["warm_span_days"])  # type: ignore[arg-type]
-        self._cold_age_days = int(state["cold_age_days"])  # type: ignore[arg-type]
+        self._warm_span_days = _optional_int(state["warm_span_days"])
+        self._cold_age_days = _optional_int(state["cold_age_days"])
         self._interner = TextInterner()
         self._hot = columns_to_posts(state["hot"])  # type: ignore[arg-type]
         self._hot_min_ord = _oldest_ord(self._hot)
@@ -1042,84 +1098,14 @@ class TieredCorpusIndex:
         self._consolidations = int(state["consolidations"])  # type: ignore[arg-type]
         self._cold_seals = int(state["cold_seals"])  # type: ignore[arg-type]
         self._interner_evicted = int(state["interner_evicted"])  # type: ignore[arg-type]
-        last_hot = state.get("last_hot_seal_append")
-        last_cons = state.get("last_consolidation_append")
-        last_cold = state.get("last_cold_seal_append")
-        self._last_hot_seal_append = None if last_hot is None else int(last_hot)  # type: ignore[arg-type]
-        self._last_consolidation_append = (
-            None if last_cons is None else int(last_cons)  # type: ignore[arg-type]
+        self._last_hot_seal_append = _optional_int(
+            state.get("last_hot_seal_append")
         )
-        self._last_cold_seal_append = (
-            None if last_cold is None else int(last_cold)  # type: ignore[arg-type]
+        self._last_consolidation_append = _optional_int(
+            state.get("last_consolidation_append")
+        )
+        self._last_cold_seal_append = _optional_int(
+            state.get("last_cold_seal_append")
         )
         self._max_ord = int(state["max_ord"])  # type: ignore[arg-type]
 
-
-def build_stream_index(
-    posts: Iterable[Post] = (),
-    *,
-    compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
-    compact_ratio: Optional[float] = None,
-    warm_span_days: Optional[int] = None,
-    cold_age_days: Optional[int] = None,
-    sidecar_keywords: Optional[Sequence[str]] = None,
-    sidecar_region: Optional[str] = None,
-    sidecar_analyzer=None,
-    store: Optional[SegmentStore] = None,
-    spill_dir=None,
-    max_resident_cold: Optional[int] = None,
-    metrics=None,
-):
-    """The runtime's index factory: flat by default, tiered on request.
-
-    With both retention knobs unset the flat
-    :class:`~repro.stream.index.StreamingCorpusIndex` is returned —
-    byte-identical behaviour and checkpoints to every prior release.
-    Setting either knob returns a :class:`TieredCorpusIndex` (the unset
-    knob takes its default).  ``spill_dir`` opens (or adopts) a
-    :class:`~repro.stream.store.SegmentStore` there and attaches it so
-    cold seals spill to disk; pass ``store`` instead to share one store
-    instance across several indexes (sharded runtimes).  ``metrics``
-    threads the owning runtime's telemetry registry into either index
-    flavour (and a ``spill_dir``-opened store).
-    """
-    if warm_span_days is None and cold_age_days is None:
-        if store is not None or spill_dir is not None or max_resident_cold is not None:
-            raise ValueError(
-                "spill-to-disk requires tiered retention: set warm_span_days "
-                "or cold_age_days (--warm-span/--cold-age) alongside "
-                "spill_dir/max_resident_cold"
-            )
-        return StreamingCorpusIndex(
-            posts,
-            compact_threshold=compact_threshold,
-            compact_ratio=compact_ratio,
-            metrics=metrics,
-        )
-    if store is None and spill_dir is not None:
-        store = SegmentStore(
-            spill_dir,
-            max_resident_cold=(
-                DEFAULT_MAX_RESIDENT_COLD
-                if max_resident_cold is None
-                else max_resident_cold
-            ),
-            metrics=metrics,
-        )
-    return TieredCorpusIndex(
-        posts,
-        compact_threshold=compact_threshold,
-        compact_ratio=compact_ratio,
-        warm_span_days=(
-            DEFAULT_WARM_SPAN_DAYS if warm_span_days is None else warm_span_days
-        ),
-        cold_age_days=(
-            DEFAULT_COLD_AGE_DAYS if cold_age_days is None else cold_age_days
-        ),
-        sidecar_keywords=sidecar_keywords,
-        sidecar_region=sidecar_region,
-        sidecar_analyzer=sidecar_analyzer,
-        store=store,
-        max_resident_cold=max_resident_cold,
-        metrics=metrics,
-    )

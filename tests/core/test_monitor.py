@@ -295,3 +295,44 @@ class TestCachedMonthlyTicks:
         assert len(fetched) == len(boundaries)
         years = spec.end_year - spec.start_year + 1
         assert len(cached.client.cache) <= len(database) * years == 45
+
+    def test_monthly_ticks_build_no_analyzer(self, monkeypatch):
+        import datetime as dt
+
+        from repro.core.framework import PSPFramework
+        from repro.core.timewindow import TimeWindow
+        from repro.nlp.sentiment import SentimentAnalyzer
+        from repro.social.registry import get_scenario
+        from repro.stream.replay import month_boundaries
+
+        spec = get_scenario("ecm")
+        boundaries = month_boundaries(spec.start_year, spec.end_year)[:12]
+        cached = PSPFramework(
+            spec.client(), spec.target, database=spec.database(), cache=True
+        )
+        monitor = PSPMonitor(cached, start_year=spec.start_year)
+        builds = []
+        original_init = SentimentAnalyzer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SentimentAnalyzer, "__init__", counting_init)
+        for boundary in boundaries:
+            monitor.tick_date(boundary)
+        monkeypatch.undo()
+        assert len(builds) == 0
+
+        fresh = PSPFramework(
+            spec.client(), spec.target, database=spec.database()
+        )
+        for boundary in boundaries:
+            window = TimeWindow(
+                since=dt.date(spec.start_year, 1, 1), until=boundary
+            )
+            # The cached run is the tick's own result, memoised per window.
+            assert (
+                cached.run(window, learn=False).sai.as_rows()
+                == fresh.run(window, learn=False).sai.as_rows()
+            ), boundary

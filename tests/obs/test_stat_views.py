@@ -1,10 +1,9 @@
-"""Shape-pinning tests for the unified health views and legacy aliases.
+"""Shape-pinning tests for the unified health views.
 
 ``repro.obs.views`` promises two things this file pins:
 
-* the **deprecated** ``stream_stats`` aliases keep exactly the pre-obs
-  flat sharded dict shape, key for key, for every shard count — a
-  single-feed ``StreamRuntime`` reports it with one shard row;
+* every runtime, single-feed or sharded, reports one health document
+  shape, with one index row per shard;
 * the registry's ``psp_*_total`` counters and the health document's
   counter block stay equal — the "one source" contract.
 """
@@ -16,7 +15,6 @@ from repro.obs.views import (
     describe_stages,
     runtime_health,
     stage_latencies,
-    stream_stats,
 )
 from repro.social import ecm_reprogramming_corpus
 from repro.stream.feed import SyntheticFeed
@@ -26,20 +24,15 @@ from tests.conftest import build_ecm_database
 
 ECM_TARGET = TargetApplication("car", "europe", "passenger")
 
-#: The exact pre-obs ``ShardedStreamRuntime.stream_stats`` key order,
-#: which every runtime now reports.
-SHARDED_KEYS = [
-    "ticks",
+#: The health document's key order, which every runtime reports.
+HEALTH_KEYS = [
+    "health_schema",
+    "runtime",
+    "counters",
+    "stages",
     "shards",
     "executor",
     "cursors",
-    "posts_ingested",
-    "posts_rejected",
-    "retunes",
-    "forced_retunes",
-    "tara_rescores",
-    "alerts",
-    "learned_keywords",
     "shard_stats",
 ]
 
@@ -66,38 +59,8 @@ def _sharded(**kwargs):
     )
 
 
-class TestLegacyShapes:
-    def test_single_runtime_shape_is_pinned(self):
-        runtime = _single()
-        runtime.run()
-        stats = runtime.stream_stats
-        assert list(stats) == SHARDED_KEYS
-        assert stats["shards"] == 1
-        assert stats["executor"] == "serial"
-        assert stats["cursors"] == [runtime.cursor]
-        (row,) = stats["shard_stats"]
-        assert row["index"] == runtime.index.segment_stats
-
-    def test_sharded_runtime_shape_is_pinned(self):
-        runtime = _sharded()
-        runtime.run()
-        assert list(runtime.stream_stats) == SHARDED_KEYS
-
-    def test_instrumentation_does_not_change_the_legacy_dict(self):
-        plain = _single()
-        plain.run()
-        instrumented = _single(metrics=MetricsRegistry())
-        instrumented.run()
-        assert instrumented.stream_stats == plain.stream_stats
-
-    def test_alias_matches_module_function(self):
-        runtime = _single()
-        runtime.run()
-        assert runtime.stream_stats == stream_stats(runtime)
-
-
 class TestOneSourceContract:
-    COUNTER_TO_LEGACY = {
+    COUNTER_TO_HEALTH = {
         "psp_ticks_total": "ticks",
         "psp_posts_ingested_total": "posts_ingested",
         "psp_posts_rejected_total": "posts_rejected",
@@ -108,20 +71,20 @@ class TestOneSourceContract:
     }
 
     def _assert_counters_agree(self, runtime):
-        stats = runtime.stream_stats
+        counters = runtime_health(runtime)["counters"]
         collected = runtime.metrics.collect()
-        for metric, legacy in self.COUNTER_TO_LEGACY.items():
-            assert collected[metric].value() == stats[legacy], metric
+        for metric, key in self.COUNTER_TO_HEALTH.items():
+            assert collected[metric].value() == counters[key], metric
         assert collected["psp_keywords_learned_total"].value() == len(
-            stats["learned_keywords"]
+            counters["learned_keywords"]
         )
 
-    def test_single_runtime_registry_equals_legacy(self):
+    def test_single_runtime_registry_equals_health(self):
         runtime = _single(metrics=MetricsRegistry())
         runtime.run()
         self._assert_counters_agree(runtime)
 
-    def test_sharded_runtime_registry_equals_legacy(self):
+    def test_sharded_runtime_registry_equals_health(self):
         runtime = _sharded(metrics=MetricsRegistry())
         runtime.run()
         self._assert_counters_agree(runtime)
@@ -132,8 +95,10 @@ class TestHealthDocument:
         runtime = _single(metrics=MetricsRegistry())
         runtime.run()
         health = runtime_health(runtime)
+        assert list(health) == HEALTH_KEYS
         assert health["health_schema"] == HEALTH_SCHEMA_VERSION == 2
         assert health["runtime"] == "sharded"
+        assert health["executor"] == "serial"
         assert health["counters"]["ticks"] == len(runtime.ticks)
         assert health["shards"] == 1
         assert health["cursors"] == [runtime.cursor]
@@ -151,6 +116,7 @@ class TestHealthDocument:
         runtime = _sharded(metrics=MetricsRegistry())
         runtime.run()
         health = runtime_health(runtime)
+        assert list(health) == HEALTH_KEYS
         assert health["runtime"] == "sharded"
         assert health["shards"] == 2
         assert len(health["shard_stats"]) == 2
@@ -161,6 +127,17 @@ class TestHealthDocument:
         runtime = _single()
         runtime.run()
         assert runtime_health(runtime)["stages"] == {}
+
+    def test_instrumentation_changes_only_the_stages(self):
+        plain = _single()
+        plain.run()
+        instrumented = _single(metrics=MetricsRegistry())
+        instrumented.run()
+        plain_health = runtime_health(plain)
+        instrumented_health = runtime_health(instrumented)
+        assert plain_health.pop("stages") == {}
+        assert instrumented_health.pop("stages")
+        assert instrumented_health == plain_health
 
 
 class TestStageLatencies:

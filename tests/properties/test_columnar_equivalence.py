@@ -35,7 +35,7 @@ from repro.social.columnar import (
 from repro.social.index import CorpusIndex
 from repro.social.post import Engagement, Post
 from repro.stream.deltas import DeltaTracker, compute_signal_delta_columnar
-from repro.stream.index import StreamingCorpusIndex
+from repro.stream.tiers import TieredCorpusIndex
 
 WORDS = (
     "dpf", "delete", "deleting", "deletes", "egr", "removal", "tuning",
@@ -232,7 +232,7 @@ class TestStreamingColumnarEquivalence:
 
         arrival = list(posts)
         random.Random(data).shuffle(arrival)
-        streaming = StreamingCorpusIndex(compact_threshold=threshold)
+        streaming = TieredCorpusIndex(compact_threshold=threshold)
         step = max(1, threshold - 1)
         for start in range(0, len(arrival), step):
             streaming.append(arrival[start : start + step])
@@ -254,11 +254,11 @@ class TestStreamingColumnarEquivalence:
     def test_state_round_trip_preserves_segments_and_queries(
         self, posts, threshold
     ):
-        streaming = StreamingCorpusIndex(compact_threshold=threshold)
+        streaming = TieredCorpusIndex(compact_threshold=threshold)
         for start in range(0, len(posts), 3):
             streaming.append(posts[start : start + 3])
         state = json.loads(json.dumps(streaming.state_dict()))
-        restored = StreamingCorpusIndex(compact_threshold=threshold)
+        restored = TieredCorpusIndex(compact_threshold=threshold)
         restored.load_state(state)
         assert restored.segment_stats == streaming.segment_stats
         assert list(restored.posts) == list(streaming.posts)

@@ -39,7 +39,8 @@ from repro.social.api import InMemoryClient, SearchQuery
 from repro.social.corpus import Corpus
 from repro.social.index import CorpusIndex
 from repro.social.post import Engagement, Post
-from repro.stream.tiers import TieredCorpusIndex, build_stream_index
+from repro.stream.store import SegmentStore
+from repro.stream.tiers import TieredCorpusIndex
 
 WORDS = (
     "dpf", "delete", "deleting", "egr", "removal", "kit", "install",
@@ -127,12 +128,19 @@ def _stream(draw):
     return posts, batches, knobs
 
 
+def _store_index(directory, knobs, *, max_resident_cold=2, **extra):
+    """A tiered index spilling into the store at ``directory``/store."""
+    store = SegmentStore(
+        Path(directory) / "store", max_resident_cold=max_resident_cold
+    )
+    return TieredCorpusIndex(
+        store=store, max_resident_cold=max_resident_cold, **knobs, **extra
+    )
+
+
 def _spilled(batches, knobs, directory, *, max_resident_cold=2, **extra):
-    index = build_stream_index(
-        spill_dir=Path(directory) / "store",
-        max_resident_cold=max_resident_cold,
-        **knobs,
-        **extra,
+    index = _store_index(
+        directory, knobs, max_resident_cold=max_resident_cold, **extra
     )
     for batch in batches:
         index.append(batch)
@@ -201,9 +209,7 @@ class TestSpillEquivalence:
         _, batches, knobs = data
         with tempfile.TemporaryDirectory(prefix="spill-prop-") as tmp:
             spilled = _spilled(batches, knobs, tmp)
-            restored = build_stream_index(
-                spill_dir=Path(tmp) / "store", max_resident_cold=2, **knobs
-            )
+            restored = _store_index(tmp, knobs)
             restored.load_state(spilled.state_dict())
             assert _layout(restored.segment_stats) == _layout(
                 spilled.segment_stats

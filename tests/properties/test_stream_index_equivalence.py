@@ -1,10 +1,10 @@
 """Property tests: streamed index == from-scratch rebuild.
 
-The contract of :class:`repro.stream.index.StreamingCorpusIndex`: after
-any sequence of appends — random micro-batch sizes, arbitrary arrival
-order, any compaction cadence — ``search_many`` answers post-for-post
-identically to a :class:`repro.social.index.CorpusIndex` built from
-scratch over the union of everything appended.
+The contract of :class:`repro.stream.tiers.TieredCorpusIndex` without
+retention: after any sequence of appends — random micro-batch sizes,
+arbitrary arrival order, any seal cadence — ``search_many`` answers
+post-for-post identically to a :class:`repro.social.index.CorpusIndex`
+built from scratch over the union of everything appended.
 """
 
 import datetime as dt
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.social.index import CorpusIndex
 from repro.social.post import Post
-from repro.stream.index import StreamingCorpusIndex
+from repro.stream.tiers import TieredCorpusIndex
 
 #: Same edge-shape vocabulary as the batch index property tests:
 #: stem collisions, mid-token carriers, phrase halves, boundary bait.
@@ -92,7 +92,7 @@ class TestStreamedIndexEquivalence:
     @given(data=_posts_and_batches())
     def test_streamed_equals_rebuilt_over_union(self, data):
         posts, batches, threshold = data
-        streaming = StreamingCorpusIndex(compact_threshold=threshold)
+        streaming = TieredCorpusIndex(compact_threshold=threshold)
         for batch in batches:
             streaming.append(batch)
         rebuilt = CorpusIndex(posts)
@@ -115,7 +115,7 @@ class TestStreamedIndexEquivalence:
     @given(data=_posts_and_batches(), limit=st.integers(min_value=1, max_value=4))
     def test_limit_matches_rebuilt(self, data, limit):
         posts, batches, threshold = data
-        streaming = StreamingCorpusIndex(compact_threshold=threshold)
+        streaming = TieredCorpusIndex(compact_threshold=threshold)
         for batch in batches:
             streaming.append(batch)
         rebuilt = CorpusIndex(posts)
@@ -130,7 +130,7 @@ class TestStreamedIndexEquivalence:
     @given(data=_posts_and_batches())
     def test_mid_stream_queries_match_prefix_rebuild(self, data):
         _, batches, threshold = data
-        streaming = StreamingCorpusIndex(compact_threshold=threshold)
+        streaming = TieredCorpusIndex(compact_threshold=threshold)
         seen = []
         for batch in batches:
             streaming.append(batch)

@@ -154,10 +154,11 @@ class TestCheckpointFormat:
         )
         # the ingest counter comes from the aggregates, not the index,
         # so it also survives lean (include_index=False) restores
-        assert resumed.stream_stats["posts_ingested"] == (
-            runtime.stream_stats["posts_ingested"]
-        )
-        assert resumed.stream_stats["posts_ingested"] > 0
+        ingested = resumed.runtime_health()["counters"]["posts_ingested"]
+        assert ingested > 0
+        assert ingested == runtime.runtime_health()["counters"][
+            "posts_ingested"
+        ]
 
     def test_reannotated_database_drops_cached_classifications(self, tmp_path):
         import datetime as dt
@@ -224,7 +225,10 @@ class TestCheckpointFormat:
             batch_size=BATCH,
         )
         assert resumed.cursor == runtime.cursor
-        assert resumed.stream_stats["retunes"] == runtime.stream_stats["retunes"]
+        assert (
+            resumed.runtime_health()["counters"]["retunes"]
+            == runtime.runtime_health()["counters"]["retunes"]
+        )
         assert (
             resumed.current_table.as_rows() == runtime.current_table.as_rows()
         )

@@ -1,18 +1,22 @@
-"""Golden version-1 checkpoint files: same run, same bytes.
+"""Golden checkpoint files: same run, same bytes, and old files restore.
 
-``golden/checkpoint_v1/<layout>/`` holds the three files one
-single-feed ECM run writes, once on the flat index and once on the
-tiered index (90-day warm spans, 365-day cold horizon):
+``golden/checkpoint_v2/<layout>/`` holds the three files one
+single-feed ECM run writes, once without retention knobs (``flat``)
+and once with them (``tiered``: 90-day warm spans, 365-day cold
+horizon):
 
 * ``base.json`` — :func:`save_checkpoint` after three micro-batch ticks;
 * ``delta.json`` — :func:`save_delta_checkpoint` two ticks later;
 * ``state.json`` — ``state_dict(include_index=False)`` at that point.
 
-The same run must keep writing byte-identical files, and the golden
-base + delta pair must keep restoring into a runtime that finishes on
-the uninterrupted run's alerts and tables.
+The same run must keep writing byte-identical files.  The version-1
+files of the same run (``golden/checkpoint_v1/``, written when the flat
+layout had its own index class) stay as restore fixtures: every golden
+base + delta pair, and every base on its own, must keep restoring into
+a runtime that finishes on the uninterrupted run's alerts and tables.
 
-Regenerate only together with a ``CHECKPOINT_VERSION`` bump::
+Regenerate the current version's files only together with a
+``CHECKPOINT_VERSION`` bump (and keep the old ones)::
 
     PYTHONPATH=src python -m tests.stream.test_checkpoint_golden
 """
@@ -25,6 +29,7 @@ import pytest
 from repro.core.config import TargetApplication
 from repro.social import ecm_reprogramming_corpus
 from repro.stream.checkpoint import (
+    CHECKPOINT_VERSION,
     restore_runtime,
     save_checkpoint,
     save_delta_checkpoint,
@@ -33,7 +38,9 @@ from repro.stream.feed import SyntheticFeed
 from repro.stream.runtime import StreamRuntime
 from tests.conftest import build_ecm_database
 
-GOLDEN = Path(__file__).parent / "golden" / "checkpoint_v1"
+GOLDEN_ROOT = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_ROOT / f"checkpoint_v{CHECKPOINT_VERSION}"
+GOLDEN_V1 = GOLDEN_ROOT / "checkpoint_v1"
 ECM_TARGET = TargetApplication("car", "europe", "passenger")
 BATCH = 100
 BASE_TICKS = 3
@@ -91,23 +98,20 @@ def test_run_writes_the_golden_bytes(layout, tmp_path):
         assert written == (GOLDEN / layout / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_golden_delta_resumes_to_the_uninterrupted_tables(layout):
-    reference = _runtime(layout)
-    reference.run()
-
-    resumed = restore_runtime(
-        GOLDEN / layout / "delta.json",
+def _restore(directory, layout, *, delta):
+    source = directory / layout / ("delta.json" if delta else "base.json")
+    return restore_runtime(
+        source,
         _feed(),
         build_ecm_database(),
-        base=GOLDEN / layout / "base.json",
+        base=directory / layout / "base.json" if delta else None,
         target=ECM_TARGET,
         batch_size=BATCH,
         **LAYOUTS[layout],
     )
-    assert resumed.cursor == (BASE_TICKS + DELTA_TICKS) * BATCH - 1
-    delta = json.loads((GOLDEN / layout / "delta.json").read_text())
-    done = delta["runtime_delta"]["alert_count"]
+
+
+def _assert_finishes_like(resumed, reference, *, done):
     resumed.run()
     assert _alert_keys(resumed) == _alert_keys(reference)[done:]
     assert (
@@ -117,6 +121,53 @@ def test_golden_delta_resumes_to_the_uninterrupted_tables(layout):
         resumed.current_result.sai.as_rows()
         == reference.current_result.sai.as_rows()
     )
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_golden_delta_resumes_to_the_uninterrupted_tables(layout):
+    reference = _runtime(layout)
+    reference.run()
+
+    for directory in (GOLDEN_V1, GOLDEN):
+        resumed = _restore(directory, layout, delta=True)
+        assert resumed.cursor == (BASE_TICKS + DELTA_TICKS) * BATCH - 1
+        delta = json.loads((directory / layout / "delta.json").read_text())
+        _assert_finishes_like(
+            resumed, reference, done=delta["runtime_delta"]["alert_count"]
+        )
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_v1_base_restores_with_its_index(layout):
+    # A delta restore starts the index empty, so only a base on its own
+    # shows that a version-1 index still loads.
+    uninterrupted = _runtime(layout)
+    for _ in range(BASE_TICKS):
+        uninterrupted.step()
+    resumed = _restore(GOLDEN_V1, layout, delta=False)
+    assert resumed.cursor == uninterrupted.cursor == BASE_TICKS * BATCH - 1
+    assert len(resumed.index) == BASE_TICKS * BATCH
+    assert resumed.index.posts == uninterrupted.index.posts
+    for keyword in build_ecm_database().keywords:
+        assert resumed.index.matching(keyword) == (
+            uninterrupted.index.matching(keyword)
+        ), keyword
+
+    reference = _runtime(layout)
+    reference.run()
+    _assert_finishes_like(
+        resumed, reference, done=len(uninterrupted.alerts)
+    )
+
+
+def test_tiered_layout_is_unchanged_since_v1():
+    for name in FILES:
+        current = json.loads((GOLDEN / "tiered" / name).read_text())
+        original = json.loads((GOLDEN_V1 / "tiered" / name).read_text())
+        if "checkpoint_version" in original:
+            assert original.pop("checkpoint_version") == 1
+            assert current.pop("checkpoint_version") == CHECKPOINT_VERSION
+        assert current == original, name
 
 
 if __name__ == "__main__":

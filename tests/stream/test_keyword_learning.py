@@ -110,7 +110,8 @@ class TestMidStreamLearning:
         scratch.run()
 
         _assert_tracker_parity(streamed.deltas, scratch.deltas)
-        assert streamed.stream_stats["learned_keywords"] == ["stage1"]
+        counters = streamed.runtime_health()["counters"]
+        assert counters["learned_keywords"] == ["stage1"]
         if retention:
             stats = streamed.index.segment_stats
             assert stats["cold_seals"] > 0, "learning never crossed a seal"
@@ -194,7 +195,8 @@ class TestShardedLearning:
             streamed.shard_deltas, scratch.shard_deltas
         ):
             _assert_tracker_parity(shard_streamed, shard_scratch)
-        assert streamed.stream_stats["learned_keywords"] == ["stage1"]
+        counters = streamed.runtime_health()["counters"]
+        assert counters["learned_keywords"] == ["stage1"]
         streamed.close()
         scratch.close()
 

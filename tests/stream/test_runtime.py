@@ -61,7 +61,7 @@ class TestTickLoop:
             ecm_reprogramming_corpus()
         )
         assert runtime.step() is None  # drained
-        assert runtime.stream_stats["ticks"] == len(ticks)
+        assert runtime.runtime_health()["counters"]["ticks"] == len(ticks)
 
     def test_ecm_trend_shift_matches_batch_monitor(self, ecm_framework):
         batch = PSPMonitor(ecm_framework, start_year=2015)
@@ -137,7 +137,7 @@ class TestConditionalRecompute:
         assert not outsider_tick.retuned
         assert not outsider_tick.rescored
         assert outsider_tick.alert is None
-        assert runtime.stream_stats["forced_retunes"] == 0
+        assert runtime.runtime_health()["counters"]["forced_retunes"] == 0
 
     def test_untouched_batch_skips_retune(self):
         db = KeywordDatabase()
@@ -166,7 +166,7 @@ class TestConditionalRecompute:
     def test_rescore_only_on_fingerprint_change(self, fig4_network):
         runtime = _ecm_runtime(network=fig4_network)
         _advance_years(runtime)
-        stats = runtime.stream_stats
+        stats = runtime.runtime_health()["counters"]
         # every yearly tick retunes (insider keywords always dirty) but
         # the compiled model is re-scored only when ratings moved
         assert stats["retunes"] == 6
@@ -266,7 +266,8 @@ class TestLifecycleAndSafety:
         tick = runtime.advance_to(dt.date(2019, 12, 31))
         assert "newkeyword" in runtime.deltas.keywords
         assert "newkeyword" in tick.dirty
-        assert runtime.stream_stats["learned_keywords"] == ["newkeyword"]
+        counters = runtime.runtime_health()["counters"]
+        assert counters["learned_keywords"] == ["newkeyword"]
 
     def test_database_annotation_mid_stream_reclassifies(self):
         runtime = _ecm_runtime()

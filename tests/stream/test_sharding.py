@@ -130,10 +130,10 @@ class TestSingleFeedParity:
         assert runtime.tick() is None  # drained
         assert sum(t.accepted for t in ticks) == len(_posts())
         assert all(len(t.shard_accepted) == 3 for t in ticks)
-        stats = runtime.stream_stats
-        assert stats["posts_ingested"] == len(_posts())
-        assert stats["shards"] == 3
-        assert len(stats["shard_stats"]) == 3
+        health = runtime.runtime_health()
+        assert health["counters"]["posts_ingested"] == len(_posts())
+        assert health["shards"] == 3
+        assert len(health["shard_stats"]) == 3
 
     def test_one_evaluation_per_tick_regardless_of_shards(self):
         runtime = _advance_years(_sharded_runtime(4))
@@ -234,7 +234,8 @@ class TestRuntimeBehaviour:
             "newkeyword" in deltas.keywords for deltas in runtime.shard_deltas
         )
         assert "newkeyword" in runtime.deltas.keywords
-        assert runtime.stream_stats["learned_keywords"] == ["newkeyword"]
+        counters = runtime.runtime_health()["counters"]
+        assert counters["learned_keywords"] == ["newkeyword"]
 
     def test_filter_applies_per_shard_batch(self):
         flood = [p for p in _posts()]
@@ -247,8 +248,10 @@ class TestRuntimeBehaviour:
         runtime.run()
         # One report per non-empty shard batch.
         assert runtime.filter_reports
-        stats = runtime.stream_stats
-        assert stats["posts_ingested"] + stats["posts_rejected"] == len(flood)
+        counters = runtime.runtime_health()["counters"]
+        assert counters["posts_ingested"] + counters["posts_rejected"] == len(
+            flood
+        )
 
     def test_state_roundtrip_resumes_identically(self):
         reference = _advance_years(_sharded_runtime(3))

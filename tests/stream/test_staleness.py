@@ -121,7 +121,7 @@ class TestInsiderScoreDrift:
         assert tick.dirty == ("relayattack",)
         assert tick.retuned
         assert tick.alert is None  # volume moved, ratings did not
-        assert runtime.stream_stats["forced_retunes"] == 1
+        assert runtime.runtime_health()["counters"]["forced_retunes"] == 1
         # The forced retune lands exactly on the fresh-scoring truth.
         fresh_feed = SyntheticFeed(posts)
         fresh = StreamRuntime(fresh_feed, _database())
@@ -139,7 +139,7 @@ class TestInsiderScoreDrift:
         # 3 posts on a 40-post window is 7.5% < 10%: the cheap skip
         # survives, bounding the cost of the policy to one counter read.
         assert not tick.retuned
-        assert runtime.stream_stats["forced_retunes"] == 0
+        assert runtime.runtime_health()["counters"]["forced_retunes"] == 0
 
     def test_reference_resets_on_each_retune(self):
         # After a forced retune the drift reference is the new window
@@ -158,7 +158,7 @@ class TestInsiderScoreDrift:
         drip = runtime.ingest(feed.events_after(runtime.cursor))
         # 2 posts on the refreshed 30-post reference is 6.7% < 10%.
         assert not drip.retuned
-        assert runtime.stream_stats["forced_retunes"] == 1
+        assert runtime.runtime_health()["counters"]["forced_retunes"] == 1
 
 
 class TestStalenessStatePersistence:

@@ -36,7 +36,7 @@ from repro.stream.store import (
     segment_from_bytes,
     segment_to_bytes,
 )
-from repro.stream.tiers import TieredCorpusIndex, build_stream_index
+from repro.stream.tiers import TieredCorpusIndex
 from tests.conftest import build_ecm_database
 
 ECM_TARGET = TargetApplication("car", "europe", "passenger")
@@ -64,16 +64,30 @@ def _daily_posts(days, *, start=dt.date(2020, 1, 1), step=1):
     ]
 
 
+def _store_index(directory, *, max_resident_cold=None, **knobs):
+    """A tiered index spilling into a fresh store at ``directory``."""
+    store = SegmentStore(
+        directory,
+        max_resident_cold=(
+            DEFAULT_MAX_RESIDENT_COLD
+            if max_resident_cold is None
+            else max_resident_cold
+        ),
+    )
+    return TieredCorpusIndex(
+        store=store, max_resident_cold=max_resident_cold, **knobs
+    )
+
+
 def _spilled_index(tmp_path, posts=None, **knobs):
-    index = build_stream_index(
-        posts if posts is not None else (),
+    return _store_index(
+        tmp_path / "store",
         warm_span_days=knobs.pop("warm_span_days", 30),
         cold_age_days=knobs.pop("cold_age_days", 120),
-        spill_dir=tmp_path / "store",
         compact_threshold=1000,
+        posts=posts if posts is not None else (),
         **knobs,
     )
-    return index
 
 
 def _assert_same_queries(tiered, rebuilt):
@@ -359,7 +373,7 @@ class TestIndexSpill:
         # The PR 10 fix: even WITHOUT a store, back-to-back cold queries
         # must not rebuild a throwaway interner per call.
         posts = _daily_posts(500)
-        index = build_stream_index(
+        index = TieredCorpusIndex(
             posts, warm_span_days=30, cold_age_days=120,
             compact_threshold=1000,
         )
@@ -375,10 +389,12 @@ class TestIndexSpill:
         assert after_one["cold"]["spilled"] == 0
 
     def test_spill_requires_tiered_retention(self, tmp_path):
-        with pytest.raises(ValueError, match="tiered retention"):
-            build_stream_index(spill_dir=tmp_path / "s")
-        with pytest.raises(ValueError, match="tiered retention"):
-            build_stream_index(max_resident_cold=2)
+        # The index has no cold tier to spill without a retention knob;
+        # the runtime, which opens the store, refuses the spill knobs.
+        for knobs in ({"spill_dir": tmp_path / "s"}, {"max_resident_cold": 2}):
+            with pytest.raises(ValueError, match="tiered retention"):
+                StreamRuntime(SyntheticFeed(()), build_ecm_database(), **knobs)
+        assert not (tmp_path / "s").exists()
 
     def test_state_dict_roundtrip_reattaches_store(self, tmp_path):
         posts = _daily_posts(400)
@@ -392,9 +408,9 @@ class TestIndexSpill:
         assert spilled_entries
         assert all(entry["columns"] is None for entry in spilled_entries)
 
-        restored = build_stream_index(
-            warm_span_days=30, cold_age_days=120,
-            spill_dir=tmp_path / "store", compact_threshold=1000,
+        restored = _store_index(
+            tmp_path / "store", warm_span_days=30, cold_age_days=120,
+            compact_threshold=1000,
         )
         restored.load_state(state)
         _assert_same_queries(restored, CorpusIndex(posts))
@@ -405,7 +421,7 @@ class TestIndexSpill:
         for i in range(0, len(posts), 40):
             index.append(posts[i : i + 40])
         state = index.state_dict()
-        detached = build_stream_index(
+        detached = TieredCorpusIndex(
             warm_span_days=30, cold_age_days=120, compact_threshold=1000
         )
         with pytest.raises(StoreError, match="spill_dir"):
@@ -417,23 +433,23 @@ class TestIndexSpill:
         for i in range(0, len(posts), 40):
             index.append(posts[i : i + 40])
         state = index.state_dict()
-        other = build_stream_index(
-            warm_span_days=30, cold_age_days=120,
-            spill_dir=tmp_path / "elsewhere", compact_threshold=1000,
+        other = _store_index(
+            tmp_path / "elsewhere", warm_span_days=30, cold_age_days=120,
+            compact_threshold=1000,
         )
         with pytest.raises(StoreError, match="seg-"):
             other.load_state(state)
 
     def test_resident_snapshot_respills_into_attached_store(self, tmp_path):
         posts = _daily_posts(400)
-        resident = build_stream_index(
+        resident = TieredCorpusIndex(
             posts, warm_span_days=30, cold_age_days=120,
             compact_threshold=1000,
         )
         state = resident.state_dict()
-        spilling = build_stream_index(
-            warm_span_days=30, cold_age_days=120,
-            spill_dir=tmp_path / "store", compact_threshold=1000,
+        spilling = _store_index(
+            tmp_path / "store", warm_span_days=30, cold_age_days=120,
+            compact_threshold=1000,
         )
         spilling.load_state(state)
         assert spilling.store.segment_count > 0
@@ -546,7 +562,7 @@ class TestShardedSpill:
             )
             runtime.run()
             keys = _alert_keys(runtime)
-            stats = runtime.stream_stats["shard_stats"]
+            stats = [index.segment_stats for index in runtime.shard_indexes]
             store = runtime.store
             runtime.close()
             return keys, stats, store
@@ -555,8 +571,8 @@ class TestShardedSpill:
             spill_dir=tmp_path / "store", max_resident_cold=2
         )
         assert store is not None and store.segment_count > 0
-        for shard in spilled_stats:
-            tiers = shard["index"]["tiers"]
+        for index_stats in spilled_stats:
+            tiers = index_stats["tiers"]
             assert tiers["cold"]["spilled"] == tiers["cold"]["segments"]
         resident_keys, _, no_store = _run()
         assert no_store is None

@@ -1,4 +1,4 @@
-"""Tests for the appendable delta-segment corpus index."""
+"""Tests for the stream index without retention: appends, seals, queries."""
 
 import datetime as dt
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.social.index import CorpusIndex
 from repro.social.post import Post
-from repro.stream.index import StreamingCorpusIndex
+from repro.stream.tiers import TieredCorpusIndex
 
 
 def _post(i, day, text, month=1):
@@ -31,7 +31,7 @@ KEYWORDS = ("dpfdelete", "egrremoval", "delet", "stolen", "nomatch")
 
 class TestAppendEquivalence:
     def test_appended_equals_rebuilt(self):
-        streaming = StreamingCorpusIndex(POSTS[:2])
+        streaming = TieredCorpusIndex(POSTS[:2])
         streaming.append(POSTS[2:4])
         streaming.append(POSTS[4:])
         rebuilt = CorpusIndex(POSTS)
@@ -43,7 +43,7 @@ class TestAppendEquivalence:
             ], keyword
 
     def test_out_of_order_appends_keep_global_sort(self):
-        streaming = StreamingCorpusIndex(POSTS[3:])
+        streaming = TieredCorpusIndex(POSTS[3:])
         streaming.append(POSTS[:3])  # older than the base segment
         assert [p.post_id for p in streaming.posts] == [
             p.post_id for p in CorpusIndex(POSTS).posts
@@ -53,7 +53,7 @@ class TestAppendEquivalence:
         ]
 
     def test_window_and_limit(self):
-        streaming = StreamingCorpusIndex(POSTS[:3])
+        streaming = TieredCorpusIndex(POSTS[:3])
         streaming.append(POSTS[3:])
         got = streaming.search_many(
             ("dpfdelete",), since=dt.date(2020, 1, 2), limit=1
@@ -61,21 +61,21 @@ class TestAppendEquivalence:
         assert [p.post_id for p in got["dpfdelete"]] == ["p003"]
 
     def test_empty_index_answers_empty(self):
-        streaming = StreamingCorpusIndex()
+        streaming = TieredCorpusIndex()
         assert len(streaming) == 0
         assert streaming.matching("dpfdelete") == []
 
 
 class TestMaintenance:
     def test_duplicate_ids_rejected(self):
-        streaming = StreamingCorpusIndex(POSTS[:2])
+        streaming = TieredCorpusIndex(POSTS[:2])
         with pytest.raises(ValueError, match="duplicate post id"):
             streaming.append([POSTS[0]])
         assert "p000" in streaming
         assert "p004" not in streaming
 
     def test_rejected_append_is_atomic(self):
-        streaming = StreamingCorpusIndex(POSTS[:2])
+        streaming = TieredCorpusIndex(POSTS[:2])
         streaming.matching("dpfdelete")  # build the tail index
         with pytest.raises(ValueError, match="duplicate post id"):
             streaming.append([POSTS[2], POSTS[3], POSTS[0]])
@@ -88,20 +88,19 @@ class TestMaintenance:
         assert [p.post_id for p in streaming.matching("stolen")] == ["p002"]
 
     def test_intra_batch_duplicates_rejected(self):
-        streaming = StreamingCorpusIndex()
+        streaming = TieredCorpusIndex()
         with pytest.raises(ValueError, match="duplicate post id"):
             streaming.append([POSTS[0], POSTS[0]])
         assert len(streaming) == 0
 
     def test_compaction_triggers_at_threshold(self):
-        streaming = StreamingCorpusIndex(
-            POSTS[:1], compact_threshold=2
-        )
+        # Initial posts enter the hot tail like any append.
+        streaming = TieredCorpusIndex(POSTS[:1], compact_threshold=3)
         streaming.append(POSTS[1:2])
-        assert streaming.segment_stats["compactions"] == 0
-        streaming.append(POSTS[2:4])  # tail reaches 3 >= 2 -> compacts
+        assert streaming.segment_stats["hot_seals"] == 0
+        streaming.append(POSTS[2:4])  # tail reaches 4 >= 3 -> seals
         stats = streaming.segment_stats
-        assert stats["compactions"] == 1
+        assert stats["hot_seals"] == 1
         assert stats["tail_posts"] == 0
         assert stats["base_posts"] == 4
         # queries unaffected by segment layout
@@ -109,42 +108,61 @@ class TestMaintenance:
             p.post_id for p in CorpusIndex(POSTS[:4]).matching("delet")
         ]
 
-    def test_as_corpus_index_compacts(self):
-        streaming = StreamingCorpusIndex(POSTS[:2])
+    def test_as_corpus_index_snapshots(self):
+        streaming = TieredCorpusIndex(POSTS[:2])
         streaming.append(POSTS[2:])
         snapshot = streaming.as_corpus_index()
         assert isinstance(snapshot, CorpusIndex)
-        assert len(snapshot) == len(POSTS)
-        assert streaming.segment_stats["tail_posts"] == 0
+        assert [p.post_id for p in snapshot.posts] == [
+            p.post_id for p in CorpusIndex(POSTS).posts
+        ]
+        # A fresh snapshot: the index's own segments are left as they were.
+        assert streaming.segment_stats["tail_posts"] == len(POSTS)
+
+    def test_single_span_consolidates_the_whole_history(self):
+        streaming = TieredCorpusIndex(compact_threshold=1)
+        for post in POSTS:
+            streaming.append([post])
+        stats = streaming.segment_stats
+        assert stats["hot_seals"] == len(POSTS)
+        assert stats["consolidations"] == 1
+        assert stats["cold_seals"] == 0
+        assert stats["tiers"]["warm"]["spans"] == 1
+        assert stats["tiers"]["warm"]["chunks"] == 2
+        assert [p.post_id for p in streaming.posts] == [
+            p.post_id for p in CorpusIndex(POSTS).posts
+        ]
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            StreamingCorpusIndex(compact_threshold=0)
+            TieredCorpusIndex(compact_threshold=0)
 
 
 class TestRatioCompaction:
     def test_ratio_triggers_before_threshold(self):
-        streaming = StreamingCorpusIndex(
-            POSTS[:4], compact_threshold=1000, compact_ratio=0.25
+        streaming = TieredCorpusIndex(
+            compact_threshold=1000, compact_ratio=0.25
         )
-        # tail 1 >= 0.25 * base 4 -> compacts despite the huge threshold
+        streaming.append(POSTS[:4])  # empty sealed side: seals at once
+        # tail 1 >= 0.25 * sealed 4 -> seals despite the huge threshold
         streaming.append(POSTS[4:])
         stats = streaming.segment_stats
-        assert stats["compactions"] == 1
+        assert stats["hot_seals"] == 2
         assert stats["tail_posts"] == 0
         assert stats["base_posts"] == len(POSTS)
 
     def test_small_tail_rides_under_the_ratio(self):
-        streaming = StreamingCorpusIndex(
-            POSTS[:4], compact_threshold=1000, compact_ratio=0.5
+        streaming = TieredCorpusIndex(
+            compact_threshold=1000, compact_ratio=0.5
         )
-        streaming.append(POSTS[4:])  # tail 1 < 0.5 * base 4
+        streaming.append(POSTS[:4])
+        streaming.append(POSTS[4:])  # tail 1 < 0.5 * sealed 4
         stats = streaming.segment_stats
-        assert stats["compactions"] == 0
+        assert stats["hot_seals"] == 1
         assert stats["tail_posts"] == 1
 
     def test_empty_base_compacts_immediately_under_ratio(self):
-        streaming = StreamingCorpusIndex(
+        streaming = TieredCorpusIndex(
             compact_threshold=1000, compact_ratio=0.5
         )
         streaming.append(POSTS[:1])
@@ -152,7 +170,7 @@ class TestRatioCompaction:
         assert streaming.segment_stats["tail_posts"] == 0
 
     def test_ratio_bounds_tail_under_sustained_ingest(self):
-        streaming = StreamingCorpusIndex(
+        streaming = TieredCorpusIndex(
             compact_threshold=10_000, compact_ratio=0.5
         )
         for i, post in enumerate(
@@ -166,7 +184,7 @@ class TestRatioCompaction:
             )
 
     def test_queries_unaffected_by_ratio_policy(self):
-        streaming = StreamingCorpusIndex(compact_ratio=0.34)
+        streaming = TieredCorpusIndex(compact_ratio=0.34)
         for post in POSTS:
             streaming.append([post])
         rebuilt = CorpusIndex(POSTS)
@@ -178,15 +196,15 @@ class TestRatioCompaction:
             ]
 
     def test_stats_expose_both_policies(self):
-        stats = StreamingCorpusIndex(
+        stats = TieredCorpusIndex(
             compact_threshold=77, compact_ratio=0.2
         ).segment_stats
         assert stats["compact_threshold"] == 77
         assert stats["compact_ratio"] == 0.2
-        assert StreamingCorpusIndex().segment_stats["compact_ratio"] is None
+        assert TieredCorpusIndex().segment_stats["compact_ratio"] is None
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
-            StreamingCorpusIndex(compact_ratio=0.0)
+            TieredCorpusIndex(compact_ratio=0.0)
         with pytest.raises(ValueError):
-            StreamingCorpusIndex(compact_ratio=-1.5)
+            TieredCorpusIndex(compact_ratio=-1.5)

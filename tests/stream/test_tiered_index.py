@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import TargetApplication
 from repro.social import ecm_reprogramming_corpus
 from repro.social.index import CorpusIndex
+from repro.social.columnar import posts_to_columns
 from repro.social.post import Post
 from repro.stream.checkpoint import (
     checkpoint_state,
@@ -14,13 +15,11 @@ from repro.stream.checkpoint import (
     save_checkpoint,
 )
 from repro.stream.feed import SyntheticFeed
-from repro.stream.index import StreamingCorpusIndex
 from repro.stream.runtime import StreamRuntime
 from repro.stream.tiers import (
     DEFAULT_COLD_AGE_DAYS,
     DEFAULT_WARM_SPAN_DAYS,
     TieredCorpusIndex,
-    build_stream_index,
 )
 from tests.conftest import build_ecm_database
 
@@ -189,23 +188,24 @@ class TestTierLifecycle:
 
 class TestStatsAndState:
     def test_segment_stats_keeps_flat_compatible_keys(self):
-        flat = StreamingCorpusIndex(_daily_posts(5))
+        # Without retention or with it: one key set, including the
+        # base/tail/compaction keys the replay audit and the CLI read.
+        unbounded = TieredCorpusIndex(_daily_posts(5))
         tiered = TieredCorpusIndex(_daily_posts(5), warm_span_days=30)
-        missing = set(flat.segment_stats) - set(tiered.segment_stats)
-        assert not missing
+        assert list(unbounded.segment_stats) == list(tiered.segment_stats)
         for key in (
-            "layout", "warm_span_days", "cold_age_days", "hot_seals",
-            "consolidations", "cold_seals", "interner_evicted", "tiers",
+            "base_posts", "tail_posts", "appends", "compactions",
+            "compact_threshold", "compact_ratio", "base_arena_chars",
+            "interned_texts", "layout", "warm_span_days", "cold_age_days",
+            "hot_seals", "consolidations", "cold_seals",
+            "interner_evicted", "tiers",
         ):
             assert key in tiered.segment_stats
 
-    def test_state_dict_roundtrip_via_factory(self):
+    def test_state_dict_roundtrip(self):
         posts = _daily_posts(200)
-        tiered = build_stream_index(
-            posts, warm_span_days=30, cold_age_days=90
-        )
-        assert isinstance(tiered, TieredCorpusIndex)
-        restored = build_stream_index(warm_span_days=30, cold_age_days=90)
+        tiered = TieredCorpusIndex(posts, warm_span_days=30, cold_age_days=90)
+        restored = TieredCorpusIndex(warm_span_days=30, cold_age_days=90)
         restored.load_state(tiered.state_dict())
         assert restored.segment_stats == tiered.segment_stats
         _assert_same_queries(restored, CorpusIndex(posts))
@@ -230,29 +230,62 @@ class TestStatsAndState:
             "posts": 5, "spans": 1, "indexed": False,
         }
 
-    def test_factory_defaults(self):
-        assert isinstance(build_stream_index(), StreamingCorpusIndex)
-        only_warm = build_stream_index(warm_span_days=30)
-        assert isinstance(only_warm, TieredCorpusIndex)
-        assert only_warm.segment_stats["cold_age_days"] == (
-            DEFAULT_COLD_AGE_DAYS
-        )
-        only_cold = build_stream_index(cold_age_days=120)
-        assert only_cold.segment_stats["warm_span_days"] == (
-            DEFAULT_WARM_SPAN_DAYS
-        )
+    def test_retention_knob_defaults(self):
+        unbounded = TieredCorpusIndex().segment_stats
+        assert unbounded["warm_span_days"] is None
+        assert unbounded["cold_age_days"] is None
+        only_warm = TieredCorpusIndex(warm_span_days=30).segment_stats
+        assert only_warm["warm_span_days"] == 30
+        assert only_warm["cold_age_days"] == DEFAULT_COLD_AGE_DAYS
+        only_cold = TieredCorpusIndex(cold_age_days=120).segment_stats
+        assert only_cold["warm_span_days"] == DEFAULT_WARM_SPAN_DAYS
+        assert only_cold["cold_age_days"] == 120
+        with pytest.raises(ValueError, match="warm_span_days"):
+            TieredCorpusIndex(warm_span_days=0)
+        with pytest.raises(ValueError, match="cold_age_days"):
+            TieredCorpusIndex(cold_age_days=0)
 
-    def test_flat_index_rejects_tiered_snapshot(self):
-        tiered = TieredCorpusIndex(_daily_posts(5), warm_span_days=30)
-        flat = StreamingCorpusIndex()
-        with pytest.raises(ValueError, match="tiered-index state_dict"):
-            flat.load_state(tiered.state_dict())
+    def test_no_retention_never_seals_on_dates(self):
+        posts = _daily_posts(400)
+        index = TieredCorpusIndex(compact_threshold=1000)
+        for start in range(0, len(posts), 40):
+            index.append(posts[start : start + 40])
+        stats = index.segment_stats
+        assert stats["hot_seals"] == 0
+        assert stats["tail_posts"] == len(posts)
+        index.compact()
+        stats = index.segment_stats
+        assert stats["hot_seals"] == 1 and stats["cold_seals"] == 0
+        assert stats["tiers"]["warm"]["spans"] == 1
+        _assert_same_queries(index, CorpusIndex(posts))
 
-    def test_tiered_index_rejects_flat_snapshot(self):
-        flat = StreamingCorpusIndex(_daily_posts(5))
-        tiered = TieredCorpusIndex(warm_span_days=30)
-        with pytest.raises(ValueError):
-            tiered.load_state(flat.state_dict())
+    def test_tiered_index_restores_flat_snapshot(self):
+        # The version-1 flat layout: a sealed base and an arrival-order
+        # tail.  It restores as an index without retention.
+        posts = _daily_posts(12)
+        snapshot = {
+            "base": CorpusIndex(posts[:8]).columns.state_dict(),
+            "tail": posts_to_columns(posts[8:]),
+            "appends": 3,
+            "compactions": 1,
+            "compact_threshold": 6,
+            "compact_ratio": None,
+        }
+        restored = TieredCorpusIndex(warm_span_days=30)
+        restored.load_state(snapshot)
+        stats = restored.segment_stats
+        assert stats["base_posts"] == 8 and stats["tail_posts"] == 4
+        assert stats["appends"] == 3 and stats["hot_seals"] == 1
+        assert stats["warm_span_days"] is None
+        assert stats["cold_age_days"] is None
+        _assert_same_queries(restored, CorpusIndex(posts))
+        more = _daily_posts(14)[12:]
+        restored.append(more)  # tail reaches 6 -> seals
+        assert restored.segment_stats["hot_seals"] == 2
+        assert restored.segment_stats["tail_posts"] == 0
+        _assert_same_queries(restored, CorpusIndex(posts + more))
+        with pytest.raises(ValueError, match="duplicate post id"):
+            restored.append(posts[:1])
 
 
 class TestRuntimeIntegration:
@@ -281,8 +314,7 @@ class TestRuntimeIntegration:
     def test_runtime_seals_and_matches_flat_alerts(self):
         tiered = self._runtime()
         tiered.run()
-        (shard,) = tiered.stream_stats["shard_stats"]
-        stats = shard["index"]
+        stats = tiered.index.segment_stats
         assert stats["layout"] == "tiered"
         assert stats["cold_seals"] > 0
         assert stats["tiers"]["cold"]["sidecars"] > 0
