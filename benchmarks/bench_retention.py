@@ -1,10 +1,10 @@
-"""S10 — tiered retention (hot/warm/cold) vs the single-tier flat index.
+"""S10 — tiered retention (hot/warm/cold) vs the same index without it.
 
 The long-horizon always-on workload: a multi-year sharded stream
 replayed twice through :class:`~repro.stream.sharding.
-ShardedStreamRuntime`.  The single-tier PR-7 configuration keeps the
-whole corpus in one flat columnar index whose compactions — and
-interner pool, arena and postings — grow with stream age, so its
+ShardedStreamRuntime`.  Without retention knobs (the "flat" phase) the
+index keeps the whole corpus in one warm span whose consolidations —
+and interner pool and arena — grow with stream age, so its
 steady-state tick latency and resident footprint climb for the life of
 the monitor.  The tiered engine (:mod:`repro.stream.tiers`) seals the
 hot tail into date-bounded warm segments, decays warm segments past the
@@ -23,8 +23,8 @@ default ``full``).  The full profile is the acceptance run: a 5-year
 peak-RSS ratio against the flat phase.  The smoke profile is the CI
 run: same kernels and equivalence checks on a 5-year 467k-post stream,
 gated at the proportionally lower floors its smaller corpus can show
-(the flat side's per-tick compaction cost grows with corpus size, so a
-small stream understates the acceptance gap).
+(the flat side's per-tick consolidation cost grows with corpus size,
+so a small stream understates the acceptance gap).
 
 Equivalence is twofold: both phases must raise identical alert
 sequences and finish on the identical SAI table, and a tiered sharded
