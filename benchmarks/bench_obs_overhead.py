@@ -13,12 +13,13 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -q
 
 ``test_obs_overhead_gate`` drives the identical fleet-scale feed
-through identical runtimes with and without a live registry
-(interleaved rounds, min-of-rounds per side), asserts the instrumented
-run stays within the overhead budget, that both runs produce identical
-tables/SAI/counters (the instrumentation is purely observational),
-that the registry's counters agree with the runtime health document's,
-and writes ``BENCH_obs_overhead.json``.
+through identical runtimes with and without a live registry (pairs of
+one run per side ticked in lockstep, the order alternating tick by
+tick; the overhead is the median of the per-pair ratios), asserts the
+instrumented run stays within the overhead budget, that both runs
+produce identical tables/SAI/counters (the instrumentation is purely
+observational), that the registry's counters agree with the runtime
+health document's, and writes ``BENCH_obs_overhead.json``.
 """
 
 from repro.analysis.benchjson import load_bench_result

@@ -20,6 +20,7 @@ import sys
 #: Per workload, the layers its run must exercise.
 LIVE_LAYERS = {
     "replay_all": (
+        "nlp.analysis.analyze_text.calls",
         "social.multiplatform.search_many.calls",
         "core.pipeline.sai.self_s",
         "core.monitor.tick_date.calls",
@@ -27,6 +28,7 @@ LIVE_LAYERS = {
         "stream.tiers.hot_seals",
     ),
     "stream_tiered": (
+        "nlp.analysis.analyze_text.calls",
         "stream.deltas.compute_signal_delta.self_s",
         "stream.deltas.compute_signal_delta_columnar.self_s",
         "stream.tiers.cold_seals",

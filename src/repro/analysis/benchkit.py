@@ -12,6 +12,8 @@ trajectory in CI).
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -1409,8 +1411,6 @@ def run_retention_bench(profile: str = "full") -> BenchResult:
     ``replay_scenario`` audit must hold parity (plus checkpoint
     resume and bounded memory) against the paper's batch monitor.
     """
-    import gc
-
     from repro.analysis.benchjson import peak_rss_kb
     from repro.core.config import TargetApplication
     from repro.core.executor import resolve_executor
@@ -1931,12 +1931,18 @@ def run_obs_overhead_bench(
     cost nothing, and a live :class:`~repro.obs.registry.MetricsRegistry`
     with span tracing on every tick stage must stay within
     :data:`OBS_OVERHEAD_BUDGET_PCT` of it.  Both sides consume the
-    identical fleet-scale feed through identical runtimes; rounds are
-    interleaved (null, instrumented, null, …) and each side reports its
-    **minimum** total wall time so scheduler noise cancels instead of
-    accumulating.  ``naive_seconds`` is the instrumented side, so the
-    reported ``speedup`` reads as "instrumented-over-null cost ratio"
-    and hovers at ~1.0x; the gate is ``extra.overhead_pct``.
+    identical fleet-scale feed through identical runtimes.  Each round
+    is one pair, a null run and an instrumented run ticked in lockstep,
+    with the order alternating within the pair: null then instrumented
+    on one tick, instrumented then null on the next.  Each side's round
+    time is the sum of its own ticks, and ``overhead_pct`` is the
+    **median of the per-pair ratios**.  A slow spell of the shared
+    machine (a few milliseconds to minutes) then lands on both sides of
+    a pair, and so does the cost of ticking first or second.
+    ``naive_seconds`` and ``engine_seconds`` are each side's median
+    round, the instrumented side first, so the reported ``speedup``
+    reads as "instrumented-over-null cost ratio" and hovers at ~1.0x;
+    the gate is ``extra.overhead_pct``.
 
     Equivalence checks the instrumentation is purely observational:
     identical final insider tables, SAI rows and health-document
@@ -1956,25 +1962,10 @@ def run_obs_overhead_bench(
     )
     target = TargetApplication("fleet_member", "europe", "fleet")
 
-    def _run(metrics):
-        # The NLP memo stays warm across rounds (the untimed warm-up
-        # fills it): re-analysing identical texts per round would let
-        # the cache-miss pass's variance swamp the few-microsecond
-        # instrumentation cost this bench exists to measure.
-        runtime = StreamRuntime(
-            SyntheticFeed(posts),
-            load.database,
-            target=target,
-            batch_size=batch_size,
-            metrics=metrics,
-        )
-        start = time.perf_counter()
-        for _ in runtime.run():
-            pass
-        elapsed = time.perf_counter() - start
+    def _summary(runtime):
         result = runtime.current_result
         counters = runtime.runtime_health()["counters"]
-        return elapsed, {
+        return {
             "table": (
                 result.insider_table.as_rows() if result is not None else None
             ),
@@ -1985,23 +1976,54 @@ def run_obs_overhead_bench(
             },
         }
 
-    # Untimed warm-up round: both sides start from warm code paths.
-    _run(None)
+    def _pair():
+        # The NLP memo stays warm across rounds (the untimed warm-up
+        # fills it): re-analysing identical texts per round would let
+        # the cache-miss pass's variance swamp the few-microsecond
+        # instrumentation cost this bench exists to measure.
+        registry = MetricsRegistry()
+        runtimes = [
+            StreamRuntime(
+                SyntheticFeed(posts),
+                load.database,
+                target=target,
+                batch_size=batch_size,
+                metrics=metrics,
+            )
+            for metrics in (None, registry)
+        ]
+        spent = [0.0, 0.0]
+        live = [0, 1]
+        # Every pair starts from the same collector state, so full
+        # collections do not fall on the same rounds every run.
+        gc.collect()
+        step = 0
+        while live:
+            order = tuple(live if step % 2 == 0 else reversed(live))
+            step += 1
+            for side in order:
+                start = time.perf_counter()
+                tick = runtimes[side].tick()
+                spent[side] += time.perf_counter() - start
+                if tick is None:
+                    live.remove(side)
+        return spent, [_summary(runtime) for runtime in runtimes], registry
+
+    # Untimed warm-up pair: both sides start from warm code paths.
+    _pair()
     null_times: List[float] = []
     instr_times: List[float] = []
-    null_summary = instr_summary = None
-    registry: Optional[MetricsRegistry] = None
     for _ in range(rounds):
-        elapsed, null_summary = _run(None)
-        null_times.append(elapsed)
-        registry = MetricsRegistry()
-        elapsed, instr_summary = _run(registry)
-        instr_times.append(elapsed)
+        (null_s, instr_s), (null_summary, instr_summary), registry = _pair()
+        null_times.append(null_s)
+        instr_times.append(instr_s)
 
-    engine_s = min(null_times)
-    naive_s = min(instr_times)
-    overhead_pct = (naive_s / engine_s - 1.0) * 100.0 if engine_s else 0.0
-    assert registry is not None and instr_summary is not None
+    engine_s = statistics.median(null_times)
+    naive_s = statistics.median(instr_times)
+    pair_ratios = [
+        instr / null for instr, null in zip(instr_times, null_times)
+    ]
+    overhead_pct = (statistics.median(pair_ratios) - 1.0) * 100.0
     collected = registry.collect()
     registry_agrees = (
         collected["psp_ticks_total"].value()
@@ -2033,6 +2055,7 @@ def run_obs_overhead_bench(
             "instrumented_seconds_per_round": [
                 round(t, 4) for t in instr_times
             ],
+            "pair_ratios": [round(r, 4) for r in pair_ratios],
             "registry_matches_health_counters": registry_agrees,
             "metrics": registry.snapshot(),
         },

@@ -12,17 +12,24 @@ and hands every consumer the same :class:`PostAnalysis` sidecar:
   precomputed :attr:`~PostAnalysis.haystack`,
 * :class:`~repro.core.sai.SAIComputer` scores sentiment through
   :meth:`~repro.nlp.sentiment.SentimentAnalyzer.score_analysis`, which
-  reads :attr:`~PostAnalysis.text` through the capture-only
-  :func:`~repro.nlp.tokenizer.sentiment_pairs` scan and memoizes the
-  result per analyzer fingerprint (a short digest string), so a post is
-  scored once per corpus lifetime,
+  memoizes the result per analyzer fingerprint (a short digest string),
+  so a post is scored once per corpus lifetime.  Scoring reads
+  :attr:`~PostAnalysis.text` as its lowered words
+  (:func:`~repro.nlp.tokenizer.lowered_words`: one translate and a
+  split) unless the text may hold an emoticon or a price, which take
+  the capture-only :func:`~repro.nlp.tokenizer.sentiment_pairs` scan;
+  each analyzer memoizes every word's valence,
 * keyword learning and :attr:`~repro.social.post.Post.hashtags` read the
-  canonical :attr:`~PostAnalysis.hashtags`, found by the capture-only
-  :func:`~repro.nlp.tokenizer.hashtags` scan,
+  canonical :attr:`~PostAnalysis.hashtags`, found by
+  :func:`~repro.nlp.tokenizer.hashtags`,
 * insider/outsider classification and both streaming delta kernels read
   the voice bits :attr:`~PostAnalysis.insider_voice` and
   :attr:`~PostAnalysis.outsider_voice`, set once per text from
   :data:`INSIDER_MARKERS` / :data:`OUTSIDER_MARKERS`.
+
+The words behind the haystack and the voice bits come from
+:func:`~repro.nlp.normalize.folded_words`, one ``str.translate`` pass
+and a ``split`` equal to the words of ``normalize_text``.
 
 Analyses are keyed by the text itself (every derived view is a pure
 function of the text), so identical posts across sub-corpora, region
@@ -35,7 +42,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
-from repro.nlp.normalize import canonical_keyword, normalize_text, stem
+from repro.nlp.normalize import (
+    canonical_keyword,
+    folded_words,
+    normalize_text,
+    stem,
+)
 from repro.nlp.tokenizer import hashtags as raw_hashtags
 
 #: Separator between the squashed and stemmed halves of the match
@@ -155,10 +167,7 @@ def analyze_text(text: str) -> PostAnalysis:
     sharing a text — across corpora, region views and cached query
     layers — share one analysis object (and its sentiment memo).
     """
-    normalized = normalize_text(text)
-    squashed = normalized.replace(" ", "")
-    words = normalized.split()
-    stemmed_joined = "".join(stem(word) for word in words)
+    words = folded_words(text)
     # A HASHTAG token starts with a literal "#": a text without one has
     # no hashtags and skips the token scan.
     hashtags = (
@@ -168,7 +177,9 @@ def analyze_text(text: str) -> PostAnalysis:
     )
     return PostAnalysis(
         text=text,
-        haystack=squashed + _HAYSTACK_SEPARATOR + stemmed_joined,
+        haystack=(
+            "".join(words) + _HAYSTACK_SEPARATOR + "".join(map(stem, words))
+        ),
         hashtags=hashtags,
         insider_voice=not INSIDER_MARKERS.isdisjoint(words),
         outsider_voice=not OUTSIDER_MARKERS.isdisjoint(words),

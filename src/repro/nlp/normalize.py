@@ -6,16 +6,50 @@ stores one canonical form and this module folds every surface form onto
 it: lower-case, strip the hashtag sigil, collapse separators, and apply a
 light suffix stemmer for plural/gerund variants ("deletes", "deleting" →
 "delete").
+
+The per-post hot path reads :func:`folded_words`: the words of
+:func:`normalize_text` from one ``str.translate`` pass and a ``split``,
+with no regex.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, List
+from typing import Callable, Iterable, List, Optional
 
 _SEPARATORS = re.compile(r"[\s\-_/.]+")
 _NON_ALNUM = re.compile(r"[^a-z0-9 ]+")
+
+
+class TranslateTable(dict):
+    """A ``str.translate`` table that maps each code point on first use.
+
+    ``classify`` turns a one-character string into its replacement
+    (``None`` deletes it); each code point is classified once and then
+    read from the dict, so the table holds only code points seen.
+    """
+
+    def __init__(self, classify: Callable[[str], Optional[str]]) -> None:
+        super().__init__()
+        self._classify = classify
+
+    def __missing__(self, code: int) -> Optional[str]:
+        replacement = self[code] = self._classify(chr(code))
+        return replacement
+
+
+def _fold_char(char: str) -> Optional[str]:
+    # The two substitutions of ``normalize_text`` for one lower-cased
+    # character: ``str.isspace`` is the ``\s`` class of a ``str`` regex.
+    if char.isspace() or char in "-_/.":
+        return " "
+    if "a" <= char <= "z" or "0" <= char <= "9":
+        return char
+    return None
+
+
+_FOLD_TABLE = TranslateTable(_fold_char)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -40,6 +74,18 @@ def normalize_text(text: str) -> str:
     lowered = text.strip().lower()
     spaced = _SEPARATORS.sub(" ", lowered)
     return _NON_ALNUM.sub("", spaced).strip()
+
+
+def folded_words(text: str) -> List[str]:
+    """``normalize_text(text).split()``, in one translate pass.
+
+    Lower-casing first and then mapping every character on its own
+    (whitespace and ``-_/.`` to a space, ``[a-z0-9]`` kept, the rest
+    deleted) yields the normalized text up to runs of spaces, which
+    ``split`` drops.  :func:`normalize_text` itself stays: the
+    authenticity filter fingerprints its exact string.
+    """
+    return text.lower().translate(_FOLD_TABLE).split()
 
 
 _SUFFIXES = ("ing", "ers", "ies", "ed", "er", "es", "s")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nlp.normalize import stem
-from repro.nlp.tokenizer import sentiment_pairs
+from repro.nlp.tokenizer import lowered_words, sentiment_pairs
 
 #: Signed valence lexicon (stemmed form -> valence).  Positive valence on
 #: an attack-related post means *enthusiasm for the attack* — the signal
@@ -64,6 +64,10 @@ EMOJI_VALENCE: Dict[str, float] = {
 #: How many tokens back a negation/booster remains in scope.
 _SCOPE = 3
 
+#: Bound of an analyzer's word -> valence memo: the size of the
+#: :func:`~repro.nlp.normalize.stem` cache it stands in front of.
+_VALENCE_MEMO_SIZE = stem.cache_parameters()["maxsize"]
+
 
 class SentimentLabel(enum.Enum):
     """Three-way sentiment classification."""
@@ -96,6 +100,36 @@ def _normalise(raw: float, hits: int) -> float:
     return raw / math.sqrt(raw * raw + alpha)
 
 
+def _multiplier(priors: Sequence[str]) -> float:
+    """The negation flips and booster factors of the words in scope."""
+    multiplier = 1.0
+    for prior in priors:
+        if prior in NEGATIONS:
+            multiplier *= -1.0
+        elif prior in BOOSTERS:
+            multiplier *= BOOSTERS[prior]
+    return multiplier
+
+
+class _ValenceMemo(dict):
+    """Lowered word -> lexicon valence (``None`` for no entry).
+
+    Filled on first lookup by the stem-then-word probe, and emptied
+    when it reaches :data:`_VALENCE_MEMO_SIZE` words.
+    """
+
+    def __init__(self, lexicon: Dict[str, float]) -> None:
+        super().__init__()
+        self._lexicon = lexicon
+
+    def __missing__(self, word: str) -> Optional[float]:
+        if len(self) >= _VALENCE_MEMO_SIZE:
+            self.clear()
+        lexicon = self._lexicon
+        valence = self[word] = lexicon.get(stem(word), lexicon.get(word))
+        return valence
+
+
 class SentimentAnalyzer:
     """Deterministic lexicon sentiment scorer.
 
@@ -123,6 +157,16 @@ class SentimentAnalyzer:
         self._fingerprint = hashlib.blake2b(
             key.encode(), digest_size=16
         ).hexdigest()
+        self._valences = _ValenceMemo(self._lexicon)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The valence memo stays out of the pickle: every shard job
+        # ships the analyzer, whose lexicon and band alone define it.
+        return {k: v for k, v in self.__dict__.items() if k != "_valences"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._valences = _ValenceMemo(self._lexicon)
 
     @property
     def fingerprint(self) -> str:
@@ -139,8 +183,19 @@ class SentimentAnalyzer:
         return self._fingerprint
 
     def score(self, text: str) -> SentimentResult:
-        """Score ``text`` and return the normalised sentiment result."""
-        raw, hits = self._raw_score(sentiment_pairs(text))
+        """Score ``text`` and return the normalised sentiment result.
+
+        The one scoring seam: :meth:`score_analysis` scores through it.
+        A text that cannot hold an EMOJI_SENTIMENT or PRICE token is
+        read as its :func:`~repro.nlp.tokenizer.lowered_words`; any
+        other takes the :func:`~repro.nlp.tokenizer.sentiment_pairs`
+        scan.  Both give the same token stream, so the same floats.
+        """
+        words = lowered_words(text)
+        if words is None:
+            raw, hits = self._raw_score(sentiment_pairs(text))
+        else:
+            raw, hits = self._raw_score_words(words)
         normalised = _normalise(raw, hits)
         return SentimentResult(
             score=normalised, label=self._label(normalised), hits=hits
@@ -149,7 +204,7 @@ class SentimentAnalyzer:
     def score_analysis(self, analysis) -> SentimentResult:
         """Score a precomputed :class:`~repro.nlp.analysis.PostAnalysis`.
 
-        Scores the analysis' text like :meth:`score` and memoizes the
+        Scores the analysis' text with :meth:`score` and memoizes the
         result on the analysis keyed by this analyzer's
         :attr:`fingerprint` — so each distinct post text is scored at
         most once per scoring behaviour, however many SAI windows,
@@ -158,11 +213,7 @@ class SentimentAnalyzer:
         cached = analysis.cached_sentiment(self._fingerprint)
         if cached is not None:
             return cached
-        raw, hits = self._raw_score(sentiment_pairs(analysis.text))
-        normalised = _normalise(raw, hits)
-        result = SentimentResult(
-            score=normalised, label=self._label(normalised), hits=hits
-        )
+        result = self.score(analysis.text)
         analysis.remember_sentiment(self._fingerprint, result)
         return result
 
@@ -179,6 +230,7 @@ class SentimentAnalyzer:
     def _raw_score(self, pairs: Sequence[Tuple[str, str]]) -> tuple:
         """Raw valence sum and hit count over
         :func:`~repro.nlp.tokenizer.sentiment_pairs` captures."""
+        valences = self._valences
         raw = 0.0
         hits = 0
         window: List[str] = []
@@ -192,18 +244,26 @@ class SentimentAnalyzer:
             if not word:
                 continue
             lowered = word.lower()
-            stemmed = stem(lowered)
-            valence = self._lexicon.get(stemmed, self._lexicon.get(lowered))
+            valence = valences[lowered]
             if valence is not None:
-                multiplier = 1.0
-                for prior in window[-_SCOPE:]:
-                    if prior in NEGATIONS:
-                        multiplier *= -1.0
-                    elif prior in BOOSTERS:
-                        multiplier *= BOOSTERS[prior]
-                raw += valence * multiplier
+                raw += valence * _multiplier(window[-_SCOPE:])
                 hits += 1
             window.append(lowered)
+        return raw, hits
+
+    def _raw_score_words(self, words: Sequence[str]) -> tuple:
+        """:meth:`_raw_score` of a text whose tokens are the lowered
+        ``words`` and no emoticon: every word is in the window."""
+        valences = self._valences
+        raw = 0.0
+        hits = 0
+        for position, word in enumerate(words):
+            valence = valences[word]
+            if valence is not None:
+                raw += valence * _multiplier(
+                    words[max(0, position - _SCOPE) : position]
+                )
+                hits += 1
         return raw, hits
 
     def _label(self, score: float) -> SentimentLabel:

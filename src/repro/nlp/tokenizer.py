@@ -5,6 +5,17 @@ hashtags (``#dpfdelete``), mentions (``@workshop``), URLs, prices
 (``360 EUR``, ``€360``), plain numbers and words.  The tokenizer is
 regex-based and deterministic; it performs no normalization beyond
 classification (see :mod:`repro.nlp.normalize` for lower-casing etc.).
+
+The per-post hot paths read narrower views that equal the full scan's
+tokens:
+
+* :func:`lowered_words` — the lowered WORD tokens in one translate pass
+  and a ``split``, after a guard: a text that may hold an emoticon, a
+  URL or a price (the other tokens that can consume an ASCII letter)
+  answers ``None`` and takes :func:`sentiment_pairs`, the capture-only
+  master scan;
+* :func:`hashtags` — a plain ``#\\w+`` findall when the text has no
+  ``://`` (only a URL can swallow a ``#``), else the capture-only scan.
 """
 
 from __future__ import annotations
@@ -12,7 +23,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+from repro.nlp.normalize import TranslateTable
 
 
 class TokenType(enum.Enum):
@@ -82,13 +95,43 @@ _SENTIMENT_RE = _capture_only(TokenType.EMOJI_SENTIMENT, TokenType.WORD)
 _HASHTAG_RE = _capture_only(TokenType.HASHTAG)
 
 
+def _alternative(token_type: TokenType) -> str:
+    """The first pattern of ``token_type`` in :data:`_TOKEN_PATTERNS`."""
+    return next(
+        pattern for kind, pattern in _TOKEN_PATTERNS if kind is token_type
+    )
+
+
+_PLAIN_HASHTAG_RE = re.compile(_alternative(TokenType.HASHTAG))
+_TAG_RE = re.compile(
+    f"{_alternative(TokenType.HASHTAG)}|{_alternative(TokenType.MENTION)}"
+)
+_EMOJI_RE = re.compile(_alternative(TokenType.EMOJI_SENTIMENT))
+
+#: Every PRICE token holds one of these; the full scan takes such texts.
+_PRICE_MARKS = ("€", "$", "£", "EUR", "USD", "GBP", "eur", "usd", "gbp")
+
+
+def _word_char(char: str) -> str:
+    # A WORD token's characters survive, ASCII letters lowered (the
+    # pattern's ``[A-Za-z]`` is ASCII only); anything else splits.
+    if "A" <= char <= "Z":
+        return char.lower()
+    if "a" <= char <= "z" or char in "'-":
+        return char
+    return " "
+
+
+_WORD_TABLE = TranslateTable(_word_char)
+
+
 def scan(text: str) -> List[Tuple[TokenType, str]]:
     """The ``(type, text)`` pair of every token of ``text``, in order.
 
     One regex pass and no :class:`Token` objects, from which
     :func:`iter_tokens` and :func:`tokenize` build their tokens.  The
-    hot paths read narrower scans: :func:`sentiment_pairs` and
-    :func:`hashtags`.
+    hot paths read narrower scans: :func:`lowered_words`,
+    :func:`sentiment_pairs` and :func:`hashtags`.
     """
     return [
         (_GROUP_TYPES[match.lastgroup], match.group())
@@ -122,8 +165,40 @@ def sentiment_pairs(text: str) -> List[Tuple[str, str]]:
     return _SENTIMENT_RE.findall(text)
 
 
+def lowered_words(text: str) -> Optional[List[str]]:
+    """The lower-cased WORD token texts of ``text``, or ``None``.
+
+    Equals ``[s.lower() for t, s in scan(text) if t is TokenType.WORD]``
+    whenever it answers.  Only URL, HASHTAG, MENTION, PRICE and
+    EMOJI_SENTIMENT tokens can consume an ASCII letter.  ``None`` asks
+    for the full :func:`sentiment_pairs` scan of a text that may hold an
+    EMOJI_SENTIMENT or PRICE token; a URL holds ``://``, hence the
+    ``:/`` emoticon, so such texts answer ``None`` too.  Otherwise the
+    ``#``/``@`` tags are blanked, and a WORD token is a maximal run of
+    ``[A-Za-z'-]`` with its leading ``'``/``-`` stripped: one translate
+    and one ``split``.
+    """
+    if (":" in text or ";" in text) and _EMOJI_RE.search(text):
+        return None
+    for mark in _PRICE_MARKS:
+        if mark in text:
+            return None
+    if "#" in text or "@" in text:
+        text = _TAG_RE.sub(" ", text)
+    runs = text.translate(_WORD_TABLE).split()
+    if "'" in text or "-" in text:
+        runs = [word for word in (run.lstrip("'-") for run in runs) if word]
+    return runs
+
+
 def hashtags(text: str) -> List[str]:
-    """Just the HASHTAG token texts of ``text`` (including ``#``)."""
+    """Just the HASHTAG token texts of ``text`` (including ``#``).
+
+    Of the other tokens only a URL can hold a ``#``, so a text without
+    ``://`` reads them with a plain ``#\\w+`` findall.
+    """
+    if "://" not in text:
+        return _PLAIN_HASHTAG_RE.findall(text)
     return [tag for tag in _HASHTAG_RE.findall(text) if tag]
 
 

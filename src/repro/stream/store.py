@@ -48,7 +48,16 @@ import zlib
 from array import array
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.errors import PSPError
 from repro.social.columnar import ColumnarCorpus
@@ -146,8 +155,14 @@ def segment_to_bytes(columns_state: Mapping[str, object]) -> bytes:
     return bytes(out)
 
 
-def segment_from_bytes(data: bytes) -> Dict[str, object]:
+def segment_from_bytes(
+    data: bytes, *, names: Optional[Collection[str]] = None
+) -> Dict[str, object]:
     """Decode :func:`segment_to_bytes` output back into the column dict.
+
+    With ``names``, only those sections are decoded; the others are
+    skipped by their header sizes.  The checksum still covers the whole
+    payload.
 
     Raises :class:`StoreError` on any structural damage — bad magic,
     truncation, checksum mismatch, or a host whose ``array`` layout does
@@ -155,14 +170,16 @@ def segment_from_bytes(data: bytes) -> Dict[str, object]:
     """
     view = memoryview(data)
     try:
-        return _decode_sections(view)
+        return _decode_sections(view, names)
     finally:
         # Release explicitly: exception tracebacks keep the frame (and
         # its views) alive, which would block closing an mmap source.
         view.release()
 
 
-def _decode_sections(view: "memoryview") -> Dict[str, object]:
+def _decode_sections(
+    view: "memoryview", names: Optional[Collection[str]]
+) -> Dict[str, object]:
     if len(view) < len(_MAGIC) + 8 or bytes(view[: len(_MAGIC)]) != _MAGIC:
         raise StoreError("segment data does not start with the PSPSEG magic")
     header_len = int.from_bytes(view[len(_MAGIC) : len(_MAGIC) + 8], "little")
@@ -184,13 +201,15 @@ def _decode_sections(view: "memoryview") -> Dict[str, object]:
         )
     payload = view[header_start + header_len :]
     try:
-        return _decode_payload(header, payload)
+        return _decode_payload(header, payload, names)
     finally:
         payload.release()
 
 
 def _decode_payload(
-    header: Mapping[str, object], payload: "memoryview"
+    header: Mapping[str, object],
+    payload: "memoryview",
+    names: Optional[Collection[str]],
 ) -> Dict[str, object]:
     # crc32 reads the buffer in place — no copy of a possibly
     # mmap-backed multi-megabyte payload.
@@ -205,35 +224,47 @@ def _decode_payload(
     for section in header["sections"]:
         name = section["name"]
         if section["kind"] == "array":
-            typecode = section["typecode"]
-            column = array(typecode)
-            if column.itemsize != section["itemsize"]:
-                raise StoreError(
-                    f"column {name!r}: array typecode {typecode!r} is "
-                    f"{column.itemsize} bytes on this host, segment was "
-                    f"written with {section['itemsize']}"
-                )
             size = section["bytes"]
-            if cursor + size > len(payload):
-                raise StoreError(f"column {name!r} truncated")
-            column.frombytes(payload[cursor : cursor + size])
-            cursor += size
-            out[name] = column
         else:
-            offsets = array("Q")
-            offsets_bytes = section["offsets_bytes"]
-            blob_bytes = section["blob_bytes"]
-            if cursor + offsets_bytes + blob_bytes > len(payload):
-                raise StoreError(f"column {name!r} truncated")
-            offsets.frombytes(payload[cursor : cursor + offsets_bytes])
-            cursor += offsets_bytes
-            blob = bytes(payload[cursor : cursor + blob_bytes])
-            cursor += blob_bytes
-            out[name] = [
-                blob[offsets[position] : offsets[position + 1]].decode("utf-8")
-                for position in range(section["count"])
-            ]
+            size = section["offsets_bytes"] + section["blob_bytes"]
+        if cursor + size > len(payload):
+            raise StoreError(f"column {name!r} truncated")
+        if names is None or name in names:
+            out[name] = _decode_section(section, payload, cursor)
+        cursor += size
     return out
+
+
+def _decode_section(
+    section: Mapping[str, object], payload: "memoryview", cursor: int
+) -> object:
+    """One column, read from ``payload`` at ``cursor``.
+
+    The caller has checked the section's bounds.  Sub-views of
+    ``payload`` stay temporaries: a traceback that kept one alive would
+    block closing an mmap source.
+    """
+    name = section["name"]
+    if section["kind"] == "array":
+        typecode = section["typecode"]
+        column = array(typecode)
+        if column.itemsize != section["itemsize"]:
+            raise StoreError(
+                f"column {name!r}: array typecode {typecode!r} is "
+                f"{column.itemsize} bytes on this host, segment was "
+                f"written with {section['itemsize']}"
+            )
+        column.frombytes(payload[cursor : cursor + section["bytes"]])
+        return column
+    offsets = array("Q")
+    offsets_bytes = section["offsets_bytes"]
+    offsets.frombytes(payload[cursor : cursor + offsets_bytes])
+    cursor += offsets_bytes
+    blob = bytes(payload[cursor : cursor + section["blob_bytes"]])
+    return [
+        blob[offsets[position] : offsets[position + 1]].decode("utf-8")
+        for position in range(section["count"])
+    ]
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -487,6 +518,21 @@ class SegmentStore:
         Raises :class:`StoreError` naming the key when the file is
         missing or fails structural validation.
         """
+        return self._load(key, None)
+
+    def load_post_ids(self, key: str) -> List[str]:
+        """Just the ``post_ids`` column of one spilled segment.
+
+        The checkpoint-restore path needs every retained post id for
+        duplicate detection but none of the other columns: the whole
+        payload is checksummed, then only this text column is decoded.
+        """
+        state = self._load(key, ("post_ids",))
+        return state["post_ids"]  # type: ignore[return-value]
+
+    def _load(
+        self, key: str, names: Optional[Collection[str]]
+    ) -> Dict[str, object]:
         import mmap
 
         path = self._segment_path(key)
@@ -499,28 +545,18 @@ class SegmentStore:
                     with mmap.mmap(
                         handle.fileno(), 0, access=mmap.ACCESS_READ
                     ) as mapped:
-                        return segment_from_bytes(mapped)
+                        return segment_from_bytes(mapped, names=names)
                 except ValueError:
                     # Empty (or unmappable) file — fall back to a plain
                     # read so validation reports it as a StoreError.
                     handle.seek(0)
-                    return segment_from_bytes(handle.read())
+                    return segment_from_bytes(handle.read(), names=names)
         except OSError as error:
             raise StoreError(
                 f"segment {key!r}: cannot read {path}: {error}"
             ) from None
         except StoreError as error:
             raise StoreError(f"segment {key!r} ({path}): {error}") from None
-
-    def load_post_ids(self, key: str) -> List[str]:
-        """Just the ``post_ids`` column of one spilled segment.
-
-        The checkpoint-restore path needs every retained post id for
-        duplicate detection but none of the other columns; decoding one
-        text column costs no analysis and no array copies.
-        """
-        state = self.load_columns_state(key)
-        return list(state["post_ids"])  # type: ignore[arg-type]
 
     def hydrate(self, key: str) -> ColumnarCorpus:
         """The materialized corpus of one spilled segment, LRU-cached.

@@ -1,5 +1,8 @@
 """Tests for the shared per-post text analysis sidecar."""
 
+import pickle
+
+from repro.nlp import sentiment
 from repro.nlp.analysis import INSIDER_MARKERS, OUTSIDER_MARKERS, analyze_text
 from repro.nlp.hashtags import extract_hashtags
 from repro.nlp.normalize import (
@@ -8,7 +11,7 @@ from repro.nlp.normalize import (
     normalize_text,
     stem,
 )
-from repro.nlp.sentiment import SentimentAnalyzer
+from repro.nlp.sentiment import DEFAULT_LEXICON, SentimentAnalyzer
 from repro.nlp.tokenizer import scan, tokenize
 
 
@@ -59,13 +62,15 @@ class TestAnalyzeText:
 
 
 class _CountingAnalyzer(SentimentAnalyzer):
+    """Counts texts scored through ``score``, the one scoring seam."""
+
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.raw_calls = 0
 
-    def _raw_score(self, tokens):
+    def score(self, text):
         self.raw_calls += 1
-        return super()._raw_score(tokens)
+        return super().score(text)
 
 
 class TestSentimentMemo:
@@ -95,3 +100,30 @@ class TestSentimentMemo:
         after = analyzer.score_analysis(analysis)
         assert analyzer.raw_calls == 2
         assert after.score > before.score
+
+    def test_extend_lexicon_resets_the_valence_memo(self):
+        analyzer = SentimentAnalyzer()
+        assert analyzer.score("the hyperboost worked").hits == 0
+        analyzer.extend_lexicon({"hyperboost": 2.5})
+        # A text never scored before: no result memo can answer, only
+        # the word -> valence memo, which must have forgotten the word.
+        fresh = analyzer.score_analysis(analyze_text("one hyperboost later"))
+        assert fresh.hits == 1
+        assert fresh == SentimentAnalyzer(
+            {**DEFAULT_LEXICON, "hyperboost": 2.5}
+        ).score("one hyperboost later")
+
+    def test_valence_memo_stays_out_of_the_pickle(self):
+        analyzer = SentimentAnalyzer()
+        analyzer.score("love the power gains, works great, no regret")
+        assert pickle.dumps(analyzer) == pickle.dumps(SentimentAnalyzer())
+        copy = pickle.loads(pickle.dumps(analyzer))
+        assert copy.score("works great") == analyzer.score("works great")
+
+    def test_valence_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(sentiment, "_VALENCE_MEMO_SIZE", 3)
+        analyzer = SentimentAnalyzer()
+        text = "love hate great awful fine cheap risk"
+        result = analyzer.score(text)
+        assert len(analyzer._valences) <= 3
+        assert result == SentimentAnalyzer().score(text)

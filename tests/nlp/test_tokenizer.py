@@ -6,6 +6,7 @@ from repro.nlp.tokenizer import (
     Token,
     TokenType,
     hashtags,
+    lowered_words,
     prices,
     tokenize,
     words,
@@ -75,3 +76,19 @@ class TestTokenStructure:
         types = [t.type for t in tokens]
         assert TokenType.PRICE in types
         assert TokenType.NUMBER not in types
+
+
+class TestLoweredWords:
+    def test_plain_text_answers_with_the_lowered_word_tokens(self):
+        text = "Don't-stop #DPF_delete @shop 12,5 café -'ok' x2y"
+        assert lowered_words(text) == ["don't-stop", "caf", "ok'", "x", "y"]
+        assert lowered_words(text) == [w.lower() for w in words(text)]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["works great :)", "meh :-D", "see https://x.io/kit",
+         "paid 300 EUR", "paid 5eur", "EUR5 deal", "€360", "$1,200",
+         "costs £9"],
+    )
+    def test_texts_that_may_hold_emoji_url_or_price_need_the_scan(self, text):
+        assert lowered_words(text) is None

@@ -17,6 +17,14 @@ hyphens, underscores, non-ASCII letters):
   Token-based scoring loop kept below as the reference, floats bit for
   bit.
 
+The one-pass kernels equal the regex paths they replace, also over
+Unicode-dense text (NBSP, EM SPACE, ``\x1c``, the Kelvin sign and
+``İ``, whose lower-casing leaves two code points):
+
+* ``folded_words(text)`` is ``normalize_text(text).split()``;
+* ``lowered_words(text)``, whenever it answers, is the lowered WORD
+  texts of ``tokenize(text)``.
+
 Over random lexicons and neutral bands, the analyzer fingerprint is a
 value identity: equal exactly when the lexicon items and band are, kept
 by a pickle round trip, and changed by ``extend_lexicon`` exactly when a
@@ -30,7 +38,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.analysis import analyze_text
-from repro.nlp.normalize import canonical_keyword, stem
+from repro.nlp.normalize import (
+    canonical_keyword,
+    folded_words,
+    normalize_text,
+    stem,
+)
 from repro.nlp.sentiment import (
     BOOSTERS,
     EMOJI_VALENCE,
@@ -41,6 +54,7 @@ from repro.nlp.sentiment import (
 from repro.nlp.tokenizer import (
     TokenType,
     hashtags,
+    lowered_words,
     scan,
     sentiment_pairs,
     tokenize,
@@ -54,12 +68,23 @@ FRAGMENTS = (
     ":)", ";-(", ":-D", ":/", ":|", ";", ":", "-", "'", "_",
     "ü", "é", "ß", "Ω", "dpf", "delete", "love", "great", "not",
     "never", "very", "slightly", "fined", "can't", "won't", "best-value",
-    "Awesome", "FAIL", "ing", "s",
+    "Awesome", "FAIL", "ing", "s", "EURO", "300EUR", "eur5", "'-", "-'",
 )
 
 TEXTS = st.one_of(
     st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join),
     st.text(alphabet="#@:;()-_'.,€$£/|Dab1 ü", max_size=40),
+)
+
+#: Any text, and text dense in the characters where case folding and
+#: the whitespace class are subtle.
+UNICODE_TEXTS = st.one_of(
+    TEXTS,
+    st.text(max_size=40),
+    st.text(
+        alphabet="\u00a0\u2003\x1c\u212a\u0130 \t-_/.'#@:;)KkIiZz9é",
+        max_size=40,
+    ),
 )
 
 ANALYZERS = (
@@ -145,6 +170,24 @@ class TestScanEquivalence:
             analyzer.score_analysis(analyze_text(text)),
         ):
             assert (result.score.hex(), result.hits) == (expected, hits)
+
+
+class TestOnePassKernels:
+    @settings(max_examples=500, deadline=None)
+    @given(text=UNICODE_TEXTS)
+    def test_folded_words_are_the_normalized_words(self, text):
+        assert folded_words(text) == normalize_text(text).split()
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=UNICODE_TEXTS)
+    def test_lowered_words_are_the_word_tokens_when_answered(self, text):
+        words = lowered_words(text)
+        if words is not None:
+            assert words == [
+                tok.text.lower()
+                for tok in tokenize(text)
+                if tok.type is TokenType.WORD
+            ]
 
 
 #: Finite valences; adding 0.0 turns -0.0 into 0.0, which compares equal

@@ -21,6 +21,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.social import ecm_reprogramming_corpus
 from repro.social.index import CorpusIndex
 from repro.social.post import Post
+from repro.stream import store as store_module
 from repro.stream.checkpoint import (
     restore_runtime,
     save_checkpoint,
@@ -221,6 +222,35 @@ class TestSegmentStore:
         assert store.segment_count == 1
         assert store.bytes_on_disk > 0
 
+    def test_load_post_ids_decodes_only_that_section(
+        self, tmp_path, monkeypatch
+    ):
+        decoded = []
+        decode = store_module._decode_section
+
+        def spy(section, payload, cursor):
+            decoded.append(section["name"])
+            return decode(section, payload, cursor)
+
+        monkeypatch.setattr(store_module, "_decode_section", spy)
+        store = SegmentStore(tmp_path)
+        key = store.spill(SAMPLE_STATE, span=7)
+        assert store.load_post_ids(key) == ["a", "b", "c"]
+        assert decoded == ["post_ids"]
+        decoded.clear()
+        store.load_columns_state(key)
+        assert decoded == list(SAMPLE_STATE)
+
+    def test_load_post_ids_still_checks_the_whole_payload(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        key = store.spill(SAMPLE_STATE, span=1)
+        path = tmp_path / f"{key}.seg"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF  # inside the last section, not post_ids
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match="checksum"):
+            store.load_post_ids(key)
+
     def test_spill_is_idempotent_by_content(self, tmp_path):
         store = SegmentStore(tmp_path)
         first = store.spill(self._state(), span=7)
@@ -337,6 +367,18 @@ class TestIndexSpill:
         assert index.store is not None
         assert index.store.segment_count > 0
         _assert_same_queries(index, CorpusIndex(posts))
+
+    def test_load_post_ids_equals_the_decoded_column(self, tmp_path):
+        posts = _daily_posts(500)
+        index = _spilled_index(tmp_path)
+        for i in range(0, len(posts), 40):
+            index.append(posts[i : i + 40])
+        store = index.store
+        assert store.segment_count > 1
+        for key in store.keys():
+            assert store.load_post_ids(key) == (
+                store.load_columns_state(key)["post_ids"]
+            )
 
     def test_hydration_rides_the_lru_cache(self, tmp_path):
         posts = _daily_posts(500)
