@@ -29,7 +29,7 @@ LIVE_LAYERS = {
     ),
     "stream_tiered": (
         "nlp.analysis.analyze_text.calls",
-        "stream.deltas.compute_signal_delta.self_s",
+        "social.columnar.from_posts.calls",
         "stream.deltas.compute_signal_delta_columnar.self_s",
         "stream.tiers.cold_seals",
         "tara.scoring.score.calls",

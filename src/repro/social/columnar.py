@@ -23,12 +23,13 @@ instead:
 
 `Post` objects do **not** exist inside the store; they materialize
 lazily — and are cached per position — only on result/report paths.
-Two segments concatenate by array extension (in-order appends, the
-streaming common case) or by a gather merge keyed on
+Segments concatenate in one pass by array extension (in-order parts,
+the streaming common case) or by a gather merge keyed on
 ``(created_at, post_id)`` (out-of-order arrivals), which is exactly the
-semantics of re-sorting the concatenated post lists.  Equivalence with
-the per-object reference implementation is property-tested in
-``tests/properties/test_columnar_equivalence.py``.
+semantics of re-sorting the concatenated post lists.  A segment
+pickles as its plain columns (the copy starts an interner of its own).
+Equivalence with the per-object reference implementation is
+property-tested in ``tests/properties/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -37,18 +38,38 @@ import datetime as dt
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add, attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.nlp.analysis import PostAnalysis, analyze_text
 from repro.social.post import Engagement, Post
 
-__all__ = ["ARENA_SEPARATOR", "ColumnarCorpus", "TextInterner"]
+__all__ = ["ARENA_SEPARATOR", "ColumnarCorpus", "TextInterner", "in_sort_order"]
 
 #: Separator between per-post haystacks in the arena.  The same
 #: character :mod:`repro.nlp.analysis` uses inside a haystack — canonical
 #: keywords are alphanumeric-only, so no keyword can straddle two posts'
 #: segments.
 ARENA_SEPARATOR = "\n"
+
+#: The global sort key of posts.
+_SORT_KEY = attrgetter("created_at", "post_id")
+
+
+def _segment_length(haystack: str) -> int:
+    return len(haystack) + 1
+
 
 #: Ordinal -> calendar year memo (distinct dates are few; `dt.date`
 #: objects never materialize on the aggregate paths).
@@ -102,6 +123,34 @@ class TextInterner:
             del self._pool[text]
         return len(stale)
 
+    @property
+    def lookup(self) -> Callable[[str], PostAnalysis]:
+        """The pool's own ``text -> analysis`` getter, at C speed.
+
+        Every text of a segment is pooled in its interner, so kernels
+        sweeping a segment's texts read their analyses through this.
+        """
+        return self._pool.__getitem__
+
+    def pooled(self, texts: Iterable[str], source: "TextInterner") -> List[str]:
+        """``texts`` pooled here, adopting the analyses ``source`` holds.
+
+        How a segment built in another pool joins this one: each text is
+        analyzed at most once, by whichever pool saw it first.
+        """
+        pool = self._pool
+        known = source._pool
+        out: List[str] = []
+        for text in texts:
+            analysis = pool.get(text)
+            if analysis is None:
+                analysis = known.get(text)
+                if analysis is None:
+                    analysis = analyze_text(text)
+                pool[text] = analysis
+            out.append(analysis.text)
+        return out
+
     def __len__(self) -> int:
         return len(self._pool)
 
@@ -129,7 +178,6 @@ class ColumnarCorpus:
         "_authors",
         "_region_codes",
         "_region_vocab",
-        "_region_map",
         "_views",
         "_likes",
         "_reposts",
@@ -166,7 +214,6 @@ class ColumnarCorpus:
         self._authors = authors
         self._region_codes = region_codes
         self._region_vocab = region_vocab
-        self._region_map = {region: code for code, region in enumerate(region_vocab)}
         self._views = views
         self._likes = likes
         self._reposts = reposts
@@ -189,42 +236,38 @@ class ColumnarCorpus:
         """Columnarize ``posts`` (stable-sorted by the global key)."""
         if interner is None:  # empty pools are falsy — test identity
             interner = TextInterner()
-        ordered = sorted(posts, key=lambda p: (p.created_at, p.post_id))
+        pool = interner._pool
         dates = array("l")
         post_ids: List[str] = []
         texts: List[str] = []
         authors: List[str] = []
-        region_vocab: List[str] = []
         region_map: Dict[str, int] = {}
         region_codes = array("H")
         views = array("q")
         likes = array("q")
         reposts = array("q")
         replies = array("q")
-        parts: List[str] = []
-        offsets = array("Q", (0,))
-        end = 0
+        haystacks: List[str] = []
         intern = sys.intern
-        for post in ordered:
-            analysis = interner.analysis(post.text)
+        for post in sorted(posts, key=_SORT_KEY):
+            text = post.text
+            analysis = pool.get(text)
+            if analysis is None:
+                analysis = pool[text] = analyze_text(text)
             dates.append(post.created_at.toordinal())
             post_ids.append(post.post_id)
             texts.append(analysis.text)
             authors.append(intern(post.author))
             code = region_map.get(post.region)
             if code is None:
-                code = len(region_vocab)
-                region_map[post.region] = code
-                region_vocab.append(post.region)
+                code = region_map[post.region] = len(region_map)
             region_codes.append(code)
             engagement = post.engagement
             views.append(engagement.views)
             likes.append(engagement.likes)
             reposts.append(engagement.reposts)
             replies.append(engagement.replies)
-            parts.append(analysis.haystack)
-            end += len(analysis.haystack) + 1
-            offsets.append(end)
+            haystacks.append(analysis.haystack)
         return cls(
             interner=interner,
             dates=dates,
@@ -232,13 +275,141 @@ class ColumnarCorpus:
             texts=texts,
             authors=authors,
             region_codes=region_codes,
-            region_vocab=region_vocab,
+            region_vocab=list(region_map),
             views=views,
             likes=likes,
             reposts=reposts,
             replies=replies,
-            arena=ARENA_SEPARATOR.join(parts),
+            arena=ARENA_SEPARATOR.join(haystacks),
+            offsets=array(
+                "Q", accumulate(map(_segment_length, haystacks), initial=0)
+            ),
+        )
+
+    @classmethod
+    def concat(
+        cls, parts: Sequence["ColumnarCorpus"], *, interner: TextInterner
+    ) -> "ColumnarCorpus":
+        """One segment holding every part's posts, built in one pass.
+
+        Equal to :meth:`from_posts` over the parts' posts into
+        ``interner``; texts of parts from another pool are pooled there
+        with the analyses those parts already hold.  When the parts are
+        in global sort-key order (:func:`in_sort_order`), every column
+        is extended once per part and the arena is one join.  Otherwise
+        the parts gather-merge by rebuilding from their posts.
+        """
+        parts = [part for part in parts if len(part)]
+        if len(parts) == 1 and parts[0]._interner is interner:
+            return parts[0]
+        if not in_sort_order(parts):
+            for part in parts:
+                if part._interner is not interner:
+                    interner.pooled(part._texts, part._interner)
+            return cls.from_posts(
+                chain.from_iterable(part.all_posts() for part in parts),
+                interner=interner,
+            )
+        texts: List[str] = []
+        region_map: Dict[str, int] = {}
+        region_codes = array("H")
+        offsets = array("Q", (0,))
+        for part in parts:
+            if part._interner is interner:
+                texts.extend(part._texts)
+            else:
+                texts.extend(interner.pooled(part._texts, part._interner))
+            remap = [
+                region_map.setdefault(region, len(region_map))
+                for region in part._region_vocab
+            ]
+            if remap == list(range(len(remap))):
+                region_codes.extend(part._region_codes)
+            else:
+                region_codes.extend(remap[code] for code in part._region_codes)
+            shift = offsets.pop()
+            offsets.extend([offset + shift for offset in part._offsets])
+        fingerprints = set(parts[0]._sentiments) if parts else set()
+        for part in parts[1:]:
+            fingerprints.intersection_update(part._sentiments)
+        return cls(
+            interner=interner,
+            dates=_joined("l", (part._dates for part in parts)),
+            post_ids=list(chain.from_iterable(part._post_ids for part in parts)),
+            texts=texts,
+            authors=list(chain.from_iterable(part._authors for part in parts)),
+            region_codes=region_codes,
+            region_vocab=list(region_map),
+            views=_joined("q", (part._views for part in parts)),
+            likes=_joined("q", (part._likes for part in parts)),
+            reposts=_joined("q", (part._reposts for part in parts)),
+            replies=_joined("q", (part._replies for part in parts)),
+            arena=ARENA_SEPARATOR.join(part._arena for part in parts),
             offsets=offsets,
+            sentiments={
+                fingerprint: _joined(
+                    "d", (part._sentiments[fingerprint] for part in parts)
+                )
+                for fingerprint in fingerprints
+            },
+        )
+
+    def sliced(self, lo: int, hi: int) -> "ColumnarCorpus":
+        """Positions ``[lo, hi)`` as a segment of their own, in this pool.
+
+        Equal to :meth:`from_posts` over those positions' posts: the
+        region vocabulary keeps only the regions the slice uses, in
+        order of first appearance.
+        """
+        codes = self._region_codes[lo:hi]
+        used = list(dict.fromkeys(codes))
+        vocab = list(self._region_vocab)
+        if used != list(range(len(vocab))):
+            remap = {code: new for new, code in enumerate(used)}
+            codes = array("H", [remap[code] for code in codes])
+            vocab = [vocab[code] for code in used]
+        offsets = self._offsets
+        start = offsets[lo]
+        return ColumnarCorpus(
+            interner=self._interner,
+            dates=self._dates[lo:hi],
+            post_ids=self._post_ids[lo:hi],
+            texts=self._texts[lo:hi],
+            authors=self._authors[lo:hi],
+            region_codes=codes,
+            region_vocab=vocab,
+            views=self._views[lo:hi],
+            likes=self._likes[lo:hi],
+            reposts=self._reposts[lo:hi],
+            replies=self._replies[lo:hi],
+            arena=self._arena[start : offsets[hi] - 1],
+            offsets=array("Q", [offset - start for offset in offsets[lo : hi + 1]]),
+            sentiments={
+                fingerprint: column[lo:hi]
+                for fingerprint, column in self._sentiments.items()
+            },
+        )
+
+    def __reduce__(self):
+        # Plain columns only: the interner pool, the post caches and the
+        # sentiment memos stay behind (a process executor ships chunks
+        # back as data, not as the worker's analyses).
+        return (
+            _from_plain_columns,
+            (
+                self._dates,
+                self._post_ids,
+                self._texts,
+                self._authors,
+                self._region_codes,
+                self._region_vocab,
+                self._views,
+                self._likes,
+                self._reposts,
+                self._replies,
+                self._arena,
+                self._offsets,
+            ),
         )
 
     # -- basic shape --------------------------------------------------------
@@ -259,6 +430,34 @@ class ColumnarCorpus:
     def date_ordinal(self, position: int) -> int:
         """The date ordinal of one post position."""
         return self._dates[position]
+
+    # The raw columns, for kernels that index them directly.  They are
+    # shared, not copied: callers must not mutate them.
+
+    @property
+    def dates(self) -> array:
+        """The date-ordinal column (ascending)."""
+        return self._dates
+
+    @property
+    def post_ids(self) -> List[str]:
+        """The post-id column."""
+        return self._post_ids
+
+    @property
+    def texts(self) -> List[str]:
+        """The pooled post-text column."""
+        return self._texts
+
+    @property
+    def region_codes(self) -> array:
+        """The region column, as indexes into :attr:`region_vocab`."""
+        return self._region_codes
+
+    @property
+    def engagement(self) -> Tuple[array, array, array, array]:
+        """The ``(views, likes, reposts, replies)`` columns."""
+        return (self._views, self._likes, self._reposts, self._replies)
 
     @property
     def region_vocab(self) -> Tuple[str, ...]:
@@ -321,16 +520,15 @@ class ColumnarCorpus:
         hits: List[int] = []
         if not canonical or lo >= hi:
             return hits
-        arena = self._arena
         offsets = self._offsets
         # The window's last haystack ends one short of the next offset.
         stop = offsets[hi] - 1
-        find = arena.find
-        found = find(canonical, offsets[lo])
-        while -1 < found < stop:
+        find = self._arena.find
+        found = find(canonical, offsets[lo], stop)
+        while found != -1:
             position = bisect_right(offsets, found) - 1
             hits.append(position)
-            found = find(canonical, offsets[position + 1])
+            found = find(canonical, offsets[position + 1], stop)
         return hits
 
     # -- aggregate slices ---------------------------------------------------
@@ -367,18 +565,18 @@ class ColumnarCorpus:
 
     def sentiment_slice(self, analyzer, lo: int, hi: int) -> float:
         """Summed sentiment of the [lo, hi) slice (ascending-position
-        accumulation order, matching the per-post fold)."""
-        return sum(self.sentiment_column(analyzer)[lo:hi], 0.0)
+        accumulation order, matching the per-post fold).
+
+        An explicit left fold: since Python 3.12 ``sum()`` of floats
+        compensates, which no ``+=`` fold reproduces.
+        """
+        return reduce(add, self.sentiment_column(analyzer)[lo:hi], 0.0)
 
     # -- lazy materialization -----------------------------------------------
 
     def analysis_at(self, position: int) -> PostAnalysis:
         """The pooled analysis of the post at ``position``."""
         return self._interner.analysis(self._texts[position])
-
-    def iter_texts(self) -> Iterable[str]:
-        """The stored (pooled) post texts, in position order."""
-        return iter(self._texts)
 
     def post(self, position: int) -> Post:
         """Materialize (and cache) the `Post` at one position."""
@@ -418,11 +616,7 @@ class ColumnarCorpus:
         """A new segment holding this one's posts plus ``tail``'s.
 
         Semantically identical to re-sorting the concatenated post lists
-        and columnarizing from scratch.  When ``tail`` starts at or
-        after this segment's last sort key — the streaming common case —
-        every scalar column concatenates at C speed and the arena is one
-        string join.  Out-of-order tails fall back to a full gather
-        rebuild.
+        and columnarizing from scratch (see :meth:`concat`).
         """
         if len(tail) == 0:
             return self
@@ -433,60 +627,7 @@ class ColumnarCorpus:
                 "cannot extend across corpus lineages: segments must "
                 "share one TextInterner"
             )
-        last = (self._dates[-1], self._post_ids[-1])
-        first = (tail._dates[0], tail._post_ids[0])
-        if last <= first:
-            return self._concatenated(tail)
-        # Rare out-of-order arrival: gather-merge by rebuilding from the
-        # materialized union (analyses are pooled, so no re-analysis).
-        return ColumnarCorpus.from_posts(
-            list(self.all_posts()) + list(tail.all_posts()),
-            interner=self._interner,
-        )
-
-    def _concatenated(self, tail: "ColumnarCorpus") -> "ColumnarCorpus":
-        shift = self._offsets[len(self)]  # == len(arena) + 1
-        offsets = array("Q", self._offsets)
-        offsets.pop()
-        offsets.extend(offset + shift for offset in tail._offsets)
-        if tail._region_vocab == self._region_vocab:
-            region_vocab = self._region_vocab
-            region_codes = self._region_codes + tail._region_codes
-        else:
-            region_vocab = list(self._region_vocab)
-            region_map = dict(self._region_map)
-            remap: List[int] = []
-            for region in tail._region_vocab:
-                code = region_map.get(region)
-                if code is None:
-                    code = len(region_vocab)
-                    region_map[region] = code
-                    region_vocab.append(region)
-                remap.append(code)
-            region_codes = self._region_codes + array(
-                "H", (remap[code] for code in tail._region_codes)
-            )
-        sentiments = {
-            fingerprint: column + tail_column
-            for fingerprint, column in self._sentiments.items()
-            if (tail_column := tail._sentiments.get(fingerprint)) is not None
-        }
-        return ColumnarCorpus(
-            interner=self._interner,
-            dates=self._dates + tail._dates,
-            post_ids=self._post_ids + tail._post_ids,
-            texts=self._texts + tail._texts,
-            authors=self._authors + tail._authors,
-            region_codes=region_codes,
-            region_vocab=region_vocab,
-            views=self._views + tail._views,
-            likes=self._likes + tail._likes,
-            reposts=self._reposts + tail._reposts,
-            replies=self._replies + tail._replies,
-            arena=self._arena + ARENA_SEPARATOR + tail._arena,
-            offsets=offsets,
-            sentiments=sentiments,
-        )
+        return ColumnarCorpus.concat((self, tail), interner=self._interner)
 
     # -- compact serialization ----------------------------------------------
 
@@ -520,6 +661,52 @@ class ColumnarCorpus:
     ) -> "ColumnarCorpus":
         """Rebuild a segment from a :meth:`state_dict` snapshot."""
         return cls.from_posts(columns_to_posts(state), interner=interner)
+
+
+def _joined(typecode: str, columns: Iterable[array]) -> array:
+    joined = array(typecode)
+    for column in columns:
+        joined.extend(column)
+    return joined
+
+
+def _from_plain_columns(
+    dates, post_ids, texts, authors, region_codes, region_vocab,
+    views, likes, reposts, replies, arena, offsets,
+) -> ColumnarCorpus:
+    """Unpickle a :class:`ColumnarCorpus` into a pool of its own."""
+    interner = TextInterner()
+    interner.pooled(texts, interner)
+    return ColumnarCorpus(
+        interner=interner,
+        dates=dates,
+        post_ids=post_ids,
+        texts=texts,
+        authors=authors,
+        region_codes=region_codes,
+        region_vocab=region_vocab,
+        views=views,
+        likes=likes,
+        reposts=reposts,
+        replies=replies,
+        arena=arena,
+        offsets=offsets,
+    )
+
+
+def in_sort_order(parts: Sequence[ColumnarCorpus]) -> bool:
+    """Whether each part starts at or after the previous one's last
+    ``(created_at, post_id)`` key (empty parts are skipped)."""
+    last = None
+    for part in parts:
+        if not len(part):
+            continue
+        first = (part.date_ordinal(0), part.post_id(0))
+        if last is not None and first < last:
+            return False
+        end = len(part) - 1
+        last = (part.date_ordinal(end), part.post_id(end))
+    return True
 
 
 def posts_to_columns(posts: Sequence[Post]) -> Dict[str, object]:

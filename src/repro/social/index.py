@@ -115,21 +115,14 @@ class CorpusIndex:
     def extended_with(self, posts: Iterable[Post]) -> "CorpusIndex":
         """A new index over this one's posts plus ``posts``.
 
-        This is the seal and consolidation primitive of the stream
-        index (:class:`~repro.stream.tiers.TieredCorpusIndex`).  In-order
-        extensions — the streaming common case — concatenate every
-        column and the arena at C speed instead of re-indexing;
-        out-of-order extensions gather-merge on the global
-        sort key.  Either way the per-text analyses come from the shared
-        interner, so the dominant analysis cost is never paid twice.
+        In-order extensions concatenate every column and the arena at C
+        speed instead of re-indexing; out-of-order extensions
+        gather-merge on the global sort key (see
+        :meth:`~repro.social.columnar.ColumnarCorpus.concat`).  Either
+        way the per-text analyses come from the shared interner, so the
+        dominant analysis cost is never paid twice.
         """
         batch = ColumnarCorpus.from_posts(
             posts, interner=self._columns.interner
         )
         return CorpusIndex(columns=self._columns.extended_with(batch))
-
-    def extended_with_index(self, other: Optional["CorpusIndex"]) -> "CorpusIndex":
-        """Like :meth:`extended_with`, reusing an already-built index."""
-        if other is None or len(other) == 0:
-            return self
-        return CorpusIndex(columns=self._columns.extended_with(other._columns))

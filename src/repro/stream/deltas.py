@@ -24,6 +24,15 @@ sums.  :class:`DeltaTracker` does exactly that:
   :meth:`DeltaTracker.observe` re-derives them from the word set, so it
   stays an independent oracle for the kernels.
 
+The stream folds each micro-batch exactly once, in its shard job:
+:func:`compute_signal_delta_columnar`, the one delta kernel, folds the
+batch's column chunk into the tracker's :class:`SignalDelta` plus the
+chunk's :class:`ChunkRuns`, from which the index later folds the
+chunk's span into a cold :class:`SegmentSidecar` without sweeping it
+again.  The same kernel sweeps segments whose runs are missing.  The
+per-post paths — :meth:`DeltaTracker.observe` and the Post kernel
+:func:`compute_signal_delta` — are the test oracles.
+
 One deliberate semantic difference from the batch path: the batch
 classifier searches the whole corpus — including posts *newer than the
 analysis window*, an artifact of replaying history against a static
@@ -36,13 +45,16 @@ identically on both paths.)
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -57,6 +69,7 @@ from repro.social.post import Engagement, Post
 
 #: re-exported for convenience of streaming consumers.
 __all__ = [
+    "ChunkRuns",
     "DeltaTracker",
     "KeywordSignals",
     "SegmentSidecar",
@@ -85,27 +98,10 @@ class _Bucket:
 
     def add(self, post: Post, sentiment: float) -> None:
         engagement = post.engagement
-        self.add_values(
-            engagement.views,
-            engagement.likes,
-            engagement.reposts,
-            engagement.replies,
-            sentiment,
-        )
-
-    def add_values(
-        self,
-        views: int,
-        likes: int,
-        reposts: int,
-        replies: int,
-        sentiment: float,
-    ) -> None:
-        """Fold one post's raw counter values in (columnar hot path)."""
-        self.views += views
-        self.likes += likes
-        self.reposts += reposts
-        self.replies += replies
+        self.views += engagement.views
+        self.likes += engagement.likes
+        self.reposts += engagement.reposts
+        self.replies += engagement.replies
         self.posts += 1
         self.sentiment_sum += sentiment
 
@@ -264,17 +260,17 @@ def compute_signal_delta(
     region: Optional[str] = None,
     analyzer: Optional[SentimentAnalyzer] = None,
 ) -> SignalDelta:
-    """The :class:`SignalDelta` of one micro-batch, via a batch sweep.
+    """The :class:`SignalDelta` of a list of posts, in arrival order.
 
     Semantically identical to folding the batch through
     :meth:`DeltaTracker.observe` post by post (same buckets, same votes,
     same dirty set, bit-for-bit identical float sums), but the keyword
     matching runs as one arena sweep per keyword
     (:func:`_match_batch`) instead of ``len(posts) x len(keywords)``
-    substring probes — the sharded runtime's per-shard ingest kernel.
-    The function is pure and its arguments/result are picklable, so it
-    can run inside a :class:`~repro.core.executor.ProcessExecutor`
-    worker.
+    substring probes.  The stream folds column chunks with
+    :func:`compute_signal_delta_columnar` instead; this Post kernel is
+    the oracle the kernel tests (and :meth:`DeltaTracker.ingest_batch`)
+    compare against.
     """
     scorer = analyzer or SentimentAnalyzer()
     region_scope = region.strip().lower() if region else None
@@ -321,6 +317,24 @@ def compute_signal_delta(
     )
 
 
+class ChunkRuns(NamedTuple):
+    """What one column chunk's fold leaves for its span's cold sidecar.
+
+    ``buckets`` maps keyword -> year -> ``[views, likes, reposts,
+    replies, scores]``: the in-region engagement sums plus each matched
+    post's sentiment score in position order (the :class:`~repro.core.
+    sai.SignalSums` shape, kept as the fold's own lists).  ``votes``
+    holds the voice votes of every matched keyword and ``keywords`` the
+    universe the chunk was folded over.  :meth:`SegmentSidecar.fold`
+    adds the runs of a span's chunks left to right, score by score, so
+    the sums equal one sweep of the whole span bit for bit.
+    """
+
+    keywords: Tuple[str, ...]
+    buckets: Dict[str, Dict[int, list]]
+    votes: Dict[str, Tuple[int, int]]
+
+
 def compute_signal_delta_columnar(
     keywords: Sequence[str],
     columns: ColumnarCorpus,
@@ -329,75 +343,94 @@ def compute_signal_delta_columnar(
     until=None,
     region: Optional[str] = None,
     analyzer: Optional[SentimentAnalyzer] = None,
-) -> SignalDelta:
+    runs: bool = False,
+):
     """The :class:`SignalDelta` of one columnar window — no `Post` hops.
 
     Bit-for-bit identical (float sums included) to folding the window's
-    posts through :meth:`DeltaTracker.observe`, but computed straight
-    from a :class:`~repro.social.columnar.ColumnarCorpus` segment:
+    posts through :meth:`DeltaTracker.observe` in position order, but
+    computed straight from a :class:`~repro.social.columnar.
+    ColumnarCorpus` segment in one flat fold:
 
     * the window resolves to a position slice by bisecting the flat
       date-ordinal column (``observed`` is pure slice arithmetic);
     * keyword matching probes the shared haystack arena
       (:meth:`~repro.social.columnar.ColumnarCorpus.search_positions`),
       one C-level scan per keyword;
-    * engagement and year come from flat-array reads, sentiment and
-      voice bits from the corpus's interned per-distinct-text analyses.
+    * engagement, region and year are indexed straight out of the
+      column arrays, sentiment and voice bits come from the corpus's
+      interned per-distinct-text analyses.
 
-    `Post` objects never materialize — the backfill path for seeding a
-    tracker from an already-indexed corpus at 10M+ posts.
+    This is the one delta kernel: the stream's shard job folds each
+    batch's chunk here (with ``runs=True`` it returns ``(delta,
+    runs)``, the :class:`ChunkRuns` its span's cold sidecar is folded
+    from), and sidecar builds and backfills sweep segments here.
     """
     scorer = analyzer or SentimentAnalyzer()
     region_scope = region.strip().lower() if region else None
     lo, hi = columns.window_bounds(since, until)
-    per_post: Dict[int, List[str]] = {}
-    for keyword in keywords:
-        for position in columns.search_positions(keyword, lo, hi):
-            # Outer loop in ``keywords`` order => per post the matched
-            # keywords accumulate in keyword order, exactly like the
-            # per-post probe loop's — float sums stay bit-identical.
-            per_post.setdefault(position, []).append(keyword)
-
-    in_region_by_code = [
+    in_region = [
         region_scope is None or vocab_region.lower() == region_scope
         for vocab_region in columns.region_vocab
     ]
-    buckets: Dict[str, Dict[int, _Bucket]] = {}
-    votes: Dict[str, List[int]] = {}
-    dirty: set = set()
-    for position in sorted(per_post):
-        matched = per_post[position]
-        analysis = columns.analysis_at(position)
-        insider_vote = analysis.insider_voice
-        outsider_vote = analysis.outsider_voice
-        in_region = in_region_by_code[columns.region_code(position)]
-        sentiment = (
-            scorer.score_analysis(analysis).score if in_region else 0.0
-        )
-        views, likes, reposts, replies = columns.engagement_values(position)
-        year = year_of_ordinal(columns.date_ordinal(position))
-        for keyword in matched:
-            pair = votes.setdefault(keyword, [0, 0])
-            if insider_vote:
-                pair[0] += 1
-            if outsider_vote:
-                pair[1] += 1
-            if in_region:
-                years = buckets.setdefault(keyword, {})
-                bucket = years.setdefault(year, _Bucket())
-                bucket.add_values(views, likes, reposts, replies, sentiment)
-        dirty.update(matched)
-    return SignalDelta(
+    region_codes = columns.region_codes
+    dates = columns.dates
+    texts = columns.texts
+    views, likes, reposts, replies = columns.engagement
+    analysis_of = columns.interner.lookup
+    score = scorer.score_analysis
+    # keyword -> year -> [views, likes, reposts, replies, scores]; each
+    # keyword's positions come ascending, so every cell's scores are in
+    # position order, as the per-post fold adds them.
+    cells: Dict[str, Dict[int, list]] = {}
+    votes: Dict[str, Tuple[int, int]] = {}
+    for keyword in keywords:
+        positions = columns.search_positions(keyword, lo, hi)
+        if not positions:
+            continue
+        insider, outsider = votes.get(keyword, (0, 0))
+        years = cells.get(keyword)
+        for position in positions:
+            analysis = analysis_of(texts[position])
+            insider += analysis.insider_voice
+            outsider += analysis.outsider_voice
+            if not in_region[region_codes[position]]:
+                continue
+            sentiment = score(analysis).score
+            year = year_of_ordinal(dates[position])
+            if years is None:
+                years = cells[keyword] = {}
+            cell = years.get(year)
+            if cell is None:
+                years[year] = [
+                    views[position], likes[position], reposts[position],
+                    replies[position], [sentiment],
+                ]
+            else:
+                cell[0] += views[position]
+                cell[1] += likes[position]
+                cell[2] += reposts[position]
+                cell[3] += replies[position]
+                cell[4].append(sentiment)
+        votes[keyword] = (insider, outsider)
+    delta = SignalDelta(
         buckets={
-            keyword: {year: bucket.as_list() for year, bucket in years.items()}
-            for keyword, years in buckets.items()
+            keyword: {
+                year: [
+                    cell[0], cell[1], cell[2], cell[3], len(cell[4]),
+                    reduce(add, cell[4], 0.0),
+                ]
+                for year, cell in years.items()
+            }
+            for keyword, years in cells.items()
         },
-        votes={
-            keyword: (pair[0], pair[1]) for keyword, pair in votes.items()
-        },
-        dirty=tuple(sorted(dirty)),
+        votes=votes,
+        dirty=tuple(sorted(votes)),
         observed=hi - lo,
     )
+    if not runs:
+        return delta
+    return delta, ChunkRuns(tuple(keywords), cells, delta.votes)
 
 
 class SegmentSidecar:
@@ -410,7 +443,10 @@ class SegmentSidecar:
     :class:`SignalDelta` carries.  :meth:`build` sweeps the segment with
     :func:`compute_signal_delta_columnar`, so every stored sum is
     bit-for-bit identical to folding the segment's posts through
-    :meth:`DeltaTracker.observe`.
+    :meth:`DeltaTracker.observe`.  A stream index instead starts an
+    empty sidecar per warm span and adds the :class:`ChunkRuns` of each
+    chunk the span receives with :meth:`fold`, which gives the same sums
+    without sweeping the segment again.
 
     The keyword universe is pinned at build time; when the database
     learns a new keyword later, :meth:`extend` materializes the raw
@@ -456,6 +492,46 @@ class SegmentSidecar:
             votes=dict(delta.votes),
             posts=delta.observed,
         )
+
+    def fold(self, runs: ChunkRuns, posts: int) -> None:
+        """Add the segment's next chunk of ``posts`` posts from its runs.
+
+        The chunk must follow every post folded so far in sort-key
+        order.  Each score is added with ``+=`` after those of earlier
+        chunks, so the sums equal :meth:`build` over the concatenated
+        chunks bit for bit.  Keywords the chunk was not folded over
+        leave the universe; :meth:`extend` sweeps them back in.
+        """
+        if runs.keywords != self._keywords:
+            folded = set(runs.keywords)
+            self._keywords = tuple(k for k in self._keywords if k in folded)
+            for table in (self._buckets, self._votes):
+                for keyword in [k for k in table if k not in folded]:
+                    del table[keyword]
+        universe = set(self._keywords)
+        for keyword, pair in runs.votes.items():
+            if keyword in universe:
+                known = self._votes.get(keyword, (0, 0))
+                self._votes[keyword] = (known[0] + pair[0], known[1] + pair[1])
+        for keyword, years in runs.buckets.items():
+            if keyword not in universe:
+                continue
+            cells = self._buckets.setdefault(keyword, {})
+            for year, (views, likes, reposts, replies, scores) in years.items():
+                cell = cells.get(year)
+                if cell is None:
+                    cells[year] = [
+                        views, likes, reposts, replies, len(scores),
+                        reduce(add, scores, 0.0),
+                    ]
+                else:
+                    cell[0] += views
+                    cell[1] += likes
+                    cell[2] += reposts
+                    cell[3] += replies
+                    cell[4] += len(scores)
+                    cell[5] = reduce(add, scores, cell[5])
+        self._posts += posts
 
     # -- shape ---------------------------------------------------------------
 
@@ -787,17 +863,22 @@ class DeltaTracker:
 
         The additive counterpart of :meth:`observe_batch` for deltas
         computed elsewhere — typically by
-        :func:`compute_signal_delta` inside a shard worker.
+        :func:`compute_signal_delta_columnar` inside a shard job.
         """
         self._observed += delta.observed
         self._dirty.update(delta.dirty)
         self._dirty_since_snapshot.update(delta.dirty)
-        for keyword, pair in delta.votes.items():
-            votes = self._votes.setdefault(keyword, _Votes())
-            votes.insider += pair[0]
-            votes.outsider += pair[1]
+        for keyword, (insider, outsider) in delta.votes.items():
+            votes = self._votes.get(keyword)
+            if votes is None:
+                self._votes[keyword] = _Votes(insider, outsider)
+            else:
+                votes.insider += insider
+                votes.outsider += outsider
         for keyword, years in delta.buckets.items():
-            target_years = self._buckets.setdefault(keyword, {})
+            target_years = self._buckets.get(keyword)
+            if target_years is None:
+                target_years = self._buckets[keyword] = {}
             for year, values in years.items():
                 bucket = target_years.get(year)
                 if bucket is None:

@@ -8,13 +8,19 @@ consumes a micro-batch per shard and performs, in order:
 
 1. **shard map** — each shard batch passes the authenticity filter
    (:mod:`repro.core.poisoning`, so a flood injected mid-stream is
-   rejected *before* it can dirty any keyword) and is reduced to an
-   additive :class:`~repro.stream.deltas.SignalDelta` by the arena-sweep
-   batch kernel, through a pluggable :mod:`~repro.core.executor`;
-2. **shard merge** — the accepted posts join the shard's
-   :class:`~repro.stream.tiers.TieredCorpusIndex` and the delta folds
-   into the shard's :class:`~repro.stream.deltas.DeltaTracker` and into
-   the maintained pure-sum merge of all shards;
+   rejected *before* it can dirty any keyword), is built into one
+   column chunk (:meth:`~repro.social.columnar.ColumnarCorpus.
+   from_posts`) and is folded once by the one delta kernel
+   (:func:`~repro.stream.deltas.compute_signal_delta_columnar`) into an
+   additive :class:`~repro.stream.deltas.SignalDelta` plus the chunk's
+   :class:`~repro.stream.deltas.ChunkRuns`, through a pluggable
+   :mod:`~repro.core.executor`;
+2. **shard merge** — the chunk and its runs join the shard's
+   :class:`~repro.stream.tiers.TieredCorpusIndex` hot tail (seals
+   concatenate chunks and fold cold sidecars from the runs, so no post
+   is analyzed, columnized or swept again) and the delta folds into the
+   shard's :class:`~repro.stream.deltas.DeltaTracker` and into the
+   maintained pure-sum merge of all shards;
 3. **conditional weight retune** — insider weights are re-derived only
    when a dirty keyword is insider-classified (before or after
    reclassification) or the in-window volume went stale; pure-outsider
@@ -61,8 +67,14 @@ from repro.nlp.sentiment import SentimentAnalyzer
 from repro.obs import views as obs_views
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
 from repro.obs.trace import trace_for
+from repro.social.columnar import ColumnarCorpus
 from repro.social.post import Post
-from repro.stream.deltas import DeltaTracker, SignalDelta, compute_signal_delta
+from repro.stream.deltas import (
+    ChunkRuns,
+    DeltaTracker,
+    SignalDelta,
+    compute_signal_delta_columnar,
+)
 from repro.stream.feed import FeedSource, PostEvent
 from repro.stream.store import DEFAULT_MAX_RESIDENT_COLD, SegmentStore
 from repro.stream.tiers import DEFAULT_COMPACT_THRESHOLD, TieredCorpusIndex
@@ -404,9 +416,11 @@ class TickEvaluator:
 class _ShardJob:
     """One shard's micro-batch, as a picklable work item.
 
-    ``analyzer`` is the runtime's one sentiment analyzer, the one its
-    trackers and cold sidecars score with (a process worker gets a
-    pickled copy, whose fingerprint is the same).
+    ``keywords`` and ``region`` are the merged tracker's, which every
+    shard index's cold sidecars share.  ``analyzer`` is the runtime's
+    one sentiment analyzer, the one its trackers and cold sidecars score
+    with (a process worker gets a pickled copy, whose fingerprint is the
+    same).
     """
 
     keywords: Tuple[str, ...]
@@ -416,26 +430,43 @@ class _ShardJob:
     analyzer: SentimentAnalyzer
 
 
-def _run_shard_job(
-    job: _ShardJob,
-) -> Tuple[SignalDelta, Optional[FilterReport]]:
-    """Filter + delta-reduce one shard batch (runs inside any executor).
+_ShardOutcome = Tuple[
+    SignalDelta,
+    Optional[FilterReport],
+    Optional[ColumnarCorpus],
+    Optional[ChunkRuns],
+]
+
+
+def _run_shard_job(job: _ShardJob) -> _ShardOutcome:
+    """Filter, columnize and fold one shard batch (inside any executor).
 
     Module-level and pure so a :class:`~repro.core.executor.
     ProcessExecutor` can ship it to a worker: in comes plain data, out
-    comes an additive :class:`SignalDelta` and the authenticity-filter
-    audit report.  The delta is scored with the job's analyzer, so a
-    tick builds none.
+    come an additive :class:`SignalDelta`, the authenticity-filter audit
+    report, and the accepted posts' column chunk with its
+    :class:`ChunkRuns` (None for an empty batch).  This is the one place
+    a post is analyzed, columnized and folded: the index keeps the chunk
+    and its runs, so its seals neither rebuild nor re-sweep it.  The
+    fold scores with the job's analyzer, so a tick builds none; a
+    process worker ships the chunk back as plain columns.
     """
     report: Optional[FilterReport] = None
     posts: Sequence[Post] = job.posts
     if job.post_filter is not None and posts:
         report = job.post_filter.filter(list(posts))
         posts = report.accepted
-    delta = compute_signal_delta(
-        job.keywords, posts, region=job.region, analyzer=job.analyzer
+    if not posts:
+        return SignalDelta.empty(), report, None, None
+    columns = ColumnarCorpus.from_posts(posts)
+    delta, runs = compute_signal_delta_columnar(
+        job.keywords,
+        columns,
+        region=job.region,
+        analyzer=job.analyzer,
+        runs=True,
     )
-    return delta, report
+    return delta, report, columns, runs
 
 
 @dataclass
@@ -866,9 +897,10 @@ class ShardedStreamRuntime:
                 )
                 for events in events_per_shard
             ]
-            # The embarrassingly parallel stage: filter + delta-reduce
-            # every shard batch.  Serial, thread and process executors
-            # produce identical deltas; only wall-clock differs.
+            # The embarrassingly parallel stage: filter, columnize and
+            # fold every shard batch.  Serial, thread and process
+            # executors produce identical outcomes; only wall-clock
+            # differs.
             with self._trace.span("shard_map"):
                 outcomes = self._executor.map(_run_shard_job, jobs)
 
@@ -876,7 +908,7 @@ class ShardedStreamRuntime:
             events_total = 0
             rejected = 0
             with self._trace.span("shard_merge"):
-                for shard, events, job, (delta, report) in zip(
+                for shard, events, job, (delta, report, columns, runs) in zip(
                     self._shards, events_per_shard, jobs, outcomes
                 ):
                     leg_start = time.perf_counter()
@@ -886,7 +918,7 @@ class ShardedStreamRuntime:
                         rejected += len(report.rejected)
                     else:
                         accepted = job.posts
-                    shard.index.append(accepted)
+                    shard.index.append(accepted, columns=columns, runs=runs)
                     shard.deltas.apply_delta(delta)
                     # mirrored into the merged tracker
                     shard.deltas.take_dirty()
@@ -896,12 +928,12 @@ class ShardedStreamRuntime:
                     for event in events:
                         if event.seq > shard.cursor:
                             shard.cursor = event.seq
-                    for post in accepted:
-                        if (
-                            self._max_date is None
-                            or post.created_at > self._max_date
-                        ):
-                            self._max_date = post.created_at
+                    if columns is not None:
+                        # The chunk is date-sorted: its last date is
+                        # the batch's newest.
+                        newest = dt.date.fromordinal(columns.dates[-1])
+                        if self._max_date is None or newest > self._max_date:
+                            self._max_date = newest
                     shard.ingested.inc(
                         len(accepted), shard=str(shard.shard_id)
                     )

@@ -5,25 +5,34 @@ date-sorted columns and haystack arena are global, so a single appended
 post would shift every position after it.  :class:`TieredCorpusIndex`
 keeps appended posts in segments instead, in a time-decay hierarchy:
 
-* **hot** — the append-only tail of recent arrivals, kept as plain
-  posts and indexed lazily on first query;
+* **hot** — the append-only tail of recent arrivals, kept as the
+  column chunks each micro-batch arrived as (one
+  :class:`~repro.social.columnar.ColumnarCorpus` per batch, built and
+  folded once at the door — in the stream runtime's shard job) and
+  indexed lazily on first query;
 * **warm** — date-bounded segments.  When arrivals cross a time
-  boundary (every ``warm_span_days`` of post dates), the posts of
+  boundary (every ``warm_span_days`` of post dates), the chunks of
   completed spans seal out of the hot tail into per-span
-  :class:`~repro.social.index.CorpusIndex` chunks.  A size policy
+  :class:`~repro.social.index.CorpusIndex` chunks by one concatenation
+  (:meth:`~repro.social.columnar.ColumnarCorpus.concat`).  A size policy
   (``compact_threshold``/``compact_ratio``) also seals the whole tail.
-  Spans consolidate their chunks on their own cadence, so consolidation
-  cost is bounded by a span's size — never by total retention;
+  Spans consolidate their chunks on their own cadence, again by one
+  concatenation, so consolidation cost is bounded by a span's size —
+  never by total retention;
 * **cold** — once a span's entire date range is older than
   ``cold_age_days`` (measured against the newest post seen), the span
   seals immutably: its raw columns are demoted to compact plain
   arrays (arena, interned analyses and `Post` caches are all
-  dropped) and a precomputed :class:`~repro.stream.deltas.
-  SegmentSidecar` carries its per-``keyword × year`` aggregate sums, so
-  tracker seeding and keyword backfill answer from sidecar lookups
-  instead of re-scanning the segment.  Raw posts stay lazily
-  materializable (replay parity, late keyword backfill) but are never
-  cached — a cold segment costs its column data, nothing more.
+  dropped) and a :class:`~repro.stream.deltas.SegmentSidecar` carries
+  its per-``keyword × year`` aggregate sums, so tracker seeding and
+  keyword backfill answer from sidecar lookups instead of re-scanning
+  the segment.  The sidecar is folded, chunk by chunk as the span
+  fills, from the :class:`~repro.stream.deltas.ChunkRuns` each batch's
+  fold left; only a span whose runs are missing (restored from a
+  checkpoint, gather-merged out of order, or cut by a span boundary)
+  is swept at its cold seal.  Raw posts stay lazily materializable
+  (replay parity, late keyword backfill) but are never cached — a cold
+  segment costs its column data, nothing more.
 
 Without retention knobs the index keeps everything: one warm span
 that never completes and no cold tier, so the hot tail seals only
@@ -45,7 +54,9 @@ including out-of-order arrivals, since every merge keys on
 
 All warm segments share one :class:`~repro.social.columnar.
 TextInterner`, so a text is analyzed once however many seals and
-consolidations its post survives.
+consolidations its post survives.  Hot chunks keep pools of their own
+until they seal: a text joins the shared pool when its post seals warm
+or the hot tail is queried, never at the door.
 """
 
 from __future__ import annotations
@@ -53,22 +64,35 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 from array import array
+from bisect import bisect_left, bisect_right
 from heapq import merge as heap_merge
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
 from repro.social.columnar import (
     ColumnarCorpus,
     TextInterner,
     columns_to_posts,
+    in_sort_order,
     posts_to_columns,
 )
 from repro.social.index import CorpusIndex
 from repro.social.post import Post
 from repro.stream.deltas import (
+    ChunkRuns,
     SegmentSidecar,
     SignalDelta,
-    compute_signal_delta,
     compute_signal_delta_columnar,
 )
 from repro.stream.store import (
@@ -130,30 +154,51 @@ def _compact_columns(state: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def _oldest_ord(posts: Iterable[Post]) -> Optional[int]:
-    """The oldest date ordinal among ``posts`` (None when empty)."""
-    return min((post.created_at.toordinal() for post in posts), default=None)
-
-
 def _plain_columns(compact: Mapping[str, object]) -> Dict[str, object]:
     """The JSON-serialisable form of a :func:`_compact_columns` dict."""
     return {key: list(value) for key, value in compact.items()}  # type: ignore[call-overload]
 
 
-def _merged(chunks: Sequence[CorpusIndex]) -> CorpusIndex:
-    """One chunk holding every chunk's posts, newest chunks folded first.
+class _Chunk(NamedTuple):
+    """One micro-batch of the hot tail.
 
-    Chunks are listed oldest first, and the oldest is the largest (a
-    span's earlier consolidations).  Folding from the newest end copies
-    it once per merge, where a left fold would copy it once per later
-    chunk and keep each copy alive until the next.  ``extended_with``
-    merges on the global sort key, so the columns are the same either
-    way.
+    ``runs`` is what the batch's fold left for its span's cold sidecar
+    (None: that span is swept at its cold seal).  ``arrival`` lists the
+    positions in the order the posts arrived (None when that is position
+    order): checkpoints and keyword learning read the hot tail in
+    arrival order.
     """
-    merged = chunks[-1]
-    for chunk in reversed(chunks[:-1]):
-        merged = chunk.extended_with_index(merged)
-    return merged
+
+    columns: ColumnarCorpus
+    runs: Optional[ChunkRuns]
+    arrival: Optional[array]
+
+    def arrival_positions(self) -> Sequence[int]:
+        if self.arrival is None:
+            return range(len(self.columns))
+        return self.arrival
+
+
+def _chunk(
+    ids: List[str], columns: ColumnarCorpus, runs: Optional[ChunkRuns]
+) -> _Chunk:
+    """The hot chunk of posts with ``ids`` (arrival order) as ``columns``."""
+    if ids == columns.post_ids:
+        return _Chunk(columns, runs, None)
+    position = {post_id: index for index, post_id in enumerate(columns.post_ids)}
+    return _Chunk(columns, runs, array("I", [position[i] for i in ids]))
+
+
+def _sliced(chunk: _Chunk, lo: int, hi: int) -> _Chunk:
+    """Positions ``[lo, hi)`` of a chunk; a part of a chunk has no runs."""
+    if lo == 0 and hi == len(chunk.columns):
+        return chunk
+    arrival = None
+    if chunk.arrival is not None:
+        arrival = array(
+            "I", [index - lo for index in chunk.arrival if lo <= index < hi]
+        )
+    return _Chunk(chunk.columns.sliced(lo, hi), None, arrival)
 
 
 def _optional_int(value: object) -> Optional[int]:
@@ -358,13 +403,18 @@ class TieredCorpusIndex:
             else max_resident_cold
         )
         self._interner = TextInterner()
-        self._hot: List[Post] = []
+        self._hot: List[_Chunk] = []
+        self._hot_count = 0
         #: The hot tail's oldest date ordinal (None while it is empty):
         #: the seal check's O(1) answer to "does any hot post belong to
         #: a completed span?".  Derived state, rebuilt on restore.
         self._hot_min_ord: Optional[int] = None
         self._hot_index: Optional[CorpusIndex] = None
         self._warm: Dict[int, List[CorpusIndex]] = {}
+        #: Per warm span, the cold sidecar folded so far from its chunks'
+        #: runs; None once a chunk without runs, or out of order, joined
+        #: the span (its cold seal then sweeps).  Never serialized.
+        self._warm_sums: Dict[int, Optional[SegmentSidecar]] = {}
         self._warm_count = 0
         self._cold: List[_ColdSegment] = []
         self._cold_count = 0
@@ -409,15 +459,10 @@ class TieredCorpusIndex:
             self._metrics.add_collector(self._refresh_gauges)
         initial = list(posts)
         if initial:
-            seen: Set[str] = set()
-            for post in initial:
-                if post.post_id in seen:
-                    raise ValueError("initial posts contain duplicate post ids")
-                seen.add(post.post_id)
-            self._ids.update(seen)
-            self._hot.extend(initial)
-            self._hot_min_ord = _oldest_ord(initial)
-            self._max_ord = max(p.created_at.toordinal() for p in initial)
+            ids = [post.post_id for post in initial]
+            if len(set(ids)) != len(ids):
+                raise ValueError("initial posts contain duplicate post ids")
+            self._push(ids, ColumnarCorpus.from_posts(initial), None)
             self._maintain()
 
     def _refresh_gauges(self) -> None:
@@ -426,7 +471,7 @@ class TieredCorpusIndex:
             "psp_index_posts", "Posts retained per index tier",
             labelnames=("tier",),
         )
-        posts_gauge.set(len(self._hot), tier="hot")
+        posts_gauge.set(self._hot_count, tier="hot")
         posts_gauge.set(self._warm_count, tier="warm")
         posts_gauge.set(self._cold_count, tier="cold")
         self._metrics.gauge(
@@ -445,8 +490,22 @@ class TieredCorpusIndex:
 
     # -- ingestion ----------------------------------------------------------
 
-    def append(self, posts: Iterable[Post]) -> int:
+    def append(
+        self,
+        posts: Iterable[Post],
+        *,
+        columns: Optional[ColumnarCorpus] = None,
+        runs: Optional[ChunkRuns] = None,
+    ) -> int:
         """Append new posts; returns how many were added.
+
+        The batch joins the hot tail as one column chunk.  ``columns``
+        is that chunk when the caller already built it
+        (``ColumnarCorpus.from_posts(posts)``, as the stream runtime's
+        shard job does); otherwise it is built here.  ``runs`` is the
+        chunk's :class:`~repro.stream.deltas.ChunkRuns`, folded with
+        this index's sidecar region and analyzer; without it the span
+        the chunk seals into is swept at its cold seal.
 
         The append is atomic: ids are validated up front, so a
         duplicate rejects the whole batch and leaves every tier exactly
@@ -459,27 +518,40 @@ class TieredCorpusIndex:
                 the runtime).
         """
         batch = list(posts)
-        seen: Set[str] = set()
-        for post in batch:
-            if post.post_id in self._ids or post.post_id in seen:
-                raise ValueError(f"duplicate post id {post.post_id!r}")
-            seen.add(post.post_id)
+        ids = [post.post_id for post in batch]
+        fresh = set(ids)
+        if len(fresh) != len(ids) or not self._ids.isdisjoint(fresh):
+            seen: Set[str] = set()
+            for post_id in ids:
+                if post_id in self._ids or post_id in seen:
+                    raise ValueError(f"duplicate post id {post_id!r}")
+                seen.add(post_id)
         if not batch:
             return 0
-        self._ids.update(seen)
-        self._hot.extend(batch)
-        self._hot_index = None
+        if columns is None:
+            columns = ColumnarCorpus.from_posts(batch)
+        self._push(ids, columns, runs)
         self._appends += 1
         self._appends_total.inc()
-        ordinals = [post.created_at.toordinal() for post in batch]
-        batch_max = max(ordinals)
-        if batch_max > self._max_ord:
-            self._max_ord = batch_max
-        batch_min = min(ordinals)
-        if self._hot_min_ord is None or batch_min < self._hot_min_ord:
-            self._hot_min_ord = batch_min
         self._maintain()
         return len(batch)
+
+    def _push(
+        self,
+        ids: List[str],
+        columns: ColumnarCorpus,
+        runs: Optional[ChunkRuns],
+    ) -> None:
+        """Add one validated batch (its ids in arrival order) to the hot tail."""
+        self._ids.update(ids)
+        self._hot.append(_chunk(ids, columns, runs))
+        self._hot_count += len(columns)
+        self._hot_index = None
+        dates = columns.dates
+        if dates[-1] > self._max_ord:
+            self._max_ord = dates[-1]
+        if self._hot_min_ord is None or dates[0] < self._hot_min_ord:
+            self._hot_min_ord = dates[0]
 
     def _maintain(self, *, force: bool = False) -> None:
         """One round of per-tier maintenance after an append."""
@@ -496,9 +568,11 @@ class TieredCorpusIndex:
 
         Without a policy trigger the check is O(1): no hot post can
         belong to a completed span while the oldest one is in the
-        current span.  ``force`` seals the whole tail.
+        current span.  ``force`` seals the whole tail.  Chunks are cut
+        only at span boundaries (a date bisect), and each span's pieces
+        concatenate into one warm chunk.
         """
-        tail = len(self._hot)
+        tail = self._hot_count
         if tail == 0:
             return
         retained = self._warm_count + self._cold_count
@@ -512,41 +586,109 @@ class TieredCorpusIndex:
         )
         if full:
             to_seal = self._hot
-            remaining: List[Post] = []
+            remaining: List[_Chunk] = []
         else:
             current_span = self._span_of(self._max_ord)
             if self._span_of(self._hot_min_ord) == current_span:  # type: ignore[arg-type]
                 return
+            # The current span's first day (a bounded span, or the
+            # early return above would have fired).
+            boundary = current_span * self._warm_span_days  # type: ignore[operator]
             to_seal = []
             remaining = []
-            for post in self._hot:
-                if self._span_of(post.created_at.toordinal()) < current_span:
-                    to_seal.append(post)
-                else:
-                    remaining.append(post)
-        by_span: Dict[int, List[Post]] = {}
-        for post in to_seal:
-            by_span.setdefault(
-                self._span_of(post.created_at.toordinal()), []
-            ).append(post)
+            for chunk in self._hot:
+                size = len(chunk.columns)
+                cut = bisect_left(chunk.columns.dates, boundary)
+                if cut:
+                    to_seal.append(_sliced(chunk, 0, cut))
+                if cut < size:
+                    remaining.append(_sliced(chunk, cut, size))
+        by_span: Dict[int, List[_Chunk]] = {}
+        for chunk in to_seal:
+            for span, piece in self._span_pieces(chunk):
+                by_span.setdefault(span, []).append(piece)
+        sealed = 0
         for span in sorted(by_span):
-            chunk = CorpusIndex(by_span[span], interner=self._interner)
+            pieces = by_span[span]
+            self._fold_runs(span, pieces)
+            chunk = self._merged([piece.columns for piece in pieces])
             self._warm.setdefault(span, []).append(chunk)
             self._warm_count += len(chunk)
+            sealed += len(chunk)
         self._hot = remaining
-        self._hot_min_ord = _oldest_ord(remaining)
+        self._hot_count = tail - sealed
+        self._hot_min_ord = min(
+            (chunk.columns.date_ordinal(0) for chunk in remaining),
+            default=None,
+        )
         self._hot_index = None
         self._hot_seals += 1
         self._hot_seals_total.inc()
-        self._sealed_hist.observe(len(to_seal), tier="warm")
+        self._sealed_hist.observe(sealed, tier="warm")
         self._last_hot_seal_append = self._appends
+
+    def _span_pieces(self, chunk: _Chunk) -> Iterator[Tuple[int, _Chunk]]:
+        """A chunk cut at span boundaries, as ``(span, piece)`` pairs."""
+        dates = chunk.columns.dates
+        lo = 0
+        while lo < len(dates):
+            span = self._span_of(dates[lo])
+            hi = (
+                len(dates)
+                if self._warm_span_days is None
+                else bisect_right(dates, self._span_last_ord(span), lo)
+            )
+            yield span, _sliced(chunk, lo, hi)
+            lo = hi
+
+    def _fold_runs(self, span: int, pieces: Sequence[_Chunk]) -> None:
+        """Fold the runs of pieces sealing into ``span`` into its sums.
+
+        The sums stay valid only while every piece brings runs and
+        follows the span's posts in sort-key order; a restored span has
+        no sums to continue.  Without sidecars or a cold tier there is
+        nothing to fold for.
+        """
+        if self._sidecar_keywords is None or self._cold_age_days is None:
+            return
+        parts = [piece.columns for piece in pieces]
+        chunks = self._warm.get(span)
+        if chunks:
+            sums = self._warm_sums.get(span)
+            parts.insert(0, chunks[-1].columns)
+        else:
+            runs = pieces[0].runs
+            sums = (
+                None
+                if runs is None
+                else SegmentSidecar(
+                    keywords=runs.keywords, buckets={}, votes={}, posts=0
+                )
+            )
+        if sums is not None and (
+            any(piece.runs is None for piece in pieces)
+            or not in_sort_order(parts)
+        ):
+            sums = None
+        if sums is not None:
+            for piece in pieces:
+                sums.fold(piece.runs, len(piece.columns))  # type: ignore[arg-type]
+        self._warm_sums[span] = sums
+
+    def _merged(self, parts: Sequence[ColumnarCorpus]) -> CorpusIndex:
+        """One warm chunk holding every part's posts, by one concatenation."""
+        return CorpusIndex(
+            columns=ColumnarCorpus.concat(parts, interner=self._interner)
+        )
 
     def _consolidate_warm(self) -> None:
         """Merge chunk chains of spans that accumulated too many."""
         for span, chunks in self._warm.items():
             if len(chunks) < WARM_CONSOLIDATE_CHUNKS:
                 continue
-            self._warm[span] = [_merged(chunks)]
+            self._warm[span] = [
+                self._merged([chunk.columns for chunk in chunks])
+            ]
             self._consolidations += 1
             self._consolidations_total.inc()
             self._last_consolidation_append = self._appends
@@ -564,14 +706,14 @@ class TieredCorpusIndex:
         if not expired:
             return
         for span in expired:
-            columns = _merged(self._warm.pop(span)).columns
+            columns = self._merged(
+                [chunk.columns for chunk in self._warm.pop(span)]
+            ).columns
+            sums = self._warm_sums.pop(span, None)
             sidecar = None
             if self._sidecar_keywords is not None:
-                sidecar = SegmentSidecar.build(
-                    self._sidecar_keywords,
-                    columns,
-                    region=self._sidecar_region,
-                    analyzer=self._sidecar_analyzer,
+                sidecar = self._cold_sidecar(
+                    self._sidecar_keywords, sums, columns
                 )
             count = len(columns)
             columns_state: Optional[Dict[str, object]] = _compact_columns(
@@ -601,12 +743,34 @@ class TieredCorpusIndex:
         self._cold.sort(key=lambda segment: (segment.min_ord, segment.span))
         self._prune_interner()
 
+    def _cold_sidecar(
+        self,
+        keywords: Tuple[str, ...],
+        sums: Optional[SegmentSidecar],
+        columns: ColumnarCorpus,
+    ) -> SegmentSidecar:
+        """A sealing span's sidecar: its folded sums, else one sweep.
+
+        Keywords learned after the span's first chunk was folded are
+        swept into the sums by :meth:`SegmentSidecar.extend`; either way
+        the sidecar equals :meth:`SegmentSidecar.build` over ``columns``.
+        """
+        context = dict(
+            region=self._sidecar_region, analyzer=self._sidecar_analyzer
+        )
+        if sums is None or keywords[: len(sums.keywords)] != sums.keywords:
+            return SegmentSidecar.build(keywords, columns, **context)
+        sums.extend(keywords, columns, **context)
+        return sums
+
     def _prune_interner(self) -> None:
         """Drop pooled analyses only cold segments still reference."""
-        keep: Set[str] = {post.text for post in self._hot}
+        keep: Set[str] = set()
+        for hot in self._hot:
+            keep.update(hot.columns.texts)
         for chunks in self._warm.values():
             for chunk in chunks:
-                keep.update(chunk.columns.iter_texts())
+                keep.update(chunk.columns.texts)
         evicted = self._interner.prune(keep)
         self._interner_evicted += evicted
         self._evicted_total.inc(evicted)
@@ -661,10 +825,24 @@ class TieredCorpusIndex:
         return corpus
 
     def _hot_segment(self) -> CorpusIndex:
-        """The hot tail's index, built lazily after each append."""
+        """The hot tail's index, built lazily after each append.
+
+        Concatenating the chunks pools their texts in the shared
+        interner, as a seal would.
+        """
         if self._hot_index is None:
-            self._hot_index = CorpusIndex(self._hot, interner=self._interner)
+            self._hot_index = self._merged(
+                [chunk.columns for chunk in self._hot]
+            )
         return self._hot_index
+
+    def _hot_posts(self) -> List[Post]:
+        """The hot posts in arrival order."""
+        return [
+            post
+            for chunk in self._hot
+            for post in chunk.columns.posts_at(chunk.arrival_positions())
+        ]
 
     def _warm_chunks(self) -> List[CorpusIndex]:
         """Every warm chunk, oldest span first."""
@@ -680,11 +858,12 @@ class TieredCorpusIndex:
         warm_chunks = self._warm_chunks()
         return {
             "hot": {
-                "posts": len(self._hot),
+                "posts": self._hot_count,
                 "spans": len(
                     {
-                        self._span_of(post.created_at.toordinal())
-                        for post in self._hot
+                        self._span_of(ordinal)
+                        for chunk in self._hot
+                        for ordinal in chunk.columns.dates
                     }
                 ),
                 "indexed": self._hot_index is not None,
@@ -732,7 +911,7 @@ class TieredCorpusIndex:
         warm_chunks = self._warm_chunks()
         return {
             "base_posts": self._warm_count + self._cold_count,
-            "tail_posts": len(self._hot),
+            "tail_posts": self._hot_count,
             "appends": self._appends,
             "compactions": self._hot_seals
             + self._consolidations
@@ -755,7 +934,7 @@ class TieredCorpusIndex:
         }
 
     def __len__(self) -> int:
-        return len(self._hot) + self._warm_count + self._cold_count
+        return self._hot_count + self._warm_count + self._cold_count
 
     def __contains__(self, post_id: str) -> bool:
         return post_id in self._ids
@@ -852,8 +1031,10 @@ class TieredCorpusIndex:
         """
         texts: List[str] = []
         for chunk in self._warm_chunks():
-            texts.extend(chunk.columns.iter_texts())
-        texts.extend(post.text for post in self._hot)
+            texts.extend(chunk.columns.texts)
+        for hot in self._hot:
+            hot_texts = hot.columns.texts
+            texts.extend(hot_texts[index] for index in hot.arrival_positions())
         return texts
 
     def adopt_sidecar_keywords(self, keywords: Sequence[str]) -> None:
@@ -906,17 +1087,17 @@ class TieredCorpusIndex:
                         analyzer=analyzer,
                     )
                 )
-        for chunk in self._warm_chunks():
+        # The hot chunks are swept as one segment, in a throwaway pool
+        # (a backfill pins no hot text in the shared interner).
+        hot = ColumnarCorpus.concat(
+            [chunk.columns for chunk in self._hot], interner=TextInterner()
+        )
+        for columns in [chunk.columns for chunk in self._warm_chunks()] + [hot]:
             deltas.append(
                 compute_signal_delta_columnar(
-                    keywords, chunk.columns, region=region, analyzer=analyzer
+                    keywords, columns, region=region, analyzer=analyzer
                 )
             )
-        deltas.append(
-            compute_signal_delta(
-                keywords, self._hot, region=region, analyzer=analyzer
-            )
-        )
         merged = SignalDelta.merge(deltas)
         return SignalDelta(
             buckets=merged.buckets,
@@ -942,11 +1123,16 @@ class TieredCorpusIndex:
         # pool exactly instead of approximating it.
         pooled = set(self._interner.texts())
         interned_hot = sorted(
-            {post.text for post in self._hot if post.text in pooled}
+            {
+                text
+                for chunk in self._hot
+                for text in chunk.columns.texts
+                if text in pooled
+            }
         )
         return {
             "layout": "tiered",
-            "hot": posts_to_columns(self._hot),
+            "hot": posts_to_columns(self._hot_posts()),
             "interned_hot_texts": interned_hot,
             "warm": [
                 {
@@ -1012,10 +1198,22 @@ class TieredCorpusIndex:
         self._warm_span_days = _optional_int(state["warm_span_days"])
         self._cold_age_days = _optional_int(state["cold_age_days"])
         self._interner = TextInterner()
-        self._hot = columns_to_posts(state["hot"])  # type: ignore[arg-type]
-        self._hot_min_ord = _oldest_ord(self._hot)
+        # The restored hot tail is one chunk without runs: its posts'
+        # spans are swept when they seal cold.
+        hot_posts = columns_to_posts(state["hot"])  # type: ignore[arg-type]
+        self._ids = set()
+        self._hot = []
+        self._hot_count = 0
+        self._hot_min_ord = None
+        if hot_posts:
+            self._push(
+                [post.post_id for post in hot_posts],
+                ColumnarCorpus.from_posts(hot_posts),
+                None,
+            )
         self._hot_index = None
         self._warm = {}
+        self._warm_sums = {}
         self._warm_count = 0
         for entry in state["warm"]:  # type: ignore[union-attr]
             span = int(entry["span"])
@@ -1085,7 +1283,6 @@ class TieredCorpusIndex:
                 )
             )
             self._cold_count += int(entry["count"])
-        self._ids = {post.post_id for post in self._hot}
         for chunks in self._warm.values():
             for chunk in chunks:
                 self._ids.update(

@@ -14,10 +14,17 @@ The contracts behind :class:`repro.stream.tiers.TieredCorpusIndex`:
   columnar sweep, which is the per-post fold);
 * ``state_dict``/``load_state`` roundtrips the full tier layout, and an
   index restored mid-stream seals, consolidates and answers exactly like
-  the uninterrupted one as appends continue.
+  the uninterrupted one as appends continue;
+* chunks built and folded at the door (``append`` with ``columns`` and
+  ``runs``, as the stream runtime's shard job does) leave every cold
+  sidecar bit-identical to a sweep of its segment, whether they arrive
+  in order, out of order, across span boundaries, around a restore or
+  around a keyword learned mid-stream — and the index is otherwise the
+  one the same posts make without runs.
 """
 
 import datetime as dt
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +32,17 @@ from hypothesis import strategies as st
 
 from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.iso21434.enums import AttackVector
+from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.columnar import ColumnarCorpus
 from repro.social.index import CorpusIndex
 from repro.social.post import Engagement, Post
-from repro.stream.deltas import DeltaTracker, SegmentSidecar
+from repro.stream.deltas import (
+    DeltaTracker,
+    SegmentSidecar,
+    compute_signal_delta_columnar,
+)
 from repro.stream.tiers import TieredCorpusIndex
+from tests.stream.test_tiered_index import assert_same_sums
 
 WORDS = (
     "dpf", "delete", "deleting", "egr", "removal", "kit", "install",
@@ -220,3 +233,90 @@ class TestTieredEquivalence:
         for post in sorted(posts, key=lambda p: (p.created_at, p.post_id)):
             in_order.observe(post)
         assert pooled["buckets"] == in_order.state_dict()["buckets"]
+
+
+def _span_aligned(posts, batches, span_days):
+    """``posts`` sorted, cut at the batch sizes and at span boundaries."""
+    ordered = iter(sorted(posts, key=lambda post: (post.created_at, post.post_id)))
+    aligned = []
+    for batch in batches:
+        chunk = [next(ordered) for _ in batch]
+        aligned.extend(
+            list(group)
+            for _, group in groupby(
+                chunk, key=lambda post: post.created_at.toordinal() // span_days
+            )
+        )
+    return aligned
+
+
+class TestDoorChunks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.one_of(_stream(), _stream(ordered=True)),
+        aligned=st.booleans(),
+        region=st.sampled_from((None,) + REGIONS),
+        draw=st.data(),
+    )
+    def test_folded_sidecars_equal_the_sweep(
+        self, data, aligned, region, draw
+    ):
+        posts, batches, knobs = data
+        if aligned:
+            # In order and never across a span boundary: the chunks
+            # whose runs every cold seal folds (or extends).
+            batches = _span_aligned(posts, batches, knobs["warm_span_days"])
+        learn_at = draw.draw(st.integers(min_value=0, max_value=len(batches)))
+        restore_at = draw.draw(
+            st.integers(min_value=0, max_value=len(batches))
+        )
+        analyzer = SentimentAnalyzer()
+        canonical = _database().keywords
+        keywords = canonical[:3]
+        context = dict(sidecar_region=region, sidecar_analyzer=analyzer)
+
+        def index():
+            return TieredCorpusIndex(
+                sidecar_keywords=keywords, **knobs, **context
+            )
+
+        door = index()
+        today = index()
+        for position, batch in enumerate(batches):
+            if position == learn_at:
+                keywords = canonical
+                for target in (door, today):
+                    target.adopt_sidecar_keywords(keywords)
+            if position == restore_at:
+                restored = index()
+                restored.adopt_sidecar_keywords(keywords)
+                restored.load_state(door.state_dict())
+                door = restored
+            columns = ColumnarCorpus.from_posts(batch)
+            _, runs = compute_signal_delta_columnar(
+                keywords, columns, region=region, analyzer=analyzer, runs=True
+            )
+            door.append(batch, columns=columns, runs=runs)
+            today.append(batch, columns=ColumnarCorpus.from_posts(batch))
+
+        for segment in door._cold:
+            # A span sealed before the learning covers the keywords of
+            # its seal (backfill extends it later).
+            assert_same_sums(
+                segment.sidecar,
+                SegmentSidecar.build(
+                    segment.sidecar.keywords,
+                    door._materialize(segment),
+                    region=region,
+                    analyzer=analyzer,
+                ),
+            )
+        assert door.segment_stats == today.segment_stats
+        assert door.state_dict() == today.state_dict()
+        for since, until in WINDOWS:
+            got = door.search_many(KEYWORDS, since=since, until=until)
+            want = today.search_many(KEYWORDS, since=since, until=until)
+            for keyword in KEYWORDS:
+                assert [p.post_id for p in got[keyword]] == [
+                    p.post_id for p in want[keyword]
+                ], (keyword, since, until)

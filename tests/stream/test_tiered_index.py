@@ -7,15 +7,18 @@ import pytest
 from repro.core.config import TargetApplication
 from repro.social import ecm_reprogramming_corpus
 from repro.social.index import CorpusIndex
-from repro.social.columnar import posts_to_columns
+from repro.social.columnar import ColumnarCorpus, posts_to_columns
 from repro.social.post import Post
 from repro.stream.checkpoint import (
     checkpoint_state,
     restore_runtime,
     save_checkpoint,
 )
+from repro.nlp.sentiment import SentimentAnalyzer
+from repro.stream.deltas import SegmentSidecar, compute_signal_delta_columnar
 from repro.stream.feed import SyntheticFeed
 from repro.stream.runtime import StreamRuntime
+from repro.stream.sharding import ShardedStreamRuntime, shard_feeds
 from repro.stream.tiers import (
     DEFAULT_COLD_AGE_DAYS,
     DEFAULT_WARM_SPAN_DAYS,
@@ -373,3 +376,151 @@ class TestRuntimeIntegration:
             runtime.index.segment_stats
         )
         assert "metadata" not in payload["runtime"]
+
+
+def assert_same_sums(got, want):
+    """Two sidecars agree: integers with ``==``, sentiment bit for bit."""
+    got, want = got.state_dict(), want.state_dict()
+    assert got["keywords"] == want["keywords"]
+    assert got["posts"] == want["posts"]
+    assert got["votes"] == want["votes"]
+    assert got["buckets"].keys() == want["buckets"].keys()
+    for keyword, years in want["buckets"].items():
+        assert got["buckets"][keyword].keys() == years.keys(), keyword
+        for year, values in years.items():
+            cell = got["buckets"][keyword][year]
+            assert cell[:5] == values[:5], (keyword, year)
+            assert float.hex(cell[5]) == float.hex(values[5]), (keyword, year)
+
+
+class TestEachPostHandledOnce:
+    """The shard job builds and folds each batch; seals reuse both."""
+
+    def test_seals_neither_rebuild_nor_resweep(self, monkeypatch):
+        build = ColumnarCorpus.from_posts.__func__
+        sweep = SegmentSidecar.build.__func__
+        built = []
+        swept = []
+
+        def counting_build(cls, posts=(), **kwargs):
+            posts = list(posts)
+            built.append(len(posts))
+            return build(cls, posts, **kwargs)
+
+        def counting_sweep(cls, keywords, columns, **kwargs):
+            swept.append(len(columns))
+            return sweep(cls, keywords, columns, **kwargs)
+
+        monkeypatch.setattr(
+            ColumnarCorpus, "from_posts", classmethod(counting_build)
+        )
+        monkeypatch.setattr(
+            SegmentSidecar, "build", classmethod(counting_sweep)
+        )
+        posts = list(ecm_reprogramming_corpus().posts)
+        span_days = 60
+        runtime = ShardedStreamRuntime(
+            shard_feeds(posts, 2),
+            build_ecm_database(),
+            target=ECM_TARGET,
+            since_year=2015,
+            warm_span_days=span_days,
+            cold_age_days=180,
+        )
+        # Ten-day ticks cut at every span boundary, so no batch
+        # straddles one (a chunk cut at one has no runs, and its span is
+        # swept) while each span folds several chunks.
+        first, last = (
+            min(post.created_at for post in posts).toordinal() // span_days,
+            max(post.created_at for post in posts).toordinal() // span_days,
+        )
+        ticks = [
+            runtime.advance_to(dt.date.fromordinal(span * span_days + day))
+            for span in range(first, last + 1)
+            for day in range(9, span_days, 10)
+        ]
+
+        # One column build per non-empty shard batch, none from a seal.
+        assert built == [
+            count for tick in ticks for count in tick.shard_accepted if count
+        ]
+        cold = [
+            (index, segment)
+            for index in runtime.shard_indexes
+            for segment in index._cold
+        ]
+        assert len(cold) >= 8
+        # In-order chunks: every cold sidecar was folded, none swept.
+        assert swept == []
+        for index, segment in cold:
+            assert_same_sums(
+                segment.sidecar,
+                sweep(
+                    SegmentSidecar,
+                    index._sidecar_keywords,
+                    index._materialize(segment),
+                    region=index.sidecar_region,
+                    analyzer=index.sidecar_analyzer,
+                ),
+            )
+
+    def test_only_a_span_with_an_out_of_order_chunk_is_swept(
+        self, monkeypatch
+    ):
+        posts = sorted(
+            ecm_reprogramming_corpus().posts,
+            key=lambda post: (post.created_at, post.post_id),
+        )
+        span_days = 60
+        # Ten-day batches; two neighbours inside one span swap places.
+        windows = {}
+        for post in posts:
+            windows.setdefault(post.created_at.toordinal() // 10, []).append(
+                post
+            )
+        batches = [windows[key] for key in sorted(windows)]
+        late = next(
+            position
+            for position in range(len(batches) // 2, len(batches) - 1)
+            if batches[position][0].created_at.toordinal() // span_days
+            == batches[position + 1][-1].created_at.toordinal() // span_days
+        )
+        batches[late], batches[late + 1] = batches[late + 1], batches[late]
+        keywords = build_ecm_database().keywords
+        analyzer = SentimentAnalyzer()
+        index = TieredCorpusIndex(
+            warm_span_days=span_days,
+            cold_age_days=180,
+            sidecar_keywords=keywords,
+            sidecar_region="europe",
+            sidecar_analyzer=analyzer,
+        )
+        sweep = SegmentSidecar.build.__func__
+        swept = []
+
+        def counting_sweep(cls, keywords, columns, **kwargs):
+            swept.append(columns.date_ordinal(0) // span_days)
+            return sweep(cls, keywords, columns, **kwargs)
+
+        monkeypatch.setattr(
+            SegmentSidecar, "build", classmethod(counting_sweep)
+        )
+        for batch in batches:
+            columns = ColumnarCorpus.from_posts(batch)
+            _, runs = compute_signal_delta_columnar(
+                keywords, columns, region="europe", analyzer=analyzer, runs=True
+            )
+            index.append(batch, columns=columns, runs=runs)
+
+        assert swept == [batches[late][0].created_at.toordinal() // span_days]
+        for segment in index._cold:
+            assert_same_sums(
+                segment.sidecar,
+                sweep(
+                    SegmentSidecar,
+                    keywords,
+                    index._materialize(segment),
+                    region="europe",
+                    analyzer=analyzer,
+                ),
+            )
