@@ -26,6 +26,7 @@ LIVE_LAYERS = {
         "core.monitor.tick_date.calls",
         "obs.views.runtime_health.calls",
         "stream.tiers.hot_seals",
+        "stream.runtime.evaluate.self_s",
     ),
     "stream_tiered": (
         "nlp.analysis.analyze_text.calls",
@@ -33,12 +34,14 @@ LIVE_LAYERS = {
         "stream.deltas.compute_signal_delta_columnar.self_s",
         "stream.tiers.cold_seals",
         "tara.scoring.score.calls",
+        "stream.runtime.evaluate.self_s",
     ),
     "stream_spill": (
         "nlp.analysis.analyze_text.calls",
         "stream.store.spill.calls",
         "stream.store.hydrate.calls",
         "stream.checkpoint.restore.self_s",
+        "stream.runtime.evaluate.self_s",
     ),
 }
 

@@ -28,7 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import PSPConfig
 from repro.core.keywords import AttackKeyword, KeywordDatabase
@@ -105,16 +114,7 @@ class SAIList:
         mass is re-normalised so the shares sum to 1 (unless no entry is
         annotated, in which case the result is empty).
         """
-        mass: Dict[AttackVector, float] = {}
-        total = 0.0
-        for entry in self._entries:
-            if entry.vector is None:
-                continue
-            mass[entry.vector] = mass.get(entry.vector, 0.0) + entry.probability
-            total += entry.probability
-        if total <= 0:
-            return {}
-        return {vector: share / total for vector, share in mass.items()}
+        return vector_shares((e.vector, e.probability) for e in self._entries)
 
     def as_rows(self) -> Tuple[Tuple[str, float, float, int], ...]:
         """(keyword, score, probability, posts) rows for reports."""
@@ -122,6 +122,28 @@ class SAIList:
             (e.keyword, round(e.score, 3), round(e.probability, 4), e.post_count)
             for e in self._entries
         )
+
+
+def vector_shares(
+    pairs: Iterable[Tuple[Optional[AttackVector], float]],
+) -> Dict[AttackVector, float]:
+    """Re-normalised probability mass per attack vector.
+
+    ``pairs`` are ``(vector, probability)`` in SAI rank order; pairs
+    without a vector are skipped.  The mass is added in the order given,
+    so the same pairs in the same order give bit-identical shares.
+    Empty when no pair has a vector or their mass is zero.
+    """
+    mass: Dict[AttackVector, float] = {}
+    total = 0.0
+    for vector, probability in pairs:
+        if vector is None:
+            continue
+        mass[vector] = mass.get(vector, 0.0) + probability
+        total += probability
+    if total <= 0:
+        return {}
+    return {vector: share / total for vector, share in mass.items()}
 
 
 @dataclass(frozen=True)
@@ -219,17 +241,16 @@ def combine_signals(runs: Sequence[SignalSums]) -> KeywordSignals:
     )
 
 
+#: One keyword's evidence: ``(entry, engagement, mean_sentiment, posts)``.
+Gathered = Tuple[AttackKeyword, Engagement, float, int]
+
+
 def _gather_signals(
     posts: Sequence[Post], analyzer: SentimentAnalyzer
 ) -> Tuple[Engagement, float]:
     """Total engagement and mean sentiment of one keyword's posts."""
     signals = combine_signals((SignalSums().folded(posts, analyzer),))
     return signals.engagement, signals.mean_sentiment
-
-
-def _share(value: float, total: float) -> float:
-    """value/total with the zero-total convention of an empty scene."""
-    return value / total if total > 0 else 0.0
 
 
 class SAIComputer:
@@ -329,7 +350,7 @@ class SAIComputer:
         computers without touching the platform again.  Keywords missing
         from the mapping are treated as having no matching posts.
         """
-        gathered: List[Tuple[AttackKeyword, Engagement, float, int]] = []
+        gathered: List[Gathered] = []
         for entry in database:
             posts = list(posts_by_keyword.get(entry.keyword, ()))
             engagement, sentiment = _gather_signals(posts, self._analyzer)
@@ -338,7 +359,7 @@ class SAIComputer:
 
     def compute_from_signals(
         self,
-        database: KeywordDatabase,
+        database: Iterable[AttackKeyword],
         signals: Mapping[str, KeywordSignals],
     ) -> SAIList:
         """Score a SAI list from pre-aggregated per-keyword signals.
@@ -346,63 +367,113 @@ class SAIComputer:
         The streaming counterpart of :meth:`compute_from_posts`: callers
         that maintain running per-keyword aggregates (the dirty-keyword
         tracker of :mod:`repro.stream.deltas`) re-score the whole list in
-        O(keywords) — no post fetch, no sentiment pass.  Keywords missing
-        from ``signals`` are treated as having no matching posts.  The
-        share/score/probability arithmetic is the same code path as the
-        post-fed variant.
+        O(keywords) — no post fetch, no sentiment pass.  ``database`` is
+        a :class:`KeywordDatabase` or any sequence of its entries.
+        Keywords missing from ``signals`` are treated as having no
+        matching posts.  The share/score/probability arithmetic is the
+        same code path as the post-fed variant.
         """
-        gathered: List[Tuple[AttackKeyword, Engagement, float, int]] = []
-        for entry in database:
-            signal = signals.get(entry.keyword)
-            if signal is None:
-                gathered.append((entry, Engagement(), 0.0, 0))
-            else:
-                gathered.append(
-                    (
-                        entry,
-                        signal.engagement,
-                        signal.mean_sentiment,
-                        signal.post_count,
-                    )
-                )
-        return self._score_gathered(gathered)
+        return self._score_gathered(gather_signals(database, signals))
 
-    def _score_gathered(
-        self,
-        gathered: Sequence[Tuple[AttackKeyword, Engagement, float, int]],
-    ) -> SAIList:
-        """The shared scoring core: signals in, sorted SAI list out."""
+    def score_rows(
+        self, rows: Sequence[Tuple[int, int, int, float]]
+    ) -> Tuple[List[float], List[float]]:
+        """The flat scorer: per-keyword rows in, scores and probabilities out.
+
+        Each row is ``(views, interactions, posts, mean_sentiment)``;
+        the two returned lists follow the rows' order.  Every SAI score
+        is computed here, whether the caller then builds
+        :class:`SAIEntry` objects (:meth:`compute_from_signals`) or
+        only needs the numbers (the stream's per-tick retune).
+        """
         weights = self._config.sai_weights
         gain = self._config.sentiment_gain
-        weight_sum = weights.views + weights.interactions + weights.volume
-        total_views = sum(item[1].views for item in gathered)
-        total_inter = sum(item[1].interactions for item in gathered)
-        total_posts = sum(item[3] for item in gathered)
+        w_views, w_inter, w_volume = (
+            weights.views, weights.interactions, weights.volume
+        )
+        weight_sum = w_views + w_inter + w_volume
+        total_views = sum(row[0] for row in rows)
+        total_inter = sum(row[1] for row in rows)
+        total_posts = sum(row[2] for row in rows)
 
-        scored: List[Tuple[AttackKeyword, float, Engagement, float, int]] = []
-        for entry, engagement, sentiment, count in gathered:
+        # A share of a zero total is 0 (the empty scene); sentiment only
+        # amplifies, never suppresses.
+        scores: List[float] = []
+        for views, interactions, count, sentiment in rows:
             base = (
-                weights.views * _share(engagement.views, total_views)
-                + weights.interactions * _share(engagement.interactions, total_inter)
-                + weights.volume * _share(count, total_posts)
+                w_views * (views / total_views if total_views > 0 else 0.0)
+                + w_inter
+                * (interactions / total_inter if total_inter > 0 else 0.0)
+                + w_volume * (count / total_posts if total_posts > 0 else 0.0)
             ) / weight_sum
-            score = base * (1.0 + gain * max(0.0, sentiment))
-            scored.append((entry, score, engagement, sentiment, count))
+            scores.append(
+                base * (1.0 + gain * (sentiment if sentiment > 0.0 else 0.0))
+            )
 
-        total_score = sum(item[1] for item in scored)
-        entries = []
-        for entry, score, engagement, sentiment, count in scored:
-            probability = score / total_score if total_score > 0 else 0.0
-            entries.append(
-                SAIEntry(
-                    keyword=entry.keyword,
-                    vector=entry.vector,
-                    owner_approved=entry.owner_approved,
-                    score=score,
-                    probability=probability,
-                    post_count=count,
-                    engagement=engagement,
-                    mean_sentiment=sentiment,
+        total_score = sum(scores)
+        probabilities = [
+            score / total_score if total_score > 0 else 0.0 for score in scores
+        ]
+        return scores, probabilities
+
+    def _score_gathered(self, gathered: Sequence[Gathered]) -> SAIList:
+        """The shared scoring core: signals in, sorted SAI list out."""
+        scores, probabilities = self.score_rows(
+            [
+                (engagement.views, engagement.interactions, count, sentiment)
+                for _, engagement, sentiment, count in gathered
+            ]
+        )
+        return sai_list(gathered, scores, probabilities)
+
+
+def gather_signals(
+    database: Iterable[AttackKeyword],
+    signals: Mapping[str, KeywordSignals],
+) -> List[Gathered]:
+    """Each entry's evidence; keywords missing from ``signals`` have none."""
+    gathered: List[Gathered] = []
+    for entry in database:
+        signal = signals.get(entry.keyword)
+        if signal is None:
+            gathered.append((entry, Engagement(), 0.0, 0))
+        else:
+            gathered.append(
+                (
+                    entry,
+                    signal.engagement,
+                    signal.mean_sentiment,
+                    signal.post_count,
                 )
             )
-        return SAIList(entries)
+    return gathered
+
+
+def sai_list(
+    gathered: Sequence[Gathered],
+    scores: Sequence[float],
+    probabilities: Sequence[float],
+) -> SAIList:
+    """The SAI list of gathered evidence and its flat scores.
+
+    ``scores`` and ``probabilities`` are what
+    :meth:`SAIComputer.score_rows` returned for the same rows, in the
+    same order.
+    """
+    return SAIList(
+        [
+            SAIEntry(
+                keyword=entry.keyword,
+                vector=entry.vector,
+                owner_approved=entry.owner_approved,
+                score=score,
+                probability=probability,
+                post_count=count,
+                engagement=engagement,
+                mean_sentiment=sentiment,
+            )
+            for (entry, engagement, sentiment, count), score, probability in zip(
+                gathered, scores, probabilities
+            )
+        ]
+    )

@@ -22,9 +22,13 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.classification import InsiderOutsiderSplit
 from repro.core.config import TuningThresholds
-from repro.core.sai import SAIList
+from repro.core.sai import SAIList, vector_shares
 from repro.iso21434.enums import AttackVector, FeasibilityRating
-from repro.iso21434.feasibility.attack_vector import WeightTable, standard_table
+from repro.iso21434.feasibility.attack_vector import (
+    STANDARD_G9_TABLE,
+    WeightTable,
+    standard_table,
+)
 
 
 def rating_from_share(
@@ -60,11 +64,46 @@ class TuningOutcome:
         return self.insider_table.differs_from(standard_table())
 
 
+#: A vector without social evidence keeps the standard rating, capped
+#: at Low (see module docstring).
+_NO_EVIDENCE: Dict[AttackVector, FeasibilityRating] = {
+    vector: min(
+        STANDARD_G9_TABLE[vector], FeasibilityRating.LOW, key=lambda r: r.level
+    )
+    for vector in AttackVector
+}
+
+
+def tuned_note(window_label: str = "") -> str:
+    """The ``note`` of a PSP-tuned table for one analysis window."""
+    return f"PSP-tuned ({window_label})" if window_label else "PSP-tuned"
+
+
 class WeightTuner:
     """Generates PSP weight tables from classified SAI evidence."""
 
     def __init__(self, thresholds: Optional[TuningThresholds] = None) -> None:
         self._thresholds = thresholds or TuningThresholds()
+
+    def ratings_from_shares(
+        self, shares: Mapping[AttackVector, float]
+    ) -> Dict[AttackVector, FeasibilityRating]:
+        """The tuning rule: per-vector probability shares in, ratings out.
+
+        Vectors absent from ``shares`` get the standard rating capped at
+        Low (see module docstring).  Every tuned table's ratings come
+        from here, so a caller holding only the shares (the stream's
+        per-tick retune) can diff ratings without building a table.
+        """
+        ratings: Dict[AttackVector, FeasibilityRating] = {}
+        for vector, fallback in _NO_EVIDENCE.items():
+            share = shares.get(vector)
+            ratings[vector] = (
+                fallback
+                if share is None
+                else rating_from_share(share, self._thresholds)
+            )
+        return ratings
 
     def tune_from_shares(
         self,
@@ -72,22 +111,10 @@ class WeightTuner:
         *,
         note: str = "",
     ) -> WeightTable:
-        """Build an insider table from per-vector probability shares.
-
-        Vectors absent from ``shares`` get the standard rating capped at
-        Low (see module docstring).
-        """
-        base = standard_table()
-        ratings: Dict[AttackVector, FeasibilityRating] = {}
-        for vector in AttackVector:
-            if vector in shares:
-                ratings[vector] = rating_from_share(shares[vector], self._thresholds)
-            else:
-                capped = min(
-                    base.rating(vector), FeasibilityRating.LOW, key=lambda r: r.level
-                )
-                ratings[vector] = capped
-        return WeightTable(ratings, source="psp", note=note)
+        """Build an insider table from per-vector probability shares."""
+        return WeightTable(
+            self.ratings_from_shares(shares), source="psp", note=note
+        )
 
     def tune(
         self,
@@ -98,11 +125,15 @@ class WeightTuner:
         """Run the full tuning step on a classified SAI list.
 
         Insider entries drive the tuned table; the outsider table is
-        always the standard's, untouched (paper Fig. 8-A).
+        always the standard's, untouched (paper Fig. 8-A).  The insider
+        probability mass is added per vector in the split's (rank)
+        order.
         """
-        shares = _insider_vector_shares(split)
+        shares = vector_shares(
+            (entry.vector, entry.probability) for entry in split.insider_entries
+        )
         insider_table = self.tune_from_shares(
-            shares, note=f"PSP-tuned ({window_label})" if window_label else "PSP-tuned"
+            shares, note=tuned_note(window_label)
         )
         return TuningOutcome(
             insider_table=insider_table,
@@ -110,22 +141,6 @@ class WeightTuner:
             vector_shares=shares,
             window_label=window_label,
         )
-
-
-def _insider_vector_shares(
-    split: InsiderOutsiderSplit,
-) -> Dict[AttackVector, float]:
-    """Re-normalised probability mass per vector over insider entries."""
-    mass: Dict[AttackVector, float] = {}
-    total = 0.0
-    for entry in split.insider_entries:
-        if entry.vector is None:
-            continue
-        mass[entry.vector] = mass.get(entry.vector, 0.0) + entry.probability
-        total += entry.probability
-    if total <= 0:
-        return {}
-    return {vector: share / total for vector, share in mass.items()}
 
 
 def tune_table_for_sai(

@@ -74,8 +74,10 @@ __all__ = [
     "KeywordSignals",
     "SegmentSidecar",
     "SignalDelta",
+    "WindowSums",
     "compute_signal_delta",
     "compute_signal_delta_columnar",
+    "signals_from_sums",
 ]
 
 #: Separator between per-post haystacks in the batch match arena.  The
@@ -83,6 +85,29 @@ __all__ = [
 #: canonical keywords are alphanumeric-only, so no keyword can straddle
 #: two posts' segments.
 _ARENA_SEPARATOR = "\n"
+
+
+#: One keyword's signals over a year window, flat:
+#: ``(views, likes, reposts, replies, posts, mean_sentiment)``.
+WindowSums = Tuple[int, int, int, int, int, float]
+
+
+def signals_from_sums(
+    sums: Mapping[str, WindowSums],
+) -> Dict[str, KeywordSignals]:
+    """:meth:`DeltaTracker.window_sums` as :class:`KeywordSignals`."""
+    return {
+        keyword: KeywordSignals(
+            engagement=Engagement(
+                views=views, likes=likes, reposts=reposts, replies=replies
+            ),
+            mean_sentiment=mean_sentiment,
+            post_count=posts,
+        )
+        for keyword, (
+            views, likes, reposts, replies, posts, mean_sentiment
+        ) in sums.items()
+    }
 
 
 @dataclass
@@ -1017,20 +1042,20 @@ class DeltaTracker:
             return (0, 0)
         return (votes.insider, votes.outsider)
 
-    def signals(
+    def window_sums(
         self,
         *,
         since_year: Optional[int] = None,
         until_year: Optional[int] = None,
-    ) -> Dict[str, KeywordSignals]:
-        """Per-keyword :class:`KeywordSignals` over a year window.
+    ) -> Dict[str, WindowSums]:
+        """Per-keyword flat :data:`WindowSums` over a year window.
 
         Buckets are summed in ascending year order (deterministic float
-        accumulation).  Keywords with no in-window posts are omitted —
-        :meth:`~repro.core.sai.SAIComputer.compute_from_signals` treats
-        them as empty.
+        accumulation).  Keywords with no in-window posts are omitted.
+        The stream's per-tick retune reads these plain tuples;
+        :meth:`signals` wraps the same numbers in objects.
         """
-        out: Dict[str, KeywordSignals] = {}
+        out: Dict[str, WindowSums] = {}
         for keyword, years in self._buckets.items():
             views = likes = reposts = replies = posts = 0
             sentiment_sum = 0.0
@@ -1048,14 +1073,27 @@ class DeltaTracker:
                 sentiment_sum += bucket.sentiment_sum
             if posts == 0:
                 continue
-            out[keyword] = KeywordSignals(
-                engagement=Engagement(
-                    views=views, likes=likes, reposts=reposts, replies=replies
-                ),
-                mean_sentiment=sentiment_sum / posts,
-                post_count=posts,
+            out[keyword] = (
+                views, likes, reposts, replies, posts, sentiment_sum / posts
             )
         return out
+
+    def signals(
+        self,
+        *,
+        since_year: Optional[int] = None,
+        until_year: Optional[int] = None,
+    ) -> Dict[str, KeywordSignals]:
+        """Per-keyword :class:`KeywordSignals` over a year window.
+
+        The :meth:`window_sums` as objects.  Keywords with no in-window
+        posts are omitted —
+        :meth:`~repro.core.sai.SAIComputer.compute_from_signals` treats
+        them as empty.
+        """
+        return signals_from_sums(
+            self.window_sums(since_year=since_year, until_year=until_year)
+        )
 
     # -- checkpoint support -------------------------------------------------
 

@@ -24,12 +24,20 @@ consumes a micro-batch per shard and performs, in order:
 3. **conditional weight retune** — insider weights are re-derived only
    when a dirty keyword is insider-classified (before or after
    reclassification) or the in-window volume went stale; pure-outsider
-   chatter leaves the table in force;
+   chatter leaves the table in force.  A retune works on plain numbers:
+   the merged tracker's flat window sums are scored into SAI
+   probabilities, summed into insider vector shares in rank order and
+   mapped to ratings, and the insider table is rebuilt only when its
+   ratings or window label change.  The SAI list, split, tuning outcome
+   and :class:`~repro.core.framework.PSPRunResult` are built from the
+   retune's numbers only when an alert needs them or ``current_result``
+   is read;
 4. **conditional TARA rescore** — the compiled
    :class:`~repro.tara.scoring.BatchTaraScorer` re-scores only when the
    insider table's rating fingerprint actually changed, and the tick
    emits a :class:`~repro.core.monitor.TrendAlert` (same shape as the
-   batch monitor's) plus an optional lifecycle trend-shift event.
+   batch monitor's, carrying the tick's full result) plus an optional
+   lifecycle trend-shift event.
 
 Steps 3-4 live in :class:`TickEvaluator` and run *once* per tick over
 the merge, so retune/rescore cost is independent of shard count: the
@@ -49,20 +57,21 @@ from __future__ import annotations
 import datetime as dt
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.classification import ClassifiedEntry, InsiderOutsiderSplit
 from repro.core.config import PSPConfig, TargetApplication
 from repro.core.errors import PSPError
 from repro.core.executor import resolve_executor
 from repro.core.framework import PSPRunResult
-from repro.core.keywords import KeywordDatabase
+from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.core.monitor import TrendAlert, VectorChange
 from repro.core.poisoning import FilterReport, PostAuthenticityFilter
-from repro.core.sai import SAIComputer, SAIList
+from repro.core.sai import SAIComputer, gather_signals, sai_list, vector_shares
 from repro.core.timewindow import TimeWindow
-from repro.core.weights import WeightTuner
-from repro.iso21434.feasibility.attack_vector import WeightTable
+from repro.core.weights import TuningOutcome, WeightTuner, tuned_note
+from repro.iso21434.enums import AttackVector
+from repro.iso21434.feasibility.attack_vector import WeightTable, standard_table
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.obs import views as obs_views
 from repro.obs.registry import DEFAULT_SIZE_BUCKETS, ensure_registry
@@ -73,7 +82,9 @@ from repro.stream.deltas import (
     ChunkRuns,
     DeltaTracker,
     SignalDelta,
+    WindowSums,
     compute_signal_delta_columnar,
+    signals_from_sums,
 )
 from repro.stream.feed import FeedSource, PostEvent
 from repro.stream.store import DEFAULT_MAX_RESIDENT_COLD, SegmentStore
@@ -83,6 +94,7 @@ from repro.tara.model import compile_threat_model
 from repro.tara.scoring import (
     BatchTaraScorer,
     TaraReportData,
+    ratings_fingerprint,
     table_fingerprint,
 )
 from repro.vehicle.network import VehicleNetwork
@@ -125,6 +137,31 @@ class StreamTick:
         )
 
 
+#: The scorer row of a keyword without in-window posts.
+_NO_POSTS = (0, 0, 0, 0.0)
+
+
+class _Retune(NamedTuple):
+    """One retune's numbers, kept so its full result can be built later.
+
+    ``sums`` is the tracker's :meth:`~repro.stream.deltas.DeltaTracker.
+    window_sums` at that tick, a fresh dict nothing else holds.
+    ``scores``, ``probabilities``, ``flags`` (insider verdicts) and
+    ``votes`` follow ``entries``, the database as it stood; an annotated
+    keyword's votes are ``(0, 0)``.
+    """
+
+    window: TimeWindow
+    entries: Tuple[AttackKeyword, ...]
+    sums: Mapping[str, WindowSums]
+    scores: List[float]
+    probabilities: List[float]
+    flags: Tuple[bool, ...]
+    votes: Tuple[Tuple[int, int], ...]
+    shares: Dict[AttackVector, float]
+    table: WeightTable
+
+
 class TickEvaluator:
     """Conditional retune + conditional rescore over running aggregates.
 
@@ -134,6 +171,18 @@ class TickEvaluator:
     rescoring and alert emission all live here, parameterised only by
     the :class:`~repro.stream.deltas.DeltaTracker` handed to
     :meth:`evaluate`.
+
+    A retune works on plain numbers: the tracker's flat window sums go
+    through the SAI computer's flat scorer
+    (:meth:`~repro.core.sai.SAIComputer.score_rows`), the insider
+    probabilities through :func:`~repro.core.sai.vector_shares` in rank
+    order, and the shares through the tuner's rating rule, the same
+    kernels the object path calls.  The insider table is rebuilt only
+    when its ratings or window label change.  The SAI list, split,
+    tuning outcome and :class:`~repro.core.framework.PSPRunResult` are
+    built from the retune's kept numbers only when an alert needs them
+    or :attr:`last_result` is read, and they equal what the object path
+    would have built at that tick.
     """
 
     def __init__(
@@ -178,7 +227,6 @@ class TickEvaluator:
         self.insider_flags: Dict[str, bool] = {}
         self.last_table: Optional[WeightTable] = None
         self.last_fingerprint: Optional[Tuple] = None
-        self.last_result: Optional[PSPRunResult] = None
         self.alerts: List[TrendAlert] = []
         self.retunes = 0
         self.rescores = 0
@@ -186,11 +234,28 @@ class TickEvaluator:
         #: reference point of the staleness-window policy.
         self.retune_window_posts: Optional[int] = None
         self.forced_retunes = 0
+        self._last_retune: Optional[_Retune] = None
+        self._last_result: Optional[PSPRunResult] = None
+        # (fingerprint, note) of the table this evaluator last built.
+        self._table_key: Optional[Tuple] = None
+        # (since_year, upto_year) -> (window, tuned-table note).
+        self._windows: Dict[Tuple, Tuple[TimeWindow, str]] = {}
 
     @property
     def scorer(self) -> Optional[BatchTaraScorer]:
         """The compiled-model TARA scorer (None without a network)."""
         return self._scorer
+
+    @property
+    def last_result(self) -> Optional[PSPRunResult]:
+        """The latest retune's full result (None before any retune).
+
+        Built from that retune's kept numbers on the first read, so it
+        describes the tick that retuned, whatever ticks ran since.
+        """
+        if self._last_result is None and self._last_retune is not None:
+            self._last_result = self._result_of(self._last_retune)
+        return self._last_result
 
     def baseline_tara(self) -> Optional[TaraReportData]:
         """The static-table TARA (None without a network)."""
@@ -198,16 +263,26 @@ class TickEvaluator:
             return None
         return self._scorer.score()
 
-    def _window(self, upto_year: Optional[int]) -> TimeWindow:
+    def _window(self, upto_year: Optional[int]) -> Tuple[TimeWindow, str]:
+        """The analysis window up to ``upto_year`` and its table note."""
+        key = (self.since_year, upto_year)
+        cached = self._windows.get(key)
+        if cached is not None:
+            return cached
         if self.since_year is not None and upto_year is not None:
-            return TimeWindow.years(self.since_year, upto_year)
-        since = (
-            dt.date(self.since_year, 1, 1)
-            if self.since_year is not None
-            else None
-        )
-        until = dt.date(upto_year, 12, 31) if upto_year is not None else None
-        return TimeWindow(since=since, until=until, label="streamed")
+            window = TimeWindow.years(self.since_year, upto_year)
+        else:
+            since = (
+                dt.date(self.since_year, 1, 1)
+                if self.since_year is not None
+                else None
+            )
+            until = (
+                dt.date(upto_year, 12, 31) if upto_year is not None else None
+            )
+            window = TimeWindow(since=since, until=until, label="streamed")
+        cached = self._windows[key] = (window, tuned_note(window.describe()))
+        return cached
 
     def _classify(self, deltas: DeltaTracker, keyword: str) -> bool:
         """Mirror of the batch classifier over the running aggregates."""
@@ -220,30 +295,57 @@ class TickEvaluator:
         insider_votes, outsider_votes = deltas.votes(keyword)
         return insider_votes > outsider_votes
 
-    def _split(self, deltas: DeltaTracker, sai: SAIList) -> InsiderOutsiderSplit:
-        """Partition the SAI list using cached classifications."""
+    def _flag(self, deltas: DeltaTracker, keyword: str) -> bool:
+        """A keyword's cached insider verdict, classified on first use."""
+        flag = self.insider_flags.get(keyword)
+        if flag is None:
+            flag = self.insider_flags[keyword] = self._classify(
+                deltas, keyword
+            )
+        return flag
+
+    def _result_of(self, retune: _Retune) -> PSPRunResult:
+        """One retune's full result, built from its numbers."""
+        sai = sai_list(
+            gather_signals(retune.entries, signals_from_sums(retune.sums)),
+            retune.scores,
+            retune.probabilities,
+        )
+        verdicts = {
+            entry.keyword: (flag, entry.owner_approved is not None, votes)
+            for entry, flag, votes in zip(
+                retune.entries, retune.flags, retune.votes
+            )
+        }
         insider: List[ClassifiedEntry] = []
         outsider: List[ClassifiedEntry] = []
         for entry in sai:
-            keyword = entry.keyword
-            flag = self.insider_flags.get(keyword)
-            if flag is None:
-                flag = self._classify(deltas, keyword)
-                self.insider_flags[keyword] = flag
-            annotation = self._database.get(keyword).owner_approved
-            votes = (
-                (0, 0) if annotation is not None else deltas.votes(keyword)
+            flag, annotated, (insider_votes, outsider_votes) = verdicts[
+                entry.keyword
+            ]
+            (insider if flag else outsider).append(
+                ClassifiedEntry(
+                    entry=entry,
+                    insider=flag,
+                    from_annotation=annotated,
+                    insider_votes=insider_votes,
+                    outsider_votes=outsider_votes,
+                )
             )
-            classified = ClassifiedEntry(
-                entry=entry,
-                insider=flag,
-                from_annotation=annotation is not None,
-                insider_votes=votes[0],
-                outsider_votes=votes[1],
-            )
-            (insider if flag else outsider).append(classified)
-        return InsiderOutsiderSplit(
-            insider=tuple(insider), outsider=tuple(outsider)
+        return PSPRunResult(
+            target=self._target,
+            window=retune.window,
+            sai=sai,
+            split=InsiderOutsiderSplit(
+                insider=tuple(insider), outsider=tuple(outsider)
+            ),
+            tuning=TuningOutcome(
+                insider_table=retune.table,
+                outsider_table=standard_table(),
+                vector_shares=retune.shares,
+                window_label=retune.window.describe(),
+            ),
+            learned_keywords=(),
         )
 
     def _stale_retune_due(
@@ -256,7 +358,7 @@ class TickEvaluator:
         ``config.stream_staleness_share`` forces a retune so the cached
         SAI scores track the corpus again.  Cost model: the check itself
         is O(keywords × years) on the bucket map; a forced retune costs
-        one signals pass + tune, the same as any insider tick — and is
+        one flat retune, the same as any insider tick — and is
         amortised because the reference volume resets, so sustained
         outsider chatter triggers at most one forced retune per
         threshold-crossing, not one per tick.
@@ -283,6 +385,7 @@ class TickEvaluator:
 
         ``deltas`` is the aggregate view covering the whole logical
         stream: the runtime's pure-sum merge of its shard trackers.
+        Returns ``(retuned, rescored, alert)``.
         """
         first = self.last_table is None
         before = any(self.insider_flags.get(k, False) for k in dirty)
@@ -301,29 +404,63 @@ class TickEvaluator:
             self._forced_retunes_total.inc()
 
         with self._trace.span("sai"):
-            window = self._window(upto_year)
-            signals = deltas.signals(
+            window, note = self._window(upto_year)
+            sums = deltas.window_sums(
                 since_year=self.since_year, until_year=upto_year
             )
-            sai = self._computer.compute_from_signals(self._database, signals)
+            entries = tuple(self._database)
+            rows = []
+            for entry in entries:
+                row = sums.get(entry.keyword)
+                rows.append(
+                    _NO_POSTS
+                    if row is None
+                    else (row[0], row[1] + row[2] + row[3], row[4], row[5])
+                )
+            scores, probabilities = self._computer.score_rows(rows)
         with self._trace.span("retune"):
-            split = self._split(deltas, sai)
-            tuning = self._tuner.tune(split, window_label=window.describe())
-            table = tuning.insider_table
-            fingerprint = table_fingerprint(table)
-            result = PSPRunResult(
-                target=self._target,
-                window=window,
-                sai=sai,
-                split=split,
-                tuning=tuning,
-                learned_keywords=(),
+            flags = tuple(self._flag(deltas, entry.keyword) for entry in entries)
+            # The insider mass adds up in SAI rank order, as the split's:
+            # by descending score, then keyword (unique, so the sort
+            # never compares vectors).
+            insider = sorted(
+                (-score, entry.keyword, entry.vector, probability)
+                for entry, score, probability, flag in zip(
+                    entries, scores, probabilities, flags
+                )
+                if flag
             )
+            shares = vector_shares(
+                (vector, probability) for _, _, vector, probability in insider
+            )
+            fingerprint = ratings_fingerprint(
+                self._tuner.ratings_from_shares(shares)
+            )
+            if self._table_key != (fingerprint, note):
+                table = self._tuner.tune_from_shares(shares, note=note)
+                self._table_key = (fingerprint, note)
+            else:
+                table = self.last_table
+            self._last_retune = _Retune(
+                window=window,
+                entries=entries,
+                sums=sums,
+                scores=scores,
+                probabilities=probabilities,
+                flags=flags,
+                shares=shares,
+                table=table,
+                votes=tuple(
+                    (0, 0)
+                    if entry.owner_approved is not None
+                    else deltas.votes(entry.keyword)
+                    for entry in entries
+                ),
+            )
+            self._last_result = None
             self.retunes += 1
             self._retunes_total.inc()
-            self.retune_window_posts = deltas.window_total(
-                since_year=self.since_year, until_year=upto_year
-            )
+            self.retune_window_posts = sum(row[4] for row in sums.values())
 
         rescored = False
         alert: Optional[TrendAlert] = None
@@ -351,7 +488,7 @@ class TickEvaluator:
                 alert = TrendAlert(
                     upto_year=upto_year if upto_year is not None else 0,
                     changes=changes,
-                    result=result,
+                    result=self.last_result,
                     tara=tara,
                 )
                 self.alerts.append(alert)
@@ -361,7 +498,6 @@ class TickEvaluator:
 
         self.last_table = table
         self.last_fingerprint = fingerprint
-        self.last_result = result
         return True, rescored, alert
 
     # -- checkpoint support --------------------------------------------------
@@ -395,6 +531,7 @@ class TickEvaluator:
             # aggregates, which is O(keywords).
             self.insider_flags = {}
         self.last_table = _table_from_state(state.get("last_table"))
+        self._table_key = None
         self.last_fingerprint = (
             table_fingerprint(self.last_table)
             if self.last_table is not None
@@ -475,7 +612,7 @@ class _ShardState:
 
     ``metrics`` is the shard's child registry (merged into the parent by
     pure summation at collect time); ``ingested`` and ``merge_seconds``
-    are its shard-labelled instruments.
+    are its instruments' series bound to this shard's label.
     """
 
     shard_id: int
@@ -686,13 +823,13 @@ class ShardedStreamRuntime:
                         "psp_shard_posts_ingested_total",
                         "Posts accepted per shard",
                         labelnames=("shard",),
-                    ),
+                    ).labels(shard=str(shard_id)),
                     merge_seconds=shard_metrics.histogram(
                         "psp_shard_merge_seconds",
                         "Per-shard merge-leg latency "
                         "(index append + delta apply)",
                         labelnames=("shard",),
-                    ),
+                    ).labels(shard=str(shard_id)),
                 )
             )
         self._adopted_keywords: List[str] = []
@@ -804,7 +941,11 @@ class ShardedStreamRuntime:
 
     @property
     def current_result(self) -> Optional[PSPRunResult]:
-        """The PSP result of the latest retune (None before the first)."""
+        """The PSP result of the latest retune (None before the first).
+
+        Built on the first read after that retune, and describing it
+        whatever ticks ran since.
+        """
         return self._evaluator.last_result
 
     @property
@@ -934,12 +1075,9 @@ class ShardedStreamRuntime:
                         newest = dt.date.fromordinal(columns.dates[-1])
                         if self._max_date is None or newest > self._max_date:
                             self._max_date = newest
-                    shard.ingested.inc(
-                        len(accepted), shard=str(shard.shard_id)
-                    )
+                    shard.ingested.inc(len(accepted))
                     shard.merge_seconds.observe(
-                        time.perf_counter() - leg_start,
-                        shard=str(shard.shard_id),
+                        time.perf_counter() - leg_start
                     )
 
             # take_dirty also folds in any dirty keywords a restored

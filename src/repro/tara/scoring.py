@@ -48,7 +48,14 @@ def table_fingerprint(table: WeightTable) -> Tuple[FeasibilityRating, ...]:
     feasibility depends on the ratings alone, so they also share every
     scorer memo entry.
     """
-    return tuple(table.rating(v) for v in _FINGERPRINT_ORDER)
+    return ratings_fingerprint(table.ratings)
+
+
+def ratings_fingerprint(
+    ratings: Mapping[AttackVector, FeasibilityRating],
+) -> Tuple[FeasibilityRating, ...]:
+    """The :func:`table_fingerprint` of a table with these ratings."""
+    return tuple(ratings[v] for v in _FINGERPRINT_ORDER)
 
 
 @dataclass(frozen=True)
