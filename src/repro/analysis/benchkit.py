@@ -1938,9 +1938,7 @@ def run_obs_overhead_bench(
     time is the sum of its own ticks, and ``overhead_pct`` is the
     **median of the per-pair ratios**.  A slow spell of the shared
     machine (a few milliseconds to minutes) then lands on both sides of
-    a pair, and so does the cost of ticking first or second.  The
-    cyclic garbage collector is paused while a pair ticks (see
-    ``_pair``), so its collections are charged to neither side.
+    a pair, and so does the cost of ticking first or second.
     ``naive_seconds`` and ``engine_seconds`` are each side's median
     round, the instrumented side first, so the reported ``speedup``
     reads as "instrumented-over-null cost ratio" and hovers at ~1.0x;
@@ -1996,27 +1994,19 @@ def run_obs_overhead_bench(
         ]
         spent = [0.0, 0.0]
         live = [0, 1]
-        # The cyclic collector runs between pairs, never while one
-        # ticks.  Its few collections per pair fall at fixed allocation
-        # counts, so on whichever side crosses them, and on that same
-        # side every round: one generation-1 collection (about 2 ms of
-        # a 60 ms round) then reads as a 3-4% gap even between two
-        # identical NullRegistry runtimes.
+        # Every pair starts from the same collector state, so full
+        # collections do not fall on the same rounds every run.
         gc.collect()
-        gc.disable()
-        try:
-            step = 0
-            while live:
-                order = tuple(live if step % 2 == 0 else reversed(live))
-                step += 1
-                for side in order:
-                    start = time.perf_counter()
-                    tick = runtimes[side].tick()
-                    spent[side] += time.perf_counter() - start
-                    if tick is None:
-                        live.remove(side)
-        finally:
-            gc.enable()
+        step = 0
+        while live:
+            order = tuple(live if step % 2 == 0 else reversed(live))
+            step += 1
+            for side in order:
+                start = time.perf_counter()
+                tick = runtimes[side].tick()
+                spent[side] += time.perf_counter() - start
+                if tick is None:
+                    live.remove(side)
         return spent, [_summary(runtime) for runtime in runtimes], registry
 
     # Untimed warm-up pair: both sides start from warm code paths.

@@ -45,7 +45,7 @@ from repro.iso21434.enums import AttackVector
 from repro.nlp.analysis import analyze_text
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.api import BatchQuery, SocialMediaClient
-from repro.social.post import Engagement, Post
+from repro.social.post import Engagement, Post, total_interactions
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,17 @@ class SAIEntry:
             raise ValueError("post_count must be >= 0")
 
 
+def rank_key(score: float, keyword: str) -> Tuple[float, str]:
+    """The SAI list's order: descending score, then keyword."""
+    return (-score, keyword)
+
+
 class SAIList:
     """The sorted SAI list (descending score) with normalised probabilities."""
 
     def __init__(self, entries: Sequence[SAIEntry]) -> None:
         self._entries: Tuple[SAIEntry, ...] = tuple(
-            sorted(entries, key=lambda e: (-e.score, e.keyword))
+            sorted(entries, key=lambda e: rank_key(e.score, e.keyword))
         )
 
     def __len__(self) -> int:
@@ -146,6 +151,41 @@ def vector_shares(
     return {vector: share / total for vector, share in mass.items()}
 
 
+def ranked_vector_shares(
+    entries: Sequence[AttackKeyword],
+    scores: Sequence[float],
+    probabilities: Sequence[float],
+    keep: Sequence[bool],
+) -> Dict[AttackVector, float]:
+    """:func:`vector_shares` of the kept entries, added in SAI rank order.
+
+    ``scores`` and ``probabilities`` are :meth:`SAIComputer.score_sums`'s
+    for ``entries``, and ``keep`` flags the entries whose mass counts
+    (the insider ones).  The shares equal, bit for bit, those of the
+    kept entries' :class:`SAIEntry` objects in :class:`SAIList` order,
+    without building either.
+    """
+    # Keywords are unique, so the sort never compares vectors.
+    ranked = sorted(
+        (rank_key(score, entry.keyword), entry.vector, probability)
+        for entry, score, probability, kept in zip(
+            entries, scores, probabilities, keep
+        )
+        if kept
+    )
+    return vector_shares(
+        (vector, probability) for _, vector, probability in ranked
+    )
+
+
+#: One keyword's signals over a window, flat:
+#: ``(views, likes, reposts, replies, posts, mean_sentiment)``.
+WindowSums = Tuple[int, int, int, int, int, float]
+
+#: The window sums of a keyword without posts.
+_NO_POSTS: WindowSums = (0, 0, 0, 0, 0, 0.0)
+
+
 @dataclass(frozen=True)
 class KeywordSignals:
     """One keyword's condensed SAI evidence (the additive signals).
@@ -165,6 +205,22 @@ class KeywordSignals:
     def __post_init__(self) -> None:
         if self.post_count < 0:
             raise ValueError("post_count must be >= 0")
+
+    @classmethod
+    def from_sums(cls, sums: WindowSums) -> "KeywordSignals":
+        """The signals of one keyword's flat :data:`WindowSums`."""
+        views, likes, reposts, replies, posts, mean_sentiment = sums
+        return cls(
+            engagement=Engagement(
+                views=views, likes=likes, reposts=reposts, replies=replies
+            ),
+            mean_sentiment=mean_sentiment,
+            post_count=posts,
+        )
+
+
+#: The signals of a keyword without posts.
+_NO_SIGNALS = KeywordSignals.from_sums(_NO_POSTS)
 
 
 class SignalSums(NamedTuple):
@@ -359,7 +415,7 @@ class SAIComputer:
 
     def compute_from_signals(
         self,
-        database: Iterable[AttackKeyword],
+        database: KeywordDatabase,
         signals: Mapping[str, KeywordSignals],
     ) -> SAIList:
         """Score a SAI list from pre-aggregated per-keyword signals.
@@ -367,11 +423,10 @@ class SAIComputer:
         The streaming counterpart of :meth:`compute_from_posts`: callers
         that maintain running per-keyword aggregates (the dirty-keyword
         tracker of :mod:`repro.stream.deltas`) re-score the whole list in
-        O(keywords) — no post fetch, no sentiment pass.  ``database`` is
-        a :class:`KeywordDatabase` or any sequence of its entries.
-        Keywords missing from ``signals`` are treated as having no
-        matching posts.  The share/score/probability arithmetic is the
-        same code path as the post-fed variant.
+        O(keywords) — no post fetch, no sentiment pass.  Keywords missing
+        from ``signals`` are treated as having no matching posts.  The
+        share/score/probability arithmetic is the same code path as the
+        post-fed variant.
         """
         return self._score_gathered(gather_signals(database, signals))
 
@@ -416,6 +471,32 @@ class SAIComputer:
         ]
         return scores, probabilities
 
+    def score_sums(
+        self,
+        entries: Sequence[AttackKeyword],
+        sums: Mapping[str, WindowSums],
+    ) -> Tuple[List[float], List[float]]:
+        """:meth:`score_rows` of each entry's flat window sums.
+
+        Entries missing from ``sums`` have no posts.  The numbers equal
+        those :meth:`compute_from_signals` gives the same sums as
+        :class:`KeywordSignals`, without building an object.
+        """
+        rows = []
+        for entry in entries:
+            views, likes, reposts, replies, posts, sentiment = sums.get(
+                entry.keyword, _NO_POSTS
+            )
+            rows.append(
+                (
+                    views,
+                    total_interactions(likes, reposts, replies),
+                    posts,
+                    sentiment,
+                )
+            )
+        return self.score_rows(rows)
+
     def _score_gathered(self, gathered: Sequence[Gathered]) -> SAIList:
         """The shared scoring core: signals in, sorted SAI list out."""
         scores, probabilities = self.score_rows(
@@ -434,18 +515,10 @@ def gather_signals(
     """Each entry's evidence; keywords missing from ``signals`` have none."""
     gathered: List[Gathered] = []
     for entry in database:
-        signal = signals.get(entry.keyword)
-        if signal is None:
-            gathered.append((entry, Engagement(), 0.0, 0))
-        else:
-            gathered.append(
-                (
-                    entry,
-                    signal.engagement,
-                    signal.mean_sentiment,
-                    signal.post_count,
-                )
-            )
+        signal = signals.get(entry.keyword, _NO_SIGNALS)
+        gathered.append(
+            (entry, signal.engagement, signal.mean_sentiment, signal.post_count)
+        )
     return gathered
 
 

@@ -97,8 +97,6 @@ class _Instrument:
         self.labelnames = _check_labelnames(labelnames)
 
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
-        if not labels and not self.labelnames:
-            return ()
         if len(labels) != len(self.labelnames) or any(
             name not in labels for name in self.labelnames
         ):
@@ -106,35 +104,7 @@ class _Instrument:
                 f"{self.name} expects labels {self.labelnames!r}, "
                 f"got {tuple(sorted(labels))!r}"
             )
-        return tuple([str(labels[name]) for name in self.labelnames])
-
-    def labels(self, **labels: object) -> "BoundSeries":
-        """One series of this instrument, its label values checked once.
-
-        The hot-path form of ``inc(n, shard="0")``: a tick calls the
-        bound series' ``inc``/``set``/``observe`` without re-resolving
-        its labels.
-        """
-        return BoundSeries(self, self._key(labels))
-
-
-class BoundSeries:
-    """One label-value series of an instrument (see ``labels()``)."""
-
-    __slots__ = ("_instrument", "_key")
-
-    def __init__(self, instrument: _Instrument, key: Tuple[str, ...]):
-        self._instrument = instrument
-        self._key = key
-
-    def inc(self, amount: float = 1) -> None:
-        self._instrument._inc(self._key, amount)  # type: ignore[attr-defined]
-
-    def set(self, value: float) -> None:
-        self._instrument._set(self._key, value)  # type: ignore[attr-defined]
-
-    def observe(self, value: float) -> None:
-        self._instrument._observe(self._key, value)  # type: ignore[attr-defined]
+        return tuple(str(labels[name]) for name in self.labelnames)
 
 
 class Counter(_Instrument):
@@ -147,11 +117,9 @@ class Counter(_Instrument):
         self._series: Dict[Tuple[str, ...], float] = {}
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        self._inc(self._key(labels), amount)
-
-    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:
@@ -171,15 +139,10 @@ class Gauge(_Instrument):
         self._series: Dict[Tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: object) -> None:
-        self._set(self._key(labels), value)
-
-    def _set(self, key: Tuple[str, ...], value: float) -> None:
-        self._series[key] = value
+        self._series[self._key(labels)] = value
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        self._inc(self._key(labels), amount)
-
-    def _inc(self, key: Tuple[str, ...], amount: float) -> None:
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def dec(self, amount: float = 1, **labels: object) -> None:
@@ -245,9 +208,7 @@ class Histogram(_Instrument):
         self._series: Dict[Tuple[str, ...], HistogramSeries] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        self._observe(self._key(labels), value)
-
-    def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        key = self._key(labels)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = HistogramSeries(len(self.buckets))
@@ -498,9 +459,6 @@ class _NullInstrument:
 
     def observe(self, value: float, **labels: object) -> None:
         pass
-
-    def labels(self, **labels: object) -> "_NullInstrument":
-        return self
 
     def value(self, **labels: object) -> float:
         return 0

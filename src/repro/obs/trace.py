@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
-from repro.obs.registry import BoundSeries, MetricsRegistry, NullRegistry
+from repro.obs.registry import MetricsRegistry, NullRegistry
 
 #: Span trees retained for inspection (per trace instance).
 KEEP_TICKS = 64
@@ -99,8 +99,6 @@ class TickTrace:
         )
         self._stack: List[Span] = []
         self._ticks: Deque[Span] = deque(maxlen=keep_ticks)
-        #: stage name -> its bound ``psp_tick_stage_seconds`` series.
-        self._stages: Dict[str, BoundSeries] = {}
 
     def tick(self) -> _SpanContext:
         """The root span for one runtime tick."""
@@ -115,12 +113,7 @@ class TickTrace:
             self._tick_hist.observe(span.seconds)
             self._ticks.append(span)
         else:
-            stage = self._stages.get(span.name)
-            if stage is None:
-                stage = self._stages[span.name] = self._stage_hist.labels(
-                    stage=span.name
-                )
-            stage.observe(span.seconds)
+            self._stage_hist.observe(span.seconds, stage=span.name)
             if not self._stack:
                 # Stage recorded outside a tick (e.g. replay audit legs):
                 # keep its tree too rather than dropping it.

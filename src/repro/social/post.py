@@ -16,6 +16,11 @@ from typing import Tuple
 from repro.nlp.hashtags import extract_hashtags
 
 
+def total_interactions(likes: int, reposts: int, replies: int) -> int:
+    """Active interactions of engagement counters (likes + reposts + replies)."""
+    return likes + reposts + replies
+
+
 @dataclass(frozen=True)
 class Engagement:
     """Engagement counters of one post."""
@@ -34,7 +39,7 @@ class Engagement:
     @property
     def interactions(self) -> int:
         """Total active interactions (likes + reposts + replies)."""
-        return self.likes + self.reposts + self.replies
+        return total_interactions(self.likes, self.reposts, self.replies)
 
     def combined(self, other: "Engagement") -> "Engagement":
         """Element-wise sum of two engagement records."""

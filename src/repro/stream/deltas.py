@@ -61,11 +61,11 @@ from typing import (
 )
 
 from repro.core.keywords import KeywordDatabase
-from repro.core.sai import KeywordSignals
+from repro.core.sai import KeywordSignals, WindowSums
 from repro.nlp.analysis import INSIDER_MARKERS, OUTSIDER_MARKERS, analyze_text
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.columnar import ColumnarCorpus, year_of_ordinal
-from repro.social.post import Engagement, Post
+from repro.social.post import Post
 
 #: re-exported for convenience of streaming consumers.
 __all__ = [
@@ -87,26 +87,12 @@ __all__ = [
 _ARENA_SEPARATOR = "\n"
 
 
-#: One keyword's signals over a year window, flat:
-#: ``(views, likes, reposts, replies, posts, mean_sentiment)``.
-WindowSums = Tuple[int, int, int, int, int, float]
-
-
 def signals_from_sums(
     sums: Mapping[str, WindowSums],
 ) -> Dict[str, KeywordSignals]:
     """:meth:`DeltaTracker.window_sums` as :class:`KeywordSignals`."""
     return {
-        keyword: KeywordSignals(
-            engagement=Engagement(
-                views=views, likes=likes, reposts=reposts, replies=replies
-            ),
-            mean_sentiment=mean_sentiment,
-            post_count=posts,
-        )
-        for keyword, (
-            views, likes, reposts, replies, posts, mean_sentiment
-        ) in sums.items()
+        keyword: KeywordSignals.from_sums(row) for keyword, row in sums.items()
     }
 
 

@@ -67,7 +67,13 @@ from repro.core.framework import PSPRunResult
 from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.core.monitor import TrendAlert, VectorChange
 from repro.core.poisoning import FilterReport, PostAuthenticityFilter
-from repro.core.sai import SAIComputer, gather_signals, sai_list, vector_shares
+from repro.core.sai import (
+    SAIComputer,
+    WindowSums,
+    gather_signals,
+    ranked_vector_shares,
+    sai_list,
+)
 from repro.core.timewindow import TimeWindow
 from repro.core.weights import TuningOutcome, WeightTuner, tuned_note
 from repro.iso21434.enums import AttackVector
@@ -82,7 +88,6 @@ from repro.stream.deltas import (
     ChunkRuns,
     DeltaTracker,
     SignalDelta,
-    WindowSums,
     compute_signal_delta_columnar,
     signals_from_sums,
 )
@@ -137,10 +142,6 @@ class StreamTick:
         )
 
 
-#: The scorer row of a keyword without in-window posts.
-_NO_POSTS = (0, 0, 0, 0.0)
-
-
 class _Retune(NamedTuple):
     """One retune's numbers, kept so its full result can be built later.
 
@@ -174,10 +175,10 @@ class TickEvaluator:
 
     A retune works on plain numbers: the tracker's flat window sums go
     through the SAI computer's flat scorer
-    (:meth:`~repro.core.sai.SAIComputer.score_rows`), the insider
-    probabilities through :func:`~repro.core.sai.vector_shares` in rank
-    order, and the shares through the tuner's rating rule, the same
-    kernels the object path calls.  The insider table is rebuilt only
+    (:meth:`~repro.core.sai.SAIComputer.score_sums`), the insider
+    probabilities through :func:`~repro.core.sai.ranked_vector_shares`,
+    and the shares through the tuner's rating rule, the same kernels
+    the object path calls.  The insider table is rebuilt only
     when its ratings or window label change.  The SAI list, split,
     tuning outcome and :class:`~repro.core.framework.PSPRunResult` are
     built from the retune's kept numbers only when an alert needs them
@@ -236,8 +237,6 @@ class TickEvaluator:
         self.forced_retunes = 0
         self._last_retune: Optional[_Retune] = None
         self._last_result: Optional[PSPRunResult] = None
-        # (fingerprint, note) of the table this evaluator last built.
-        self._table_key: Optional[Tuple] = None
         # (since_year, upto_year) -> (window, tuned-table note).
         self._windows: Dict[Tuple, Tuple[TimeWindow, str]] = {}
 
@@ -409,38 +408,20 @@ class TickEvaluator:
                 since_year=self.since_year, until_year=upto_year
             )
             entries = tuple(self._database)
-            rows = []
-            for entry in entries:
-                row = sums.get(entry.keyword)
-                rows.append(
-                    _NO_POSTS
-                    if row is None
-                    else (row[0], row[1] + row[2] + row[3], row[4], row[5])
-                )
-            scores, probabilities = self._computer.score_rows(rows)
+            scores, probabilities = self._computer.score_sums(entries, sums)
         with self._trace.span("retune"):
             flags = tuple(self._flag(deltas, entry.keyword) for entry in entries)
-            # The insider mass adds up in SAI rank order, as the split's:
-            # by descending score, then keyword (unique, so the sort
-            # never compares vectors).
-            insider = sorted(
-                (-score, entry.keyword, entry.vector, probability)
-                for entry, score, probability, flag in zip(
-                    entries, scores, probabilities, flags
-                )
-                if flag
-            )
-            shares = vector_shares(
-                (vector, probability) for _, _, vector, probability in insider
-            )
+            shares = ranked_vector_shares(entries, scores, probabilities, flags)
             fingerprint = ratings_fingerprint(
                 self._tuner.ratings_from_shares(shares)
             )
-            if self._table_key != (fingerprint, note):
+            table = self.last_table
+            if (
+                table is None
+                or fingerprint != self.last_fingerprint
+                or table.note != note
+            ):
                 table = self._tuner.tune_from_shares(shares, note=note)
-                self._table_key = (fingerprint, note)
-            else:
-                table = self.last_table
             self._last_retune = _Retune(
                 window=window,
                 entries=entries,
@@ -531,7 +512,6 @@ class TickEvaluator:
             # aggregates, which is O(keywords).
             self.insider_flags = {}
         self.last_table = _table_from_state(state.get("last_table"))
-        self._table_key = None
         self.last_fingerprint = (
             table_fingerprint(self.last_table)
             if self.last_table is not None
@@ -612,7 +592,7 @@ class _ShardState:
 
     ``metrics`` is the shard's child registry (merged into the parent by
     pure summation at collect time); ``ingested`` and ``merge_seconds``
-    are its instruments' series bound to this shard's label.
+    are its shard-labelled instruments.
     """
 
     shard_id: int
@@ -823,13 +803,13 @@ class ShardedStreamRuntime:
                         "psp_shard_posts_ingested_total",
                         "Posts accepted per shard",
                         labelnames=("shard",),
-                    ).labels(shard=str(shard_id)),
+                    ),
                     merge_seconds=shard_metrics.histogram(
                         "psp_shard_merge_seconds",
                         "Per-shard merge-leg latency "
                         "(index append + delta apply)",
                         labelnames=("shard",),
-                    ).labels(shard=str(shard_id)),
+                    ),
                 )
             )
         self._adopted_keywords: List[str] = []
@@ -1075,9 +1055,12 @@ class ShardedStreamRuntime:
                         newest = dt.date.fromordinal(columns.dates[-1])
                         if self._max_date is None or newest > self._max_date:
                             self._max_date = newest
-                    shard.ingested.inc(len(accepted))
+                    shard.ingested.inc(
+                        len(accepted), shard=str(shard.shard_id)
+                    )
                     shard.merge_seconds.observe(
-                        time.perf_counter() - leg_start
+                        time.perf_counter() - leg_start,
+                        shard=str(shard.shard_id),
                     )
 
             # take_dirty also folds in any dirty keywords a restored

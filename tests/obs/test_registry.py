@@ -49,36 +49,6 @@ class TestCounter:
         assert c.value(platform="never") == 0
 
 
-class TestBoundSeries:
-    def test_bound_series_write_the_labelled_series(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("events_total", labelnames=("shard",))
-        gauge = registry.gauge("cursor", labelnames=("shard",))
-        hist = registry.histogram("merge_seconds", labelnames=("shard",))
-        counter.labels(shard=0).inc(3)
-        counter.inc(2, shard="0")
-        gauge.labels(shard="1").set(7)
-        gauge.labels(shard="1").inc(-2)
-        hist.labels(shard="0").observe(0.0002)
-        hist.observe(0.0002, shard="0")
-        assert counter.samples() == {("0",): 5}
-        assert gauge.value(shard="1") == 5
-        assert hist.series(shard="0").count == 2
-
-    def test_labels_are_checked_when_bound(self):
-        counter = Counter("events_total", labelnames=("shard",))
-        with pytest.raises(ValueError):
-            counter.labels(wrong="0")
-        with pytest.raises(ValueError):
-            counter.labels(shard="0").inc(-1)
-
-    def test_null_instrument_binds_to_itself(self):
-        null = NullRegistry().counter("a_total", labelnames=("shard",))
-        assert null.labels(shard="0") is null
-        null.labels(shard="0").inc(5)
-        assert null.value(shard="0") == 0
-
-
 class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("index_posts")
