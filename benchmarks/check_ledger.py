@@ -27,6 +27,8 @@ LIVE_LAYERS = {
         "obs.views.runtime_health.calls",
         "stream.tiers.hot_seals",
         "stream.runtime.evaluate.self_s",
+        "stream.checkpoint.restore.self_s",
+        "stream.checkpoint.state_dict.bytes",
     ),
     "stream_tiered": (
         "nlp.analysis.analyze_text.calls",
@@ -42,6 +44,8 @@ LIVE_LAYERS = {
         "stream.store.hydrate.calls",
         "stream.checkpoint.restore.self_s",
         "stream.runtime.evaluate.self_s",
+        "stream.tiers.signal_backfill.self_s",
+        "stream.checkpoint.state_dict.bytes",
     ),
 }
 

@@ -429,11 +429,7 @@ class SidecarAggregates:
             if missing:
                 self._keywords = self._keywords + tuple(missing)
                 self._known.update(missing)
-            self._delta = self._index.signal_backfill(
-                self._keywords,
-                region=self._index.sidecar_region,
-                analyzer=self._index.sidecar_analyzer,
-            )
+            self._delta = self._index.signal_backfill(self._keywords)
             self._built_size = size
         return self._delta.buckets
 

@@ -68,7 +68,9 @@ def runtime_health(runtime) -> Dict[str, object]:
     Reads only the runtime's public surface (``ticks``, ``deltas``,
     ``evaluator``, ``filter_reports``, ``learned_keywords``,
     ``metrics``, ``executor`` and the per-shard ``cursors``,
-    ``shard_deltas`` and ``shard_indexes``).
+    ``shard_posts`` and ``shard_indexes``).  A shard row's ``posts`` is
+    how many accepted posts that shard folded into the runtime's one
+    tracker; the rows sum to ``posts_ingested``.
     """
     evaluator = runtime.evaluator
     return {
@@ -97,11 +99,11 @@ def runtime_health(runtime) -> Dict[str, object]:
             {
                 "shard": shard_id,
                 "cursor": cursor,
-                "posts": deltas.observed_posts,
+                "posts": posts,
                 "index": index.segment_stats,
             }
-            for shard_id, (cursor, deltas, index) in enumerate(
-                zip(runtime.cursors, runtime.shard_deltas, runtime.shard_indexes)
+            for shard_id, (cursor, posts, index) in enumerate(
+                zip(runtime.cursors, runtime.shard_posts, runtime.shard_indexes)
             )
         ],
     }

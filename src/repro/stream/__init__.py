@@ -16,14 +16,14 @@ everything.  This package is their streaming counterpart — the paper's
   aggregates, so an arriving micro-batch updates keyword evidence in
   O(new posts) instead of O(corpus);
 * :mod:`repro.stream.runtime` — the one tick implementation,
-  :class:`ShardedStreamRuntime`: N feeds with per-shard index+tracker
-  pairs, mergeable :class:`SignalDelta` shard batches dispatched
-  through a pluggable executor, and one :class:`TickEvaluator` pass
-  (conditional weight retune → conditional TARA rescore) per tick,
+  :class:`ShardedStreamRuntime`: N feeds with one index each, additive
+  :class:`SignalDelta` shard batches dispatched through a pluggable
+  executor and applied to one tracker, and one :class:`TickEvaluator`
+  pass (conditional weight retune → conditional TARA rescore) per tick,
   emitting :class:`~repro.core.monitor.TrendAlert` records;
   :class:`StreamRuntime` is that runtime over one feed;
 * :mod:`repro.stream.sharding` — feed partitioning
-  (:func:`shard_feeds`) and the pure-sum :func:`merge_signals`;
+  (:func:`partition_posts`, :func:`shard_feeds`);
 * :mod:`repro.stream.checkpoint` — stop/resume without replaying the
   feed, as full base snapshots or O(changed-keywords) delta
   checkpoints, with :class:`CheckpointRotation` managing base/delta
@@ -70,7 +70,6 @@ from repro.stream.replay import (
 from repro.stream.runtime import StreamRuntime, StreamTick, TickEvaluator
 from repro.stream.sharding import (
     ShardedStreamRuntime,
-    merge_signals,
     partition_posts,
     shard_feeds,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "compute_signal_delta",
     "compute_signal_delta_columnar",
     "load_checkpoint",
-    "merge_signals",
     "month_boundaries",
     "partition_posts",
     "replay_poison_defence",

@@ -175,11 +175,6 @@ class SignalDelta:
     dirty: Tuple[str, ...]
     observed: int
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the delta carries no aggregate change at all."""
-        return not (self.buckets or self.votes or self.dirty or self.observed)
-
     @classmethod
     def empty(cls) -> "SignalDelta":
         """The additive identity."""
@@ -191,8 +186,8 @@ class SignalDelta:
 
         Associative and commutative (exactly on every integer field;
         ``sentiment_sum`` commutes up to float summation order), so
-        shard deltas can be combined in any grouping — the foundation of
-        the sharded runtime's merge step.
+        deltas can be combined in any grouping — the index's keyword
+        backfill combines its per-segment deltas this way.
         """
         buckets: Dict[str, Dict[int, List[float]]] = {}
         votes: Dict[str, Tuple[int, int]] = {}
@@ -844,31 +839,6 @@ class DeltaTracker:
         self.apply_delta(delta)
         return frozenset(delta.dirty)
 
-    def ingest_columnar(
-        self,
-        columns: ColumnarCorpus,
-        *,
-        since=None,
-        until=None,
-    ) -> FrozenSet[str]:
-        """Fold a columnar window in without materializing posts.
-
-        Result-identical to :meth:`observe_batch` over the window's
-        posts (bit-for-bit, float sums included) but computed straight
-        from the flat columns — the backfill path for seeding a tracker
-        from an already-indexed corpus.
-        """
-        delta = compute_signal_delta_columnar(
-            self._keywords,
-            columns,
-            since=since,
-            until=until,
-            region=self._region,
-            analyzer=self._analyzer,
-        )
-        self.apply_delta(delta)
-        return frozenset(delta.dirty)
-
     def apply_delta(self, delta: SignalDelta) -> None:
         """Fold one :class:`SignalDelta` into the running aggregates.
 
@@ -902,67 +872,6 @@ class DeltaTracker:
                     bucket.replies += int(replies)
                     bucket.posts += int(posts)
                     bucket.sentiment_sum += sentiment
-
-    # -- pure-sum merging ----------------------------------------------------
-
-    def merge_from(self, other: "DeltaTracker") -> None:
-        """Fold another tracker's aggregates into this one (pure sum).
-
-        Both trackers must track the same keyword universe and region
-        scope — merging shards of one logical stream, not unrelated
-        monitors.  Every field is additive, so the merge is associative
-        and (up to float summation order) commutative.
-        """
-        if other._keywords != self._keywords:
-            raise ValueError(
-                "cannot merge trackers over different keyword sets"
-            )
-        if other._region != self._region:
-            raise ValueError(
-                "cannot merge trackers with different region scopes: "
-                f"{other._region!r} != {self._region!r}"
-            )
-        self._observed += other._observed
-        self._dirty.update(other._dirty)
-        self._dirty_since_snapshot.update(other._dirty_since_snapshot)
-        for keyword, votes in other._votes.items():
-            target = self._votes.setdefault(keyword, _Votes())
-            target.insider += votes.insider
-            target.outsider += votes.outsider
-        for keyword, years in other._buckets.items():
-            target_years = self._buckets.setdefault(keyword, {})
-            for year, bucket in years.items():
-                target = target_years.get(year)
-                if target is None:
-                    target_years[year] = _Bucket.from_list(bucket.as_list())
-                else:
-                    target.views += bucket.views
-                    target.likes += bucket.likes
-                    target.reposts += bucket.reposts
-                    target.replies += bucket.replies
-                    target.posts += bucket.posts
-                    target.sentiment_sum += bucket.sentiment_sum
-
-    @classmethod
-    def merged(cls, trackers: Sequence["DeltaTracker"]) -> "DeltaTracker":
-        """A fresh tracker holding the pure-sum merge of ``trackers``.
-
-        The sharded runtime's merge step: per-shard trackers in, one
-        global view out, equal (integer fields exactly, float sums up to
-        summation order) to a single tracker fed the concatenated feed.
-        """
-        trackers = list(trackers)
-        if not trackers:
-            raise ValueError("merged() needs at least one tracker")
-        first = trackers[0]
-        out = cls(
-            keywords=first._keywords,
-            region=first._region,
-            analyzer=first._analyzer,
-        )
-        for tracker in trackers:
-            out.merge_from(tracker)
-        return out
 
     # -- dirty bookkeeping --------------------------------------------------
 

@@ -18,14 +18,14 @@ consumes a micro-batch per shard and performs, in order:
 2. **shard merge** — the chunk and its runs join the shard's
    :class:`~repro.stream.tiers.TieredCorpusIndex` hot tail (seals
    concatenate chunks and fold cold sidecars from the runs, so no post
-   is analyzed, columnized or swept again) and the delta folds into the
-   shard's :class:`~repro.stream.deltas.DeltaTracker` and into the
-   maintained pure-sum merge of all shards;
+   is analyzed, columnized or swept again) and the delta is applied,
+   once, to the runtime's one :class:`~repro.stream.deltas.DeltaTracker`
+   (shard deltas in shard order);
 3. **conditional weight retune** — insider weights are re-derived only
    when a dirty keyword is insider-classified (before or after
    reclassification) or the in-window volume went stale; pure-outsider
    chatter leaves the table in force.  A retune works on plain numbers:
-   the merged tracker's flat window sums are scored into SAI
+   the tracker's flat window sums are scored into SAI
    probabilities, summed into insider vector shares in rank order and
    mapped to ratings, and the insider table is rebuilt only when its
    ratings or window label change.  The SAI list, split, tuning outcome
@@ -40,7 +40,7 @@ consumes a micro-batch per shard and performs, in order:
    lifecycle trend-shift event.
 
 Steps 3-4 live in :class:`TickEvaluator` and run *once* per tick over
-the merge, so retune/rescore cost is independent of shard count: the
+that tracker, so retune/rescore cost is independent of shard count: the
 runtime is the one controller holding state, shards only hand it
 additive deltas.
 
@@ -167,7 +167,7 @@ class TickEvaluator:
     """Conditional retune + conditional rescore over running aggregates.
 
     The table-producing half of a streaming tick, run *once* per tick
-    over the runtime's merged shard deltas: classification from votes,
+    over the runtime's tracker: classification from votes,
     SAI from signals, weight tuning, fingerprint diffing, TARA
     rescoring and alert emission all live here, parameterised only by
     the :class:`~repro.stream.deltas.DeltaTracker` handed to
@@ -383,7 +383,7 @@ class TickEvaluator:
         """Conditional retune + conditional rescore for one tick.
 
         ``deltas`` is the aggregate view covering the whole logical
-        stream: the runtime's pure-sum merge of its shard trackers.
+        stream: the runtime's one tracker, holding every shard's deltas.
         Returns ``(retuned, rescored, alert)``.
         """
         first = self.last_table is None
@@ -533,7 +533,7 @@ class TickEvaluator:
 class _ShardJob:
     """One shard's micro-batch, as a picklable work item.
 
-    ``keywords`` and ``region`` are the merged tracker's, which every
+    ``keywords`` and ``region`` are the runtime tracker's, which every
     shard index's cold sidecars share.  ``analyzer`` is the runtime's
     one sentiment analyzer, the one its trackers and cold sidecars score
     with (a process worker gets a pickled copy, whose fingerprint is the
@@ -590,16 +590,17 @@ def _run_shard_job(job: _ShardJob) -> _ShardOutcome:
 class _ShardState:
     """One shard's private slice of the runtime.
 
-    ``metrics`` is the shard's child registry (merged into the parent by
-    pure summation at collect time); ``ingested`` and ``merge_seconds``
-    are its shard-labelled instruments.
+    ``posts`` counts the accepted posts the shard has folded into the
+    runtime's tracker.  ``metrics`` is the shard's child registry (merged
+    into the parent by pure summation at collect time); ``ingested`` and
+    ``merge_seconds`` are its shard-labelled instruments.
     """
 
     shard_id: int
     feed: FeedSource
     index: TieredCorpusIndex
-    deltas: DeltaTracker
     cursor: int = -1
+    posts: int = 0
     metrics: object = None
     ingested: object = None
     merge_seconds: object = None
@@ -613,7 +614,7 @@ class ShardedStreamRuntime:
 
     The runtime builds one
     :class:`~repro.nlp.sentiment.SentimentAnalyzer` and scores
-    everything with it: every shard job, every tracker and every cold
+    everything with it: every shard job, the tracker and every cold
     sidecar.  A tick builds no analyzer, and every sentiment-memo probe
     uses that analyzer's fingerprint.
 
@@ -622,7 +623,7 @@ class ShardedStreamRuntime:
             :class:`~repro.stream.feed.FeedSource`), e.g. from
             :func:`~repro.stream.sharding.shard_feeds`.
         database: shared attack-keyword database.  *Additions* (keyword
-            learning) are adopted on the next tick: every tracker's
+            learning) are adopted on the next tick: the tracker's
             universe grows, the new keywords' aggregates backfill from
             the shard indexes, and they join the dirty set.  Removals or
             replacements still raise — that is a different monitor, not
@@ -669,10 +670,10 @@ class ShardedStreamRuntime:
             :class:`~repro.obs.trace.TickTrace`); each shard gets a
             **child registry** (shard-labelled instruments, tier gauges)
             merged into this one by pure summation at export time — the
-            metric-space mirror of the ``SignalDelta.merge`` the tick
-            itself performs.  None — the default — wires the
-            :class:`~repro.obs.registry.NullRegistry` no-op path, whose
-            overhead the ``obs_overhead`` microbench bounds.
+            metric-space mirror of the tick summing every shard's
+            ``SignalDelta`` into one tracker.  None — the default —
+            wires the :class:`~repro.obs.registry.NullRegistry` no-op
+            path, whose overhead the ``obs_overhead`` microbench bounds.
     """
 
     def __init__(
@@ -773,10 +774,13 @@ class ShardedStreamRuntime:
                 ),
                 metrics=self._metrics,
             )
-        analyzer = SentimentAnalyzer()
+        #: The runtime's one aggregate tracker: each tick applies every
+        #: shard's SignalDelta here once, in shard order.
+        self._deltas = DeltaTracker(
+            database, region=region, analyzer=SentimentAnalyzer()
+        )
         self._shards: List[_ShardState] = []
         for shard_id, feed in enumerate(feeds):
-            deltas = DeltaTracker(database, region=region, analyzer=analyzer)
             shard_metrics = self._metrics.child()
             index = TieredCorpusIndex(
                 compact_threshold=compact_threshold,
@@ -786,8 +790,8 @@ class ShardedStreamRuntime:
                 # Cold sidecars must share the tracker's scoring context
                 # so their sums stay bit-identical to per-post folding.
                 sidecar_keywords=database.keywords,
-                sidecar_region=deltas.region,
-                sidecar_analyzer=deltas.analyzer,
+                sidecar_region=self._deltas.region,
+                sidecar_analyzer=self._deltas.analyzer,
                 store=self._store,
                 max_resident_cold=max_resident_cold,
                 metrics=shard_metrics,
@@ -797,7 +801,6 @@ class ShardedStreamRuntime:
                     shard_id=shard_id,
                     feed=feed,
                     index=index,
-                    deltas=deltas,
                     metrics=shard_metrics,
                     ingested=shard_metrics.counter(
                         "psp_shard_posts_ingested_total",
@@ -813,11 +816,6 @@ class ShardedStreamRuntime:
                 )
             )
         self._adopted_keywords: List[str] = []
-        #: The incrementally maintained pure-sum merge of every shard's
-        #: deltas — each tick applies the shard SignalDeltas here too,
-        #: which is the associative merge done additively (equal to
-        #: re-merging from scratch; see merged_deltas()).
-        self._merged = DeltaTracker(database, region=region, analyzer=analyzer)
         self._executor = (
             executor if executor is not None else resolve_executor(workers)
         )
@@ -886,23 +884,14 @@ class ShardedStreamRuntime:
         return tuple(shard.index for shard in self._shards)
 
     @property
-    def shard_deltas(self) -> Tuple[DeltaTracker, ...]:
-        """Per-shard dirty-keyword trackers."""
-        return tuple(shard.deltas for shard in self._shards)
+    def shard_posts(self) -> Tuple[int, ...]:
+        """Per-shard counts of the accepted posts each shard folded."""
+        return tuple(shard.posts for shard in self._shards)
 
     @property
     def deltas(self) -> DeltaTracker:
-        """The maintained pure-sum merge of every shard's aggregates."""
-        return self._merged
-
-    def merged_deltas(self) -> DeltaTracker:
-        """A *fresh* pure-sum merge of the shard trackers.
-
-        Recomputes the merge from scratch — equal to :attr:`deltas`
-        modulo the transient dirty set, which is the associativity
-        guarantee the property tests pin down.
-        """
-        return DeltaTracker.merged([s.deltas for s in self._shards])
+        """The one aggregate tracker every shard's deltas fold into."""
+        return self._deltas
 
     @property
     def alerts(self) -> Tuple[TrendAlert, ...]:
@@ -957,11 +946,11 @@ class ShardedStreamRuntime:
     def _sync_database(self) -> Tuple[str, ...]:
         """Adopt database additions (keyword learning) into the stream.
 
-        Every tracker widens to the database's keyword tuple, each shard
+        The tracker widens to the database's keyword tuple, each shard
         index backfills the added keywords' aggregates (``observed ==
-        0`` — the posts were already counted) into its tracker and the
-        merge, and the additions are marked dirty on every tracker, so a
-        checkpoint taken before the next tick still carries them.  A
+        0`` — the posts were already counted) into it, and the additions
+        are marked dirty, so a checkpoint taken before the next tick
+        still carries them.  A
         version bump without additions is an annotation change and
         marks every keyword dirty.  Anything but pure additions raises:
         a shrunken or replaced keyword set needs a fresh runtime.
@@ -969,11 +958,8 @@ class ShardedStreamRuntime:
         if self._database.version == self._db_version:
             return ()
         old_version = self._db_version
-        adopted = self._database.keywords
         try:
-            added = self._merged.adopt_keywords(adopted)
-            for shard in self._shards:
-                shard.deltas.adopt_keywords(adopted)
+            added = self._deltas.adopt_keywords(self._database.keywords)
         except ValueError as exc:
             raise PSPError(
                 "keyword database changed mid-stream in an unsupported "
@@ -983,18 +969,11 @@ class ShardedStreamRuntime:
             ) from exc
         if added:
             for shard in self._shards:
-                delta = shard.index.signal_backfill(
-                    added,
-                    region=shard.deltas.region,
-                    analyzer=shard.deltas.analyzer,
-                )
-                shard.deltas.apply_delta(delta)
-                self._merged.apply_delta(delta)
-                shard.index.adopt_sidecar_keywords(shard.deltas.keywords)
+                self._deltas.apply_delta(shard.index.signal_backfill(added))
+                shard.index.adopt_sidecar_keywords(self._deltas.keywords)
             self._adopted_keywords.extend(added)
             self._learned_total.inc(len(added))
-        for tracker in (self._merged, *self.shard_deltas):
-            tracker.mark_dirty(added or tracker.keywords)
+        self._deltas.mark_dirty(added or self._deltas.keywords)
         self._db_version = self._database.version
         return added
 
@@ -1006,15 +985,14 @@ class ShardedStreamRuntime:
         """One merged tick over each shard's micro-batch."""
         self._sync_database()
         with self._trace.tick():
-            keywords = self._merged.keywords
-            region = self._merged.region
+            deltas = self._deltas
             jobs = [
                 _ShardJob(
-                    keywords=keywords,
-                    region=region,
+                    keywords=deltas.keywords,
+                    region=deltas.region,
                     posts=tuple(event.post for event in events),
                     post_filter=self._filter,
-                    analyzer=self._merged.analyzer,
+                    analyzer=deltas.analyzer,
                 )
                 for events in events_per_shard
             ]
@@ -1040,10 +1018,8 @@ class ShardedStreamRuntime:
                     else:
                         accepted = job.posts
                     shard.index.append(accepted, columns=columns, runs=runs)
-                    shard.deltas.apply_delta(delta)
-                    # mirrored into the merged tracker
-                    shard.deltas.take_dirty()
-                    self._merged.apply_delta(delta)
+                    deltas.apply_delta(delta)
+                    shard.posts += len(accepted)
                     events_total += len(events)
                     accepted_counts.append(len(accepted))
                     for event in events:
@@ -1065,11 +1041,11 @@ class ShardedStreamRuntime:
 
             # take_dirty also folds in any dirty keywords a restored
             # checkpoint carried over from an interrupted tick.
-            dirty = self._merged.take_dirty()
+            dirty = deltas.take_dirty()
             if upto_year is None and self._max_date is not None:
                 upto_year = self._max_date.year
             retuned, rescored, alert = self._evaluator.evaluate(
-                self._merged, dirty, upto_year
+                deltas, dirty, upto_year
             )
         self._ticks_total.inc()
         self._events_total.inc(events_total)
@@ -1219,20 +1195,23 @@ class ShardedStreamRuntime:
     def state_dict(self, *, include_index: bool = True) -> Dict[str, object]:
         """JSON-serialisable snapshot of all resumable state.
 
-        Per-shard cursors, tracker aggregates and columnar index
-        segments plus the shared evaluator state, so a restored runtime
-        reports the exact segment layout and answers historical queries
+        Per-shard cursors, post counts and columnar index segments, the
+        one tracker's aggregates (``deltas``, the key the one-feed
+        layout uses) and the shared evaluator state, so a restored
+        runtime holds the uninterrupted run's sums bit for bit, reports
+        the exact segment layout and answers historical queries
         identically to one that never stopped.  Pass
         ``include_index=False`` for the lean layout — alerts never need
         historical posts (aggregates carry the evidence), so index-less
         snapshots stay fully resumable, merely with per-shard indexes
         that restart empty.
         """
-        state: Dict[str, object] = {"cursors": list(self.cursors)}
+        state: Dict[str, object] = {
+            "cursors": list(self.cursors),
+            "shard_posts": list(self.shard_posts),
+        }
         state.update(self._scalar_state())
-        state["shard_deltas"] = [
-            shard.deltas.state_dict() for shard in self._shards
-        ]
+        state["deltas"] = self._deltas.state_dict()
         if include_index:
             state["shard_indexes"] = [
                 shard.index.state_dict() for shard in self._shards
@@ -1242,8 +1221,8 @@ class ShardedStreamRuntime:
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (same shard count)."""
         cursors = list(state["cursors"])  # type: ignore[arg-type]
-        shard_states = list(state["shard_deltas"])  # type: ignore[arg-type]
-        if len(cursors) != len(self._shards) or len(shard_states) != len(
+        posts = list(state["shard_posts"])  # type: ignore[arg-type]
+        if len(cursors) != len(self._shards) or len(posts) != len(
             self._shards
         ):
             raise ValueError(
@@ -1257,17 +1236,14 @@ class ShardedStreamRuntime:
                 f"checkpoint has {len(index_states)} shard indexes, "  # type: ignore[arg-type]
                 f"runtime has {len(self._shards)}"
             )
-        for position, (shard, cursor, shard_state) in enumerate(
-            zip(self._shards, cursors, shard_states)
+        self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        for position, (shard, cursor, count) in enumerate(
+            zip(self._shards, cursors, posts)
         ):
             shard.cursor = int(cursor)
-            shard.deltas.load_state(shard_state)
+            shard.posts = int(count)
             if index_states is not None:
                 shard.index.load_state(index_states[position])  # type: ignore[index]
-        # Rebuild the maintained merge from the restored shard trackers;
-        # the merged dirty set is the union of the shards' interrupted
-        # dirty sets, so a mid-tick stop re-evaluates exactly them.
-        self._merged = DeltaTracker.merged([s.deltas for s in self._shards])
 
 
 class StreamRuntime(ShardedStreamRuntime):
@@ -1367,7 +1343,7 @@ class StreamRuntime(ShardedStreamRuntime):
         shard = self._shards[0]
         state: Dict[str, object] = {"cursor": shard.cursor}
         state.update(self._scalar_state())
-        state["deltas"] = shard.deltas.state_dict()
+        state["deltas"] = self._deltas.state_dict()
         if include_index:
             state["index"] = shard.index.state_dict()
         return state
@@ -1381,17 +1357,15 @@ class StreamRuntime(ShardedStreamRuntime):
         restricted to the keywords dirtied since
         :attr:`checkpoint_base_id` was saved.
         """
-        shard = self._shards[0]
-        state: Dict[str, object] = {"cursor": shard.cursor}
+        state: Dict[str, object] = {"cursor": self.cursor}
         state.update(self._scalar_state())
-        state["deltas_delta"] = shard.deltas.delta_state()
+        state["deltas_delta"] = self._deltas.delta_state()
         return state
 
     def mark_checkpoint_base(self, base_id: str) -> None:
         """Record that a base checkpoint now covers the current state."""
         self._checkpoint_base_id = base_id
-        self._shards[0].deltas.mark_snapshot()
-        self._merged.mark_snapshot()
+        self._deltas.mark_snapshot()
 
     def adopt_checkpoint_base(self, base_id: str) -> None:
         """Adopt an existing base as this runtime's delta reference.
@@ -1408,11 +1382,12 @@ class StreamRuntime(ShardedStreamRuntime):
         shard = self._shards[0]
         shard.cursor = int(state["cursor"])  # type: ignore[arg-type]
         self._load_scalar_state(state)
-        shard.deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        # The one feed folded every post the tracker observed.
+        shard.posts = self._deltas.observed_posts
         index_state = state.get("index")
         if index_state is not None:
             shard.index.load_state(index_state)  # type: ignore[arg-type]
-        self._merged = DeltaTracker.merged([shard.deltas])
 
 
 def _table_state(table: Optional[WeightTable]) -> Optional[Dict[str, object]]:

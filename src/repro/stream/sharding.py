@@ -1,20 +1,19 @@
-"""Feed sharding and the pure-sum merge: N feeds, one evaluation.
+"""Feed sharding: N feeds, one evaluation.
 
 Platform-scale monitoring wants N region- or platform-sharded feeds.
 The runtime (:class:`~repro.stream.runtime.ShardedStreamRuntime`,
-re-exported here) gives each shard its own index + tracker pair and
-reduces each shard's micro-batch to an additive
-:class:`~repro.stream.deltas.SignalDelta`; the deltas merge by pure
-summation and feed one shared evaluation per tick, so the retune and
-rescore cost stops scaling with the number of feeds.  This module holds
-the helpers around it:
-
-* :func:`partition_posts` / :func:`shard_feeds` — deterministic,
-  disjoint routing of one post collection into N replayable feeds;
-* :func:`merge_signals` — the keyword×year engagement/sentiment
-  buckets and voice votes are additive, so the merge is associative and
-  order-independent (property-tested in
-  ``tests/properties/test_shard_merge_equivalence.py``).
+re-exported here) gives each shard its own index and reduces each
+shard's micro-batch to an additive
+:class:`~repro.stream.deltas.SignalDelta`; every delta is applied once
+to the runtime's one tracker, which feeds one shared evaluation per
+tick, so the retune and rescore cost stops scaling with the number of
+feeds.  The keyword×year buckets and voice votes are additive, so
+shard deltas applied in either order equal one unsharded tracker
+(integers exactly, sentiment up to float association; property-tested
+in ``tests/properties/test_shard_merge_equivalence.py``).  This module
+holds the routing helpers, :func:`partition_posts` and
+:func:`shard_feeds`: deterministic, disjoint routing of one post
+collection into N replayable feeds.
 
 Alerts are identical to a single-feed run over the union of the shards'
 posts (``benchmarks/bench_shard.py`` gates it).
@@ -23,26 +22,14 @@ posts (``benchmarks/bench_shard.py`` gates it).
 from __future__ import annotations
 
 import zlib
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.sai import KeywordSignals
 from repro.social.post import Post
-from repro.stream.deltas import DeltaTracker
 from repro.stream.feed import SyntheticFeed
 from repro.stream.runtime import ShardedStreamRuntime
 
 __all__ = [
     "ShardedStreamRuntime",
-    "merge_signals",
     "partition_posts",
     "shard_feeds",
 ]
@@ -105,23 +92,3 @@ def shard_feeds(
         for partition in partition_posts(posts, shards, key=key)
     )
 
-
-# -- the pure-sum merge -------------------------------------------------------
-
-
-def merge_signals(
-    trackers: Sequence[DeltaTracker],
-    *,
-    since_year: Optional[int] = None,
-    until_year: Optional[int] = None,
-) -> Dict[str, KeywordSignals]:
-    """Per-keyword signals of several shard trackers, merged by summation.
-
-    Because every aggregate is additive over posts, the merge is a plain
-    sum over the shards' keyword×year buckets — associative and
-    order-independent (up to float summation order), and equal to the
-    signals of one unsharded tracker fed the concatenated feed.
-    """
-    return DeltaTracker.merged(trackers).signals(
-        since_year=since_year, until_year=until_year
-    )

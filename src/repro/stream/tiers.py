@@ -1041,13 +1041,7 @@ class TieredCorpusIndex:
         """Grow the keyword universe future cold seals sweep."""
         self._sidecar_keywords = tuple(keywords)
 
-    def signal_backfill(
-        self,
-        keywords: Sequence[str],
-        *,
-        region: Optional[str] = None,
-        analyzer=None,
-    ) -> SignalDelta:
+    def signal_backfill(self, keywords: Sequence[str]) -> SignalDelta:
         """The retained corpus's aggregate sums for ``keywords``.
 
         The streaming-learning backfill kernel: returns a
@@ -1058,12 +1052,13 @@ class TieredCorpusIndex:
         tier would misclassify the learned keyword.  Cold segments
         answer from their sidecars, extending them lazily (one
         materialization per segment missing the keyword) — the
-        "rebuild the sidecar for the new keyword" path.  Sidecar
-        extension always uses the index's own sidecar region/analyzer
-        context so a sidecar stays internally consistent; the caller's
-        ``region``/``analyzer`` must match it (the runtime constructs
-        the index from the tracker's context, so they do).
+        "rebuild the sidecar for the new keyword" path.  Every tier is
+        swept in the index's own sidecar region/analyzer context, so the
+        sums match its sidecars (the runtime constructs the index from
+        the tracker's context, so they also match the tracker's).
         """
+        region = self._sidecar_region
+        analyzer = self._sidecar_analyzer
         deltas: List[SignalDelta] = []
         for segment in self._cold:
             sidecar = segment.sidecar
@@ -1072,8 +1067,8 @@ class TieredCorpusIndex:
                     sidecar.extend(
                         keywords,
                         self._materialize(segment),
-                        region=self._sidecar_region,
-                        analyzer=self._sidecar_analyzer,
+                        region=region,
+                        analyzer=analyzer,
                     )
                 deltas.append(
                     sidecar.as_delta(keywords, count_observed=False)

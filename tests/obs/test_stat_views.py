@@ -8,6 +8,8 @@
   counter block stay equal — the "one source" contract.
 """
 
+import json
+
 from repro.core.config import TargetApplication
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import (
@@ -122,6 +124,23 @@ class TestHealthDocument:
         assert len(health["shard_stats"]) == 2
         for row in health["shard_stats"]:
             assert set(row) == {"shard", "cursor", "posts", "index"}
+
+        # Each shard counts the accepted posts it folded.
+        posts = [row["posts"] for row in health["shard_stats"]]
+        assert all(count > 0 for count in posts)
+        assert sum(posts) == health["counters"]["posts_ingested"]
+        assert posts == [
+            sum(tick.shard_accepted[shard] for tick in runtime.ticks)
+            for shard in range(2)
+        ]
+        # The counts survive a lean (index-less) restore.
+        restored = _sharded()
+        restored.load_state(
+            json.loads(json.dumps(runtime.state_dict(include_index=False)))
+        )
+        assert [
+            row["posts"] for row in runtime_health(restored)["shard_stats"]
+        ] == posts
 
     def test_null_registry_yields_empty_stages(self):
         runtime = _single()

@@ -1,4 +1,4 @@
-"""Property tests: shard-delta merge == unsharded tracking.
+"""Property tests: shard deltas on one tracker == unsharded tracking.
 
 The contracts behind :class:`repro.stream.sharding.ShardedStreamRuntime`:
 
@@ -7,10 +7,11 @@ The contracts behind :class:`repro.stream.sharding.ShardedStreamRuntime`:
   posts one by one;
 * :meth:`SignalDelta.merge` is commutative and associative — integer
   fields exactly, the float sentiment sum up to summation order;
-* the pure-sum merge of per-shard :class:`DeltaTracker`\\ s equals one
-  unsharded tracker fed the concatenated feed, for *any* partition of
-  the posts — including partitions that scatter timestamps out of order
-  across shards (year buckets are keyed by date, not arrival order).
+* every shard's per-tick deltas applied to one :class:`DeltaTracker`,
+  in either shard order, equal one unsharded tracker fed the
+  concatenated feed, for *any* partition of the posts — including
+  partitions that scatter timestamps out of order across shards (year
+  buckets are keyed by date, not arrival order).
 """
 
 import datetime as dt
@@ -21,13 +22,14 @@ from hypothesis import strategies as st
 
 from repro.core.keywords import AttackKeyword, KeywordDatabase
 from repro.iso21434.enums import AttackVector
+from repro.social.columnar import ColumnarCorpus
 from repro.social.post import Engagement, Post
 from repro.stream.deltas import (
     DeltaTracker,
     SignalDelta,
     compute_signal_delta,
+    compute_signal_delta_columnar,
 )
-from repro.stream.sharding import merge_signals
 
 #: Vocabulary with insider/outsider voice markers, stem collisions and
 #: phrase halves, so matching, voting and sentiment all get exercised.
@@ -129,34 +131,40 @@ def test_batch_kernel_equals_per_post_observe(posts):
     assert probe.state_dict() == swept.state_dict()
 
 
+def _runtime_tracker(partitions):
+    """The runtime's model: one tracker, each shard's delta per tick.
+
+    Every shard's posts arrive over two ticks; each tick folds each
+    shard batch with the runtime's kernel and applies the deltas to the
+    one tracker in the order given.
+    """
+    tracker = DeltaTracker(_database(), region="europe")
+    for tick in (0, 1):
+        for part in partitions:
+            half = len(part) // 2
+            batch = part[:half] if tick == 0 else part[half:]
+            if batch:
+                tracker.apply_delta(
+                    compute_signal_delta_columnar(
+                        tracker.keywords,
+                        ColumnarCorpus.from_posts(batch),
+                        region=tracker.region,
+                        analyzer=tracker.analyzer,
+                    )
+                )
+    return tracker
+
+
 @given(_sharded_posts())
 @settings(max_examples=40, deadline=None)
 def test_merged_shards_equal_unsharded_tracker(posts_and_partitions):
     posts, partitions = posts_and_partitions
-    unsharded = _tracker(posts)
-    shard_trackers = [_tracker(part) for part in partitions]
-    merged = DeltaTracker.merged(shard_trackers)
-    _assert_states_equal(merged.state_dict(), unsharded.state_dict())
-
-    merged_view = merge_signals(shard_trackers)
-    want = unsharded.signals()
-    assert set(merged_view) == set(want)
-    for keyword, signals in want.items():
-        got = merged_view[keyword]
-        assert got.post_count == signals.post_count
-        assert got.engagement == signals.engagement
-        assert got.mean_sentiment == pytest.approx(signals.mean_sentiment)
-
-
-@given(_sharded_posts())
-@settings(max_examples=40, deadline=None)
-def test_tracker_merge_is_order_independent(posts_and_partitions):
-    posts, partitions = posts_and_partitions
-    forward = DeltaTracker.merged([_tracker(part) for part in partitions])
-    backward = DeltaTracker.merged(
-        [_tracker(part) for part in reversed(partitions)]
-    )
-    _assert_states_equal(forward.state_dict(), backward.state_dict())
+    unsharded = _tracker(posts).state_dict()
+    forward = _runtime_tracker(partitions).state_dict()
+    backward = _runtime_tracker(list(reversed(partitions))).state_dict()
+    _assert_states_equal(forward, unsharded)
+    _assert_states_equal(backward, unsharded)
+    assert forward["dirty"] == unsharded["dirty"]
 
 
 @given(_sharded_posts())

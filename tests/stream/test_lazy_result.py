@@ -172,8 +172,14 @@ class TestRestoreMidStream:
 
         assert resumed.current_table == whole.current_table
         assert resumed.current_table.note == whole.current_table.note
-        # Rows, not floats: the restore rebuilds the merged tracker from
-        # the shard trackers, which re-associates its sentiment sums.
+        assert (
+            resumed.current_result.sai.entries
+            == whole.current_result.sai.entries
+        )
+        assert (
+            resumed.deltas.state_dict()["buckets"]
+            == whole.deltas.state_dict()["buckets"]
+        )
         assert _rows(resumed) == _rows(whole)
         assert (
             resumed.current_result.split.all_keywords()

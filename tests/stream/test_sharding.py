@@ -11,12 +11,10 @@ from repro.core.monitor import PSPMonitor
 from repro.core.poisoning import PostAuthenticityFilter
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social import ecm_reprogramming_corpus
-from repro.stream.deltas import DeltaTracker
 from repro.stream.feed import SyntheticFeed
 from repro.stream.runtime import StreamRuntime
 from repro.stream.sharding import (
     ShardedStreamRuntime,
-    merge_signals,
     partition_posts,
     shard_feeds,
 )
@@ -170,44 +168,10 @@ class TestOneAnalyzer:
     def test_trackers_and_sidecars_share_the_analyzer(self):
         runtime = self._tiered()
         analyzer = runtime.deltas.analyzer
-        assert all(d.analyzer is analyzer for d in runtime.shard_deltas)
         assert all(
             index.sidecar_analyzer is analyzer
             for index in runtime.shard_indexes
         )
-        assert runtime.merged_deltas().analyzer is analyzer
-
-
-class TestMergeStep:
-    def test_merge_signals_equals_unsharded_signals(self):
-        posts = _posts()
-        database = build_ecm_database()
-        whole = DeltaTracker(database, region="europe")
-        whole.observe_batch(posts)
-        trackers = []
-        for part in partition_posts(posts, 3):
-            tracker = DeltaTracker(database, region="europe")
-            tracker.observe_batch(part)
-            trackers.append(tracker)
-        merged = merge_signals(trackers)
-        want = whole.signals()
-        assert set(merged) == set(want)
-        for keyword, signals in want.items():
-            got = merged[keyword]
-            assert got.post_count == signals.post_count
-            assert got.engagement == signals.engagement
-            assert got.mean_sentiment == pytest.approx(
-                signals.mean_sentiment
-            )
-
-    def test_incremental_merge_matches_fresh_merge(self):
-        runtime = _advance_years(_sharded_runtime(3))
-        maintained = runtime.deltas.state_dict()
-        fresh = runtime.merged_deltas().state_dict()
-        # The transient dirty bookkeeping differs (ticks consume it);
-        # every aggregate must be identical.
-        for key in ("observed", "votes", "buckets"):
-            assert maintained[key] == fresh[key]
 
 
 class TestRuntimeBehaviour:
@@ -230,9 +194,6 @@ class TestRuntimeBehaviour:
         tick = runtime.tick()
         assert tick is not None
         assert "newkeyword" in tick.dirty
-        assert all(
-            "newkeyword" in deltas.keywords for deltas in runtime.shard_deltas
-        )
         assert "newkeyword" in runtime.deltas.keywords
         counters = runtime.runtime_health()["counters"]
         assert counters["learned_keywords"] == ["newkeyword"]
