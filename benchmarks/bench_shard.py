@@ -10,8 +10,9 @@ conditional retune (and a TARA rescore whenever the table shifts).  The
 batches as **one merged tick per round**: per-shard arena-sweep
 :class:`~repro.stream.deltas.SignalDelta` jobs (dispatched through the
 pluggable executor — parallel across shards on multi-core hosts, serial
-on this box when it has one CPU), a pure-sum merge, and a single shared
-evaluation per round regardless of shard count.
+on this box when it has one CPU), each shard's delta applied once to the
+runtime's one tracker, and a single shared evaluation per round
+regardless of shard count.
 
 Run with::
 

@@ -737,8 +737,9 @@ def run_shard_bench(
     probe pass plus a full conditional retune (and TARA rescore when the
     table shifts).  The sharded runtime ingests the same batches as one
     merged tick per round: per-shard arena-sweep delta jobs (parallel
-    across shards on multi-core hosts), a pure-sum merge, and **one**
-    shared evaluation per round regardless of shard count.
+    across shards on multi-core hosts), each shard's ``SignalDelta``
+    applied once to the runtime's one tracker, and **one** shared
+    evaluation per round regardless of shard count.
 
     Equivalence is checked at matching evaluation points: a fresh
     single-feed run and a fresh sharded run advanced year by year over
@@ -810,10 +811,6 @@ def run_shard_bench(
         previous = round_end
     for event in tail_events:  # warm text analyses off the clock
         analyze_text(event.post.text)
-    # Each side starts from an empty collector, so a full collection
-    # that set-up allocations made due cannot land on either clock: it
-    # costs tens of ms on this heap, against a ~12 ms engine side.
-    gc.collect()
     start = time.perf_counter()
     for batch in naive_batches:
         single.ingest(batch)
@@ -839,7 +836,6 @@ def run_shard_bench(
     sharded.advance_to(dt.date(last_year - 1, 12, 31))
     for event in tail_events:
         analyze_text(event.post.text)
-    gc.collect()
     start = time.perf_counter()
     for round_end in round_ends:
         sharded.advance_to(round_end)

@@ -122,8 +122,8 @@ def save_checkpoint(
         TypeError: for runtimes other than :class:`StreamRuntime` — a
             multi-feed :class:`~repro.stream.runtime.ShardedStreamRuntime`
             persists through its own ``state_dict()``/``load_state()``
-            (per-shard cursors and trackers), not this single-feed file
-            format.
+            (per-shard cursors, post counts and indexes plus the one
+            tracker), not this single-feed file format.
     """
     if not isinstance(runtime, StreamRuntime):
         raise TypeError(
