@@ -35,6 +35,7 @@ LIVE_LAYERS = {
         "social.columnar.from_posts.calls",
         "stream.deltas.compute_signal_delta_columnar.self_s",
         "stream.tiers.cold_seals",
+        "tara.model.compile.self_s",
         "tara.scoring.score.calls",
         "stream.runtime.evaluate.self_s",
     ),

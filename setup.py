@@ -10,7 +10,7 @@ HERE = Path(__file__).resolve().parent
 
 def _version() -> str:
     """``__version__`` of ``src/repro/__init__.py``, read without importing
-    the package (which needs its dependencies installed)."""
+    the package."""
     source = (HERE / "src" / "repro" / "__init__.py").read_text(encoding="utf-8")
     match = re.search(r'^__version__ = "([^"]+)"$', source, re.MULTILINE)
     if match is None:
@@ -28,6 +28,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=[],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"]
+    },
 )

@@ -23,6 +23,9 @@ instead:
 
 `Post` objects do **not** exist inside the store; they materialize
 lazily — and are cached per position — only on result/report paths.
+The one exception is a segment built with
+:meth:`ColumnarCorpus.holding_posts` for a caller that holds the posts
+anyway: it hands out those objects instead.
 Segments concatenate in one pass by array extension (in-order parts,
 the streaming common case) or by a gather merge keyed on
 ``(created_at, post_id)`` (out-of-order arrivals), which is exactly the
@@ -285,6 +288,28 @@ class ColumnarCorpus:
                 "Q", accumulate(map(_segment_length, haystacks), initial=0)
             ),
         )
+
+    @classmethod
+    def holding_posts(
+        cls,
+        posts: Iterable[Post] = (),
+        *,
+        interner: Optional[TextInterner] = None,
+    ) -> "ColumnarCorpus":
+        """Like :meth:`from_posts`, but the segment keeps the sorted
+        posts: :meth:`post` and :meth:`all_posts` hand out these very
+        objects instead of materializing copies.
+
+        For a caller that holds the posts anyway (a batch corpus): the
+        segment then costs one tuple of references instead of a second
+        set of `Post` objects.
+        """
+        ordered = tuple(sorted(posts, key=_SORT_KEY))
+        # Re-sorting sorted input is one linear pass; building through
+        # from_posts keeps one columnarization code path.
+        segment = cls.from_posts(ordered, interner=interner)
+        segment._posts_tuple = ordered
+        return segment
 
     @classmethod
     def concat(
@@ -579,7 +604,10 @@ class ColumnarCorpus:
         return self._interner.analysis(self._texts[position])
 
     def post(self, position: int) -> Post:
-        """Materialize (and cache) the `Post` at one position."""
+        """The `Post` at one position: a held post, or one materialized
+        (and cached) from the columns."""
+        if self._posts_tuple is not None:
+            return self._posts_tuple[position]
         cached = self._post_cache.get(position)
         if cached is None:
             cached = Post(
@@ -599,7 +627,7 @@ class ColumnarCorpus:
         return cached
 
     def posts_at(self, positions: Iterable[int]) -> List[Post]:
-        """Materialize the posts at ``positions`` (order preserved)."""
+        """The posts at ``positions`` (order preserved), as :meth:`post`."""
         return [self.post(position) for position in positions]
 
     def all_posts(self) -> Tuple[Post, ...]:

@@ -15,8 +15,13 @@ index is a thin query surface over
   (hashtags, tokens, stems, multi-word phrases, mid-token and
   cross-boundary occurrences alike), instead of one substring probe
   per ``(keyword, post)`` pair over per-post strings;
-* `Post` objects materialize lazily, only for positions that appear in
-  a result set.
+* results are the caller's own `Post` objects when the index is built
+  from posts (a :class:`~repro.social.corpus.Corpus` and its region
+  views), so a batch reference holds one copy of each post.  An index
+  built from columns (stream chunks, cold hydrations,
+  :meth:`CorpusIndex.extended_with`) has no posts to share and
+  materializes them lazily, only for positions that appear in a result
+  set.
 
 Result sets are post-for-post identical to the naive per-keyword
 :func:`~repro.nlp.normalize.keyword_in_text` scan; the equivalence is
@@ -39,7 +44,10 @@ class CorpusIndex:
 
     Built once per :class:`~repro.social.corpus.Corpus` (lazily, on the
     first keyword query) and reused by every subsequent query — any
-    keywords, any window.
+    keywords, any window.  Built from ``posts``, it keeps them in date
+    order and returns those very objects from :attr:`posts`,
+    :meth:`search_many` and :meth:`matching`; built from ``columns``, it
+    returns posts materialized from them.
     """
 
     def __init__(
@@ -52,7 +60,9 @@ class CorpusIndex:
         if columns is not None:
             self._columns = columns
         else:
-            self._columns = ColumnarCorpus.from_posts(posts, interner=interner)
+            self._columns = ColumnarCorpus.holding_posts(
+                posts, interner=interner
+            )
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -64,7 +74,7 @@ class CorpusIndex:
 
     @property
     def posts(self) -> Tuple[Post, ...]:
-        """All posts in (created_at, post_id) order (materialized lazily)."""
+        """All posts in (created_at, post_id) order."""
         return self._columns.all_posts()
 
     def window_bounds(

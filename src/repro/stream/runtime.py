@@ -1219,7 +1219,12 @@ class ShardedStreamRuntime:
         return state
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot (same shard count)."""
+        """Restore a :meth:`state_dict` snapshot (same shard count).
+
+        A snapshot with another shard count, index count or keyword set
+        is rejected before anything is assigned, so the runtime is left
+        as it was.
+        """
         cursors = list(state["cursors"])  # type: ignore[arg-type]
         posts = list(state["shard_posts"])  # type: ignore[arg-type]
         if len(cursors) != len(self._shards) or len(posts) != len(
@@ -1229,14 +1234,15 @@ class ShardedStreamRuntime:
                 f"checkpoint has {len(cursors)} shards, runtime has "
                 f"{len(self._shards)}"
             )
-        self._load_scalar_state(state)
         index_states = state.get("shard_indexes")
         if index_states is not None and len(index_states) != len(self._shards):  # type: ignore[arg-type]
             raise ValueError(
                 f"checkpoint has {len(index_states)} shard indexes, "  # type: ignore[arg-type]
                 f"runtime has {len(self._shards)}"
             )
+        # The tracker checks the keyword set before it assigns anything.
         self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        self._load_scalar_state(state)
         for position, (shard, cursor, count) in enumerate(
             zip(self._shards, cursors, posts)
         ):
@@ -1378,11 +1384,17 @@ class StreamRuntime(ShardedStreamRuntime):
         self._checkpoint_base_id = base_id
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot into this runtime."""
+        """Restore a :meth:`state_dict` snapshot into this runtime.
+
+        A snapshot with another keyword set is rejected before anything
+        is assigned, so the runtime is left as it was.
+        """
         shard = self._shards[0]
-        shard.cursor = int(state["cursor"])  # type: ignore[arg-type]
-        self._load_scalar_state(state)
+        cursor = int(state["cursor"])  # type: ignore[arg-type]
+        # The tracker checks the keyword set before it assigns anything.
         self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
+        shard.cursor = cursor
+        self._load_scalar_state(state)
         # The one feed folded every post the tracker observed.
         shard.posts = self._deltas.observed_posts
         index_state = state.get("index")

@@ -461,7 +461,7 @@ def network_fingerprint(network: VehicleNetwork) -> str:
              bus.segmented)
     for entry in network.entry_points:
         feed("entry", entry.entry_id, entry.name, entry.vector.value)
-    for node_a, node_b in network.graph.edges:
+    for node_a, node_b in network.edges:
         feed("edge", node_a, node_b)
     return hasher.hexdigest()
 

@@ -1,6 +1,6 @@
 """Vehicle E/E architecture substrate (paper Fig. 4).
 
-ECU, bus and domain models, the networkx topology, the Fig. 4 reference
+ECU, bus and domain models, the network topology, the Fig. 4 reference
 architecture, and graph attack-path enumeration feeding the ISO/SAE-21434
 attack-path analysis.
 """

@@ -6,8 +6,14 @@ failure mode that only shows up when a downstream user does
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 PACKAGES = (
     "repro",
@@ -60,3 +66,24 @@ def test_cli_module_importable():
 
     assert callable(main)
     assert build_parser().prog == "repro"
+
+
+def test_program_imports_no_networkx():
+    """networkx is a test oracle only (``tests/vehicle``), never a
+    run-time import: a fresh interpreter loading the program's entry
+    modules has no networkx module loaded, installed or not."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.stream.replay, repro.tara.model, "
+        "repro.vehicle\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

@@ -145,3 +145,28 @@ class TestIndexedEngine:
         assert corpus.region_view("  EUROPE ") is view
         assert len(view) == 4
         assert [p.post_id for p in view.matching("dpfdelete")] == ["p1", "p2"]
+
+    def test_results_are_the_corpus_own_posts_in_date_order(self, corpus):
+        # Inserted newest first, so date order is not insertion order.
+        newest_first = list(reversed(corpus.posts))
+        own = {p.post_id: p for p in newest_first}
+
+        def assert_own(results, ids):
+            assert [p.post_id for p in results] == ids
+            assert all(p is own[p.post_id] for p in results)
+
+        unindexed = Corpus(newest_first)
+        view_before_index = unindexed.region_view("europe")
+        assert_own(view_before_index.matching("dpfdelete"), ["p1", "p2"])
+
+        shuffled = Corpus(newest_first)
+        assert_own(shuffled.index().posts, ["p1", "p2", "p3", "p4", "p5"])
+        assert_own(shuffled.matching("dpfdelete"), ["p1", "p2", "p4"])
+        batch = shuffled.search_many(
+            ("dpfdelete", "egroff"), since=dt.date(2021, 1, 1)
+        )
+        assert_own(batch["dpfdelete"], ["p2", "p4"])
+        assert_own(batch["egroff"], ["p3"])
+        view = shuffled.region_view("europe")
+        assert_own(view.search_many(("dpfdelete",))["dpfdelete"], ["p1", "p2"])
+        assert_own(view.index().posts, ["p1", "p2", "p3", "p5"])

@@ -7,8 +7,10 @@ import pytest
 from repro.core.config import TargetApplication
 from repro.core.errors import PSPError
 from repro.core.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.core.keywords import AttackKeyword
 from repro.core.monitor import PSPMonitor
 from repro.core.poisoning import PostAuthenticityFilter
+from repro.iso21434.enums import AttackVector
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social import ecm_reprogramming_corpus
 from repro.stream.feed import SyntheticFeed
@@ -185,9 +187,6 @@ class TestRuntimeBehaviour:
             shard_feeds(_posts(), 2), database, target=ECM_TARGET
         )
         runtime.tick()
-        from repro.core.keywords import AttackKeyword
-        from repro.iso21434.enums import AttackVector
-
         database.add(
             AttackKeyword(keyword="newkeyword", vector=AttackVector.LOCAL)
         )
@@ -234,6 +233,49 @@ class TestRuntimeBehaviour:
         state = _sharded_runtime(3).state_dict()
         with pytest.raises(ValueError):
             _sharded_runtime(2).load_state(state)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["one_feed", "sharded"])
+    def test_rejected_restore_leaves_the_runtime_as_it_was(self, shards):
+        def build(database):
+            if shards is None:
+                return StreamRuntime(
+                    SyntheticFeed(_posts()),
+                    database,
+                    target=ECM_TARGET,
+                    since_year=2015,
+                )
+            return ShardedStreamRuntime(
+                shard_feeds(_posts(), shards),
+                database,
+                target=ECM_TARGET,
+                since_year=2015,
+            )
+
+        database = build_ecm_database()
+        database.add(
+            AttackKeyword(keyword="newkeyword", vector=AttackVector.LOCAL)
+        )
+        source = build(database)
+        source.tick()
+        source.tick()
+        state = source.state_dict()
+
+        runtime = build(build_ecm_database())
+        before = (
+            runtime.cursors,
+            runtime.evaluator.retunes,
+            runtime.current_table,
+        )
+        with pytest.raises(ValueError, match="keyword set"):
+            runtime.load_state(state)
+        assert (
+            runtime.cursors,
+            runtime.evaluator.retunes,
+            runtime.current_table,
+        ) == before
+        # The next tick is a fresh runtime's first: same sequence number,
+        # same events.
+        assert runtime.tick() == build(build_ecm_database()).tick()
 
 
 class TestMonitorIntegration:
