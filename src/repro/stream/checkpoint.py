@@ -85,13 +85,12 @@ def checkpoint_state(
     # restarting them from zero.
     metadata: Dict[str, Any] = {"segment_stats": runtime.index.segment_stats}
     # A spilling index stores cold columns outside this file: record
-    # where (directory + manifest) so an operator restoring elsewhere
-    # knows which directory to bring along (--spill-dir on restore).
+    # the directory so an operator restoring elsewhere knows which one
+    # to bring along (--spill-dir on restore).
     store = runtime.store
     if store is not None:
         metadata["store"] = {
             "directory": str(store.directory),
-            "manifest": str(store.manifest_path),
             "segments": store.segment_count,
             "bytes": store.bytes_on_disk,
         }

@@ -1221,9 +1221,9 @@ class ShardedStreamRuntime:
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (same shard count).
 
-        A snapshot with another shard count, index count or keyword set
-        is rejected before anything is assigned, so the runtime is left
-        as it was.
+        A snapshot with another shard count, index count or keyword set,
+        or with spilled segments the store does not hold, is rejected
+        before anything is assigned, so the runtime is left as it was.
         """
         cursors = list(state["cursors"])  # type: ignore[arg-type]
         posts = list(state["shard_posts"])  # type: ignore[arg-type]
@@ -1240,6 +1240,9 @@ class ShardedStreamRuntime:
                 f"checkpoint has {len(index_states)} shard indexes, "  # type: ignore[arg-type]
                 f"runtime has {len(self._shards)}"
             )
+        for position, shard in enumerate(self._shards):
+            if index_states is not None:
+                shard.index.check_spilled(index_states[position])  # type: ignore[index]
         # The tracker checks the keyword set before it assigns anything.
         self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
         self._load_scalar_state(state)
@@ -1386,18 +1389,21 @@ class StreamRuntime(ShardedStreamRuntime):
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot into this runtime.
 
-        A snapshot with another keyword set is rejected before anything
-        is assigned, so the runtime is left as it was.
+        A snapshot with another keyword set, or with spilled segments
+        the store does not hold, is rejected before anything is
+        assigned, so the runtime is left as it was.
         """
         shard = self._shards[0]
         cursor = int(state["cursor"])  # type: ignore[arg-type]
+        index_state = state.get("index")
+        if index_state is not None:
+            shard.index.check_spilled(index_state)  # type: ignore[arg-type]
         # The tracker checks the keyword set before it assigns anything.
         self._deltas.load_state(state["deltas"])  # type: ignore[arg-type]
         shard.cursor = cursor
         self._load_scalar_state(state)
         # The one feed folded every post the tracker observed.
         shard.posts = self._deltas.observed_posts
-        index_state = state.get("index")
         if index_state is not None:
             shard.index.load_state(index_state)  # type: ignore[arg-type]
 

@@ -12,16 +12,18 @@ that payload to disk:
   columns as one contiguous UTF-8 blob plus a ``Q``-typed offset table.
   The round trip is exact — integers, floats (bit-for-bit) and text all
   reconstruct to equal columns.
-* :class:`SegmentStore` — a directory of immutable segment files plus a
-  JSON manifest.  Writes are crash-atomic (write a temp file, fsync,
-  ``os.replace``; the manifest is updated the same way *after* the
-  segment file lands), so a kill mid-spill leaves a consistent store:
-  temp files and orphaned segment files are simply ignored on open.
-  Keys are content-addressed (``seg-<span>-<digest>``), which makes
-  re-spilling the same segment idempotent and lets several store
-  instances — shard indexes, a checkpoint-restored runtime, a replay
-  audit — safely share one directory: segment files never change once
-  written and manifest writes merge with whatever is already on disk.
+* :class:`SegmentStore` — a directory of immutable segment files.
+  Each spill is one crash-atomic write (temp file, fsync,
+  ``os.replace``), so a ``seg-<span>-<digest>.seg`` file exists only
+  once it is complete: the files are the store's record of what it
+  holds.  Opening a directory lists its segment files once; a kill
+  mid-spill leaves at worst a ``*.tmp`` file, which is never adopted.
+  Which segments are live is recorded by the checkpoint that
+  references them, not by the store.  Keys are content-addressed,
+  which makes re-spilling the same segment idempotent and lets several
+  store instances — shard indexes, a checkpoint-restored runtime, a
+  replay audit — safely share one directory: segment files never
+  change once written.
 * :class:`HydrationCache` — the small LRU (``max_resident_cold``
   entries) through which *all* cold rehydration is routed, so
   back-to-back queries against the same cold window stop re-parsing the
@@ -43,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import zlib
 from array import array
@@ -55,7 +58,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -80,9 +82,13 @@ DEFAULT_MAX_RESIDENT_COLD = 4
 #: Segment file magic: identifies the format and pins its version.
 _MAGIC = b"PSPSEG1\n"
 
-_MANIFEST_NAME = "manifest.json"
 _SEGMENT_SUFFIX = ".seg"
 _TMP_MARKER = ".tmp"
+
+#: The segment file names a store adopts as keys.  Keys come back from
+#: checkpoints (outside input) and resolve only once adopted or spilled,
+#: so a name outside ``seg-<span>-<16 hex digits>`` never becomes a path.
+_KEY_PATTERN = re.compile(r"seg--?[0-9]+-[0-9a-f]{16}")
 
 _STORE_VERSION = 1
 
@@ -333,11 +339,11 @@ class HydrationCache:
 
 
 class SegmentStore:
-    """A directory of spilled cold segments plus their JSON manifest.
+    """A directory of spilled cold segments, one file per segment.
 
     Args:
-        directory: where segment files and the manifest live; created if
-            missing.  An existing manifest is adopted (the re-attach
+        directory: where the segment files live; created if missing.
+            The segment files already there are adopted (the re-attach
             path of checkpoint restores).
         max_resident_cold: LRU capacity of the hydration cache.
         metrics: optional :class:`~repro.obs.registry.MetricsRegistry`
@@ -355,11 +361,18 @@ class SegmentStore:
 
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-        self._segments: Dict[str, Dict[str, object]] = {}
+        #: Store key -> segment file size in bytes.
+        self._segments: Dict[str, int] = {}
+        # A segment file is renamed into place only once complete, so
+        # every one listed is adoptable; temp files end in ``.tmp`` and
+        # never match the glob.
+        for path in sorted(self._directory.glob(f"*{_SEGMENT_SUFFIX}")):
+            key = path.name[: -len(_SEGMENT_SUFFIX)]
+            if _KEY_PATTERN.fullmatch(key):
+                self._segments[key] = path.stat().st_size
         self._cache = HydrationCache(max_resident_cold)
         self.spills = 0
         self.hydrations = 0
-        self._load_manifest()
         self._metrics = ensure_registry(metrics)
         self._spills_total = self._metrics.counter(
             "psp_store_spills_total", "Cold segments spilled to disk"
@@ -395,62 +408,10 @@ class SegmentStore:
             "Hydrated segments resident in the LRU cache",
         ).set(len(self._cache))
 
-    # -- manifest ------------------------------------------------------------
-
     @property
     def directory(self) -> Path:
         """The store's on-disk root."""
         return self._directory
-
-    @property
-    def manifest_path(self) -> Path:
-        """Where the JSON manifest lives."""
-        return self._directory / _MANIFEST_NAME
-
-    def _load_manifest(self) -> None:
-        path = self.manifest_path
-        if not path.exists():
-            return
-        try:
-            manifest = json.loads(path.read_text("utf-8"))
-        except ValueError as error:
-            raise StoreError(
-                f"store manifest {path} is not valid JSON: {error}"
-            ) from None
-        if manifest.get("store_version") != _STORE_VERSION:
-            raise StoreError(
-                f"store manifest {path} has unsupported version "
-                f"{manifest.get('store_version')!r}"
-            )
-        for key, entry in manifest.get("segments", {}).items():
-            self._segments[str(key)] = dict(entry)
-
-    def _write_manifest(self) -> None:
-        """Persist the manifest, merging entries already on disk.
-
-        Segment files are immutable and content-addressed, so a union
-        merge is always safe — it is what lets several instances (shard
-        stores, a restore, a replay audit) share one directory without
-        clobbering each other's records.
-        """
-        merged: Dict[str, Dict[str, object]] = {}
-        path = self.manifest_path
-        if path.exists():
-            try:
-                on_disk = json.loads(path.read_text("utf-8"))
-                if on_disk.get("store_version") == _STORE_VERSION:
-                    for key, entry in on_disk.get("segments", {}).items():
-                        merged[str(key)] = dict(entry)
-            except ValueError:
-                pass  # a torn manifest is superseded by this write
-        merged.update(self._segments)
-        _atomic_write(
-            path,
-            json.dumps(
-                {"store_version": _STORE_VERSION, "segments": merged},
-                sort_keys=True,
-            ).encode("utf-8"),
-        )
 
     # -- write path ----------------------------------------------------------
 
@@ -459,26 +420,17 @@ class SegmentStore:
 
         The key is content-addressed, so spilling identical columns
         twice (a checkpoint re-spill, a parallel audit run) lands on the
-        same immutable file.  The segment file is renamed into place
-        before the manifest records it — a crash between the two leaves
-        an orphaned file the next open ignores, never a manifest entry
-        pointing at nothing.
+        same immutable file.  The write is the spill's only durable
+        step: a crash before its rename leaves a temp file no open
+        adopts, after it a complete segment file.
         """
         data = segment_to_bytes(columns_state)
         digest = hashlib.sha256(data).hexdigest()[:16]
         key = f"seg-{span}-{digest}"
-        filename = f"{key}{_SEGMENT_SUFFIX}"
-        target = self._directory / filename
+        target = self._directory / f"{key}{_SEGMENT_SUFFIX}"
         if key not in self._segments or not target.exists():
             _atomic_write(target, data)
-        count = len(columns_state.get("post_ids", ()))  # type: ignore[arg-type]
-        self._segments[key] = {
-            "file": filename,
-            "bytes": len(data),
-            "count": count,
-            "span": span,
-        }
-        self._write_manifest()
+        self._segments[key] = len(data)
         self.spills += 1
         self._spills_total.inc()
         self._spilled_bytes_total.inc(len(data))
@@ -501,16 +453,16 @@ class SegmentStore:
     @property
     def bytes_on_disk(self) -> int:
         """Total bytes of the tracked segment files."""
-        return sum(int(entry["bytes"]) for entry in self._segments.values())
+        return sum(self._segments.values())
 
     def _segment_path(self, key: str) -> Path:
-        entry = self._segments.get(key)
-        if entry is None:
+        # Only keys this store listed or spilled resolve, so a key read
+        # from a checkpoint never names a file outside the directory.
+        if key not in self._segments:
             raise StoreError(
-                f"segment {key!r} is not in the store manifest "
-                f"({self.manifest_path})"
+                f"segment {key!r} is not in the store at {self._directory}"
             )
-        return self._directory / str(entry["file"])
+        return self._directory / f"{key}{_SEGMENT_SUFFIX}"
 
     def load_columns_state(self, key: str) -> Dict[str, object]:
         """Read one spilled segment's columns back (no caching).

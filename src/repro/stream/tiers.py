@@ -1174,6 +1174,32 @@ class TieredCorpusIndex:
             "cold_age_days": self._cold_age_days,
         }
 
+    def check_spilled(self, state: Mapping[str, object]) -> None:
+        """Reject a snapshot whose spilled segments this index cannot load.
+
+        Raises :class:`StoreError` unless a store is attached and holds
+        every spilled key ``state`` references.  No segment is read, so
+        a restore runs this before it assigns anything and a rejected
+        snapshot leaves the index (and its runtime) as it was.
+        """
+        for entry in state.get("cold") or ():  # type: ignore[union-attr]
+            store_key = entry.get("store_key")
+            if store_key is None:
+                continue
+            if self._store is None:
+                raise StoreError(
+                    f"snapshot references spilled segment {store_key!r} "
+                    "but the index has no segment store attached; "
+                    "restore with the checkpoint's spill directory "
+                    "(spill_dir / --spill-dir)"
+                )
+            if not isinstance(store_key, str) or store_key not in self._store:
+                raise StoreError(
+                    f"snapshot references spilled segment {store_key!r} "
+                    "missing from the store at "
+                    f"{self._store.directory}"
+                )
+
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot exactly.
 
@@ -1183,8 +1209,11 @@ class TieredCorpusIndex:
         analyzer/region context is *not* part of the snapshot; the
         owning runtime re-supplies it at construction.  A version-1
         flat-index snapshot (``base``/``tail``, no ``layout`` key)
-        restores as an index without retention.
+        restores as an index without retention.  A snapshot that
+        :meth:`check_spilled` rejects is rejected before anything is
+        assigned.
         """
+        self.check_spilled(state)
         if state.get("layout") != "tiered":
             state = _tiered_from_flat(state)
         self._compact_threshold = int(state["compact_threshold"])  # type: ignore[arg-type]
@@ -1237,20 +1266,7 @@ class TieredCorpusIndex:
             columns_state: Optional[Dict[str, object]] = None
             if store_key is not None:
                 # Spilled snapshot: the columns live only in the store.
-                if self._store is None:
-                    raise StoreError(
-                        f"snapshot references spilled segment {store_key!r} "
-                        "but the index has no segment store attached; "
-                        "restore with the checkpoint's spill directory "
-                        "(spill_dir / --spill-dir)"
-                    )
-                if store_key not in self._store:
-                    raise StoreError(
-                        f"snapshot references spilled segment {store_key!r} "
-                        "missing from the store at "
-                        f"{self._store.directory}"
-                    )
-                cold_ids.extend(self._store.load_post_ids(str(store_key)))
+                cold_ids.extend(self._store.load_post_ids(store_key))
             else:
                 compact = _compact_columns(columns)  # type: ignore[arg-type]
                 cold_ids.extend(compact["post_ids"])  # type: ignore[arg-type]
@@ -1274,7 +1290,7 @@ class TieredCorpusIndex:
                     count=int(entry["count"]),
                     min_ord=int(entry["min_ord"]),
                     max_ord=int(entry["max_ord"]),
-                    store_key=None if store_key is None else str(store_key),
+                    store_key=store_key,
                 )
             )
             self._cold_count += int(entry["count"])

@@ -19,9 +19,19 @@ Regenerate the current version's files only together with a
 ``CHECKPOINT_VERSION`` bump (and keep the old ones)::
 
     PYTHONPATH=src python -m tests.stream.test_checkpoint_golden
+
+``golden/checkpoint_v2_spilled/`` holds a spilled run: the ``tiered``
+run with a segment store in ``store/``, checkpointed after four ticks
+(``base.json``).  Both were written when the store also kept a
+``store/manifest.json`` of its segments; that file stays in the
+fixture.  The store adopts its segment files and never reads the
+manifest: the checkpoint must still restore, and the same run must
+still write the same segment files and ``runtime`` state.  These files
+are never regenerated.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -41,6 +51,8 @@ from tests.conftest import build_ecm_database
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_ROOT / f"checkpoint_v{CHECKPOINT_VERSION}"
 GOLDEN_V1 = GOLDEN_ROOT / "checkpoint_v1"
+SPILLED = GOLDEN_ROOT / "checkpoint_v2_spilled"
+SPILLED_TICKS = 4
 ECM_TARGET = TargetApplication("car", "europe", "passenger")
 BATCH = 100
 BASE_TICKS = 3
@@ -56,7 +68,7 @@ def _feed():
     return SyntheticFeed.from_corpus(ecm_reprogramming_corpus())
 
 
-def _runtime(layout):
+def _runtime(layout, **knobs):
     return StreamRuntime(
         _feed(),
         build_ecm_database(),
@@ -64,6 +76,7 @@ def _runtime(layout):
         since_year=2015,
         batch_size=BATCH,
         **LAYOUTS[layout],
+        **knobs,
     )
 
 
@@ -81,6 +94,18 @@ def write_run(layout, directory: Path) -> None:
     (directory / "state.json").write_text(
         json.dumps(state, indent=2, sort_keys=True) + "\n"
     )
+
+
+def write_spilled_run(directory: Path) -> None:
+    """Write the spilled run's ``base.json`` and ``store/``.
+
+    Pass a relative ``directory``: the checkpoint records the store's
+    directory as given.
+    """
+    runtime = _runtime("tiered", spill_dir=directory / "store")
+    for _ in range(SPILLED_TICKS):
+        runtime.step()
+    save_checkpoint(runtime, directory / "base.json")
 
 
 def _alert_keys(runtime):
@@ -168,6 +193,58 @@ def test_tiered_layout_is_unchanged_since_v1():
             assert original.pop("checkpoint_version") == 1
             assert current.pop("checkpoint_version") == CHECKPOINT_VERSION
         assert current == original, name
+
+
+def _segment_files(directory):
+    return {
+        path.name: path.read_bytes() for path in directory.glob("*.seg")
+    }
+
+
+def test_spilled_run_writes_the_golden_segments_and_runtime(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    write_spilled_run(Path("."))
+    assert _segment_files(Path("store")) == _segment_files(SPILLED / "store")
+    assert sorted(path.name for path in Path("store").iterdir()) == sorted(
+        _segment_files(SPILLED / "store")
+    )
+    written = json.loads(Path("base.json").read_text())
+    golden = json.loads((SPILLED / "base.json").read_text())
+    assert written["runtime"] == golden["runtime"]
+    assert written["base_id"] == golden["base_id"]
+    golden_store = golden["metadata"]["store"]
+    assert golden_store.pop("manifest") == "store/manifest.json"
+    assert written["metadata"]["store"] == golden_store
+
+
+def test_spilled_checkpoint_of_a_manifest_store_restores(tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(SPILLED / "store", store)
+    uninterrupted = _runtime("tiered")
+    for _ in range(SPILLED_TICKS):
+        uninterrupted.step()
+    resumed = restore_runtime(
+        SPILLED / "base.json",
+        _feed(),
+        build_ecm_database(),
+        target=ECM_TARGET,
+        batch_size=BATCH,
+        spill_dir=store,
+        **LAYOUTS["tiered"],
+    )
+    assert sorted(resumed.store.keys()) == sorted(
+        name[: -len(".seg")] for name in _segment_files(SPILLED / "store")
+    )
+    assert resumed.cursor == uninterrupted.cursor
+    assert resumed.index.posts == uninterrupted.index.posts
+
+    reference = _runtime("tiered")
+    reference.run()
+    _assert_finishes_like(
+        resumed, reference, done=len(uninterrupted.alerts)
+    )
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """Tests for the cold-segment spill-to-disk store.
 
 Covers the binary codec (exact round trips, floats bit-for-bit), the
-crash-atomicity contract (temp files and orphans ignored, manifest never
-references a missing file), typed :class:`StoreError` failures naming
-the offending key, the LRU hydration cache, the ``psp_store_*``
-telemetry, and the spill lifecycle through ``TieredCorpusIndex``,
-checkpoints, sharded runtimes and the CLI.
+crash-atomicity contract (a store adopts the complete segment files in
+its directory and never a temp file, and a spill that fails at its
+write, fsync or rename leaves no segment or a whole one), typed
+:class:`StoreError` failures naming the offending key, the LRU hydration
+cache, the ``psp_store_*`` telemetry, and the spill lifecycle through
+``TieredCorpusIndex``, checkpoints, sharded runtimes and the CLI.
 """
 
 import datetime as dt
+import hashlib
 import json
 import math
+import os
 from array import array
 
 import pytest
@@ -28,7 +31,7 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.feed import SyntheticFeed
 from repro.stream.runtime import StreamRuntime
-from repro.stream.sharding import ShardedStreamRuntime
+from repro.stream.sharding import ShardedStreamRuntime, shard_feeds
 from repro.stream.store import (
     DEFAULT_MAX_RESIDENT_COLD,
     HydrationCache,
@@ -110,6 +113,23 @@ SAMPLE_STATE = {
     "post_ids": ["a", "b", "c"],
     "texts": ["first text", "", "unicode ✓ café"],
 }
+
+
+class _TornFile:
+    """An open file whose write lands half its bytes, then raises."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError("injected write failure")
 
 
 class TestCodec:
@@ -292,37 +312,141 @@ class TestSegmentStore:
         assert key in second
         assert second.load_post_ids(key) == ["x1", "x2"]
 
-    def test_orphan_tmp_and_seg_files_ignored_on_open(self, tmp_path):
-        # A kill mid-spill leaves either a temp file (crash before the
-        # rename) or a renamed segment the manifest never recorded
-        # (crash between rename and manifest write).  Both are inert.
+    @staticmethod
+    def _key(state, span):
+        digest = hashlib.sha256(segment_to_bytes(state)).hexdigest()[:16]
+        return f"seg-{span}-{digest}"
+
+    def test_spill_leaves_only_complete_segment_files(self, tmp_path):
         store = SegmentStore(tmp_path)
-        key = store.spill(self._state(), span=3)
-        (tmp_path / f"seg-9-deadbeef.seg.{12345}.tmp").write_bytes(b"junk")
-        (tmp_path / "seg-9-deadbeef.seg").write_bytes(b"orphan")
+        states = {
+            store.spill(self._state(tag), span=span): self._state(tag)
+            for span, tag in enumerate("abc")
+        }
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{key}.seg" for key in states
+        )
+        reopened = SegmentStore(tmp_path)
+        assert list(reopened.keys()) == sorted(states)
+        for key, state in states.items():
+            assert reopened.load_columns_state(key) == state
+
+    def test_tmp_file_never_adopted(self, tmp_path):
+        # A kill before the rename leaves the temp file, whole or torn.
+        store = SegmentStore(tmp_path)
+        key = store.spill(self._state("a"), span=1)
+        orphan = self._key(self._state("b"), 2)
+        (tmp_path / f"{orphan}.seg.12345.tmp").write_bytes(
+            segment_to_bytes(self._state("b"))
+        )
         adopted = SegmentStore(tmp_path)
         assert list(adopted.keys()) == [key]
-        assert adopted.load_post_ids(key) == ["x1", "x2"]
-        # The orphaned content-addressed file is reused on the next
-        # spill of the same content, never trusted blindly.
-        assert "seg-9-deadbeef" not in adopted
+        assert orphan not in adopted
+        with pytest.raises(StoreError, match=orphan):
+            adopted.load_columns_state(orphan)
 
-    def test_manifest_never_references_missing_file(self, tmp_path):
+    def test_complete_segment_file_adopted_on_reopen(self, tmp_path):
+        # A kill right after the rename leaves a complete file that no
+        # checkpoint references yet: the next open adopts it.
+        elsewhere = SegmentStore(tmp_path / "elsewhere")
+        key = elsewhere.spill(self._state("b"), span=2)
+        store_dir = tmp_path / "store"
+        SegmentStore(store_dir).spill(self._state("a"), span=1)
+        (store_dir / f"{key}.seg").write_bytes(
+            (tmp_path / "elsewhere" / f"{key}.seg").read_bytes()
+        )
+        adopted = SegmentStore(store_dir)
+        assert key in adopted and adopted.segment_count == 2
+        assert adopted.load_columns_state(key) == self._state("b")
+        assert adopted.bytes_on_disk == sum(
+            path.stat().st_size for path in store_dir.glob("*.seg")
+        )
+
+    def test_damaged_adopted_segment_raises_naming_key_and_file(
+        self, tmp_path
+    ):
+        key = self._key(self._state(), 3)
+        path = tmp_path / f"{key}.seg"
+        path.write_bytes(segment_to_bytes(self._state())[:-7])
+        store = SegmentStore(tmp_path)  # opening reads no segment
+        assert key in store
+        with pytest.raises(StoreError) as excinfo:
+            store.load_post_ids(key)
+        message = str(excinfo.value)
+        assert key in message and str(path) in message
+
+    def test_keys_outside_the_pattern_are_rejected(self, tmp_path):
+        data = segment_to_bytes(self._state())
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (tmp_path / "x.seg").write_bytes(data)
+        (store_dir / "seg-1-zz.seg").write_bytes(data)
+        store = SegmentStore(store_dir)
+        assert list(store.keys()) == []
+        index = TieredCorpusIndex(store=store, warm_span_days=30)
+        for key in ("../x", "seg-1-zz"):
+            assert key not in store
+            with pytest.raises(StoreError, match="not in the store"):
+                store.load_columns_state(key)
+            # A checkpoint naming the key is refused before any read.
+            with pytest.raises(StoreError, match="missing from the store"):
+                index.check_spilled({"cold": [{"store_key": key}]})
+
+    @pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failed_spill_leaves_no_segment_or_a_whole_one(
+        self, tmp_path, monkeypatch, step, k
+    ):
+        # The k-th spill's write (torn halfway), fsync or rename raises.
+        calls = []
+        if step == "write":
+
+            def opener(path, mode="r"):
+                handle = open(path, mode)
+                if "w" in mode:
+                    calls.append(path)
+                    if len(calls) == k:
+                        return _TornFile(handle)
+                return handle
+
+            monkeypatch.setattr(store_module, "open", opener, raising=False)
+        else:
+            real = getattr(os, step)
+
+            def failing(*args):
+                calls.append(args)
+                if len(calls) == k:
+                    raise OSError(f"injected {step} failure")
+                return real(*args)
+
+            monkeypatch.setattr(os, step, failing)
+        states = [self._state(tag) for tag in "abcd"]
+        keys = [self._key(state, span) for span, state in enumerate(states)]
         store = SegmentStore(tmp_path)
-        store.spill(self._state("a"), span=1)
-        store.spill(self._state("b"), span=2)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for entry in manifest["segments"].values():
-            assert (tmp_path / entry["file"]).exists()
+        for span, state in enumerate(states):
+            if span + 1 == k:
+                with pytest.raises(OSError, match="injected"):
+                    store.spill(state, span=span)
+                assert keys[span] not in store
+            else:
+                assert store.spill(state, span=span) == keys[span]
+        monkeypatch.undo()
 
-    def test_corrupt_manifest_raises(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(StoreError, match="not valid JSON"):
-            SegmentStore(tmp_path)
+        reopened = SegmentStore(tmp_path)
+        for span, (key, state) in enumerate(zip(keys, states)):
+            if key in reopened:
+                assert reopened.load_columns_state(key) == state
+            else:
+                assert span + 1 == k, key
+        # The failed spill can be retried over whatever it left behind.
+        assert reopened.spill(states[k - 1], span=k - 1) == keys[k - 1]
+        assert SegmentStore(tmp_path).load_columns_state(keys[k - 1]) == (
+            states[k - 1]
+        )
 
     def test_manifest_union_merge_across_instances(self, tmp_path):
         # Two instances sharing one directory (shards, replay sub-runs)
-        # must not clobber each other's manifest records.
+        # each keep their segments; a later open adopts both.
         first = SegmentStore(tmp_path)
         second = SegmentStore(tmp_path)
         key_a = first.spill(self._state("a"), span=1)
@@ -539,9 +663,12 @@ class TestCheckpointSpill:
         path = save_checkpoint(interrupted, tmp_path / "spill.ckpt.json")
         payload = json.loads(path.read_text())
         meta = payload["metadata"]["store"]
-        assert meta["directory"] == str(spill)
-        assert meta["segments"] > 0 and meta["bytes"] > 0
-        assert meta["manifest"] == str(spill / "manifest.json")
+        assert meta == {
+            "directory": str(spill),
+            "segments": len(list(spill.glob("seg-*.seg"))),
+            "bytes": sum(path.stat().st_size for path in spill.iterdir()),
+        }
+        assert meta["segments"] > 0
 
         resumed = restore_runtime(
             path,
@@ -580,6 +707,52 @@ class TestCheckpointSpill:
         message = str(excinfo.value)
         assert "checkpoint restore failed" in message
         assert "spill" in message  # points the operator at the remedy
+
+
+class TestRejectedRestore:
+    """A restore whose spilled segments are missing changes nothing."""
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["one_feed", "sharded"])
+    def test_missing_segments_leave_the_runtime_as_it_was(
+        self, tmp_path, shards
+    ):
+        def build(spill_dir):
+            posts = list(ecm_reprogramming_corpus().posts)
+            knobs = dict(
+                target=ECM_TARGET,
+                since_year=2015,
+                warm_span_days=60,
+                cold_age_days=180,
+                spill_dir=spill_dir,
+                max_resident_cold=1,
+            )
+            if shards is None:
+                return StreamRuntime(
+                    SyntheticFeed(posts), build_ecm_database(), **knobs
+                )
+            return ShardedStreamRuntime(
+                shard_feeds(posts, shards), build_ecm_database(), **knobs
+            )
+
+        def advance(runtime, last):
+            for year in range(2015, last + 1):
+                runtime.advance_to(dt.date(year, 12, 31), upto_year=year)
+            return runtime
+
+        def observed(runtime):
+            return (
+                runtime.cursors,
+                runtime.evaluator.retunes,
+                runtime.deltas.observed_posts,
+                [len(index) for index in runtime.shard_indexes],
+            )
+
+        state = advance(build(tmp_path / "full"), 2019).state_dict()
+        runtime = advance(build(tmp_path / "empty"), 2016)
+        before = observed(runtime)
+        with pytest.raises(StoreError, match="missing from the store"):
+            runtime.load_state(state)
+        assert observed(runtime) == before
 
 
 class TestShardedSpill:
@@ -645,7 +818,10 @@ class TestCliSpill:
         assert "store:" in out
         assert str(tmp_path / "store") in out
         assert "spilled" in out
-        assert (tmp_path / "store" / "manifest.json").exists()
+        names = [path.name for path in (tmp_path / "store").iterdir()]
+        assert names and all(
+            name.startswith("seg-") and name.endswith(".seg") for name in names
+        )
 
     def test_replay_with_spill_dir_passes(self, tmp_path, capsys):
         code = main(
